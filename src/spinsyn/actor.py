@@ -51,7 +51,7 @@ scale x0.5 or x2, alpha_flip 0.05 or 0.2.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,19 +77,22 @@ class BiasUpdate(enum.Enum):
     THRESHOLDED = "thresholded"  # biases pass through the same map as weights
 
 
+# The output layer learns at this fraction of the hidden-layer rate.
+LR_OUT_RATIO = 0.5
+
+
 @dataclass
 class ActorConfig:
     """Architecture and learning hyperparameters of the actor.
 
-    lr_out defaults to half of lr_hidden when not given explicitly.
+    The network has a single output unit; the output-layer rate is
+    derived from lr_hidden (see lr_out).
     """
 
     n_in: int = 2
     n_hidden: int = 10
-    n_out: int = 1
     alpha_flip: float = 0.1
     lr_hidden: float = 1.1
-    lr_out: float | None = None
     batch_size: int = 10
     dw_min: float = 0.4
     update_rule: UpdateRule = UpdateRule.POWER_LAW
@@ -99,16 +102,12 @@ class ActorConfig:
     carry_subthreshold: bool = False
 
     def __post_init__(self) -> None:
-        if self.lr_out is None:
-            # dataclasses.replace() re-runs this, so sweeps that change
-            # lr_hidden must set lr_out explicitly (or pass None again)
-            self.lr_out = self.lr_hidden / 2.0
-        if min(self.n_in, self.n_hidden, self.n_out) < 1:
+        if min(self.n_in, self.n_hidden) < 1:
             raise ValueError("layer sizes must be >= 1")
         if not 0.0 <= self.alpha_flip <= 1.0:
             raise ValueError(f"alpha_flip must lie in [0, 1], got {self.alpha_flip}")
-        if self.lr_hidden <= 0.0 or self.lr_out <= 0.0:
-            raise ValueError("learning rates must be > 0")
+        if self.lr_hidden <= 0.0:
+            raise ValueError(f"lr_hidden must be > 0, got {self.lr_hidden}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.dw_min < 0.0:
@@ -118,22 +117,25 @@ class ActorConfig:
                 f"power_exponent must be > 0, got {self.power_exponent}"
             )
 
+    @property
+    def lr_out(self) -> float:
+        """Output-layer learning rate, lr_hidden * LR_OUT_RATIO."""
+        return self.lr_hidden * LR_OUT_RATIO
+
 
 @dataclass
 class ForwardTrace:
     """Everything one forward pass recorded, as needed by the update rule.
 
-    Per layer: the Bernoulli parameters p, the sampled bits before the
-    exploration flip, the emitted bits after it, and the inputs the layer
-    saw; plus the flip probability that was in force.
+    Per layer: the Bernoulli parameters p, the emitted bits after the
+    exploration flip, and the inputs the layer saw; plus the flip
+    probability that was in force.
     """
 
     x: np.ndarray
     p_hidden: np.ndarray
-    proposed_hidden: np.ndarray
     y_hidden: np.ndarray
     p_out: np.ndarray
-    proposed_out: np.ndarray
     y_out: np.ndarray
     flip_prob: float
 
@@ -173,7 +175,7 @@ class ActorNetwork:
         self.b_out = np.asarray(b_out, dtype=float)
         if self.w_hidden.shape != (config.n_hidden, config.n_in):
             raise ValueError(f"w_hidden shape {self.w_hidden.shape} mismatch")
-        if self.w_out.shape != (config.n_out, config.n_hidden):
+        if self.w_out.shape != (1, config.n_hidden):
             raise ValueError(f"w_out shape {self.w_out.shape} mismatch")
         self.acc_w_hidden = np.zeros_like(self.w_hidden)
         self.acc_b_hidden = np.zeros_like(self.b_hidden)
@@ -189,8 +191,8 @@ class ActorNetwork:
             config,
             w_hidden=rng.uniform(-bound_h, bound_h, size=(config.n_hidden, config.n_in)),
             b_hidden=np.zeros(config.n_hidden),
-            w_out=rng.uniform(-bound_o, bound_o, size=(config.n_out, config.n_hidden)),
-            b_out=np.zeros(config.n_out),
+            w_out=rng.uniform(-bound_o, bound_o, size=(1, config.n_hidden)),
+            b_out=np.zeros(1),
         )
 
     def forward(
@@ -216,17 +218,15 @@ class ActorNetwork:
         y_hidden = (proposed_hidden ^ flips_hidden).astype(float)
 
         p_out = sigmoid(self.w_out @ y_hidden + self.b_out)
-        proposed_out = rng.random(self.config.n_out) < p_out
-        flips_out = rng.random(self.config.n_out) < p_flip
+        proposed_out = rng.random(1) < p_out
+        flips_out = rng.random(1) < p_flip
         y_out = (proposed_out ^ flips_out).astype(float)
 
         trace = ForwardTrace(
             x=x,
             p_hidden=p_hidden,
-            proposed_hidden=proposed_hidden.astype(float),
             y_hidden=y_hidden,
             p_out=p_out,
-            proposed_out=proposed_out.astype(float),
             y_out=y_out,
             flip_prob=p_flip,
         )

@@ -52,16 +52,17 @@ class LoadedConfig:
     device: SpinValveParams
 
 
-_ENUMS = {
-    "actor.update_rule": {r.value: r for r in UpdateRule},
-    "actor.gradient_probability": {g.value: g for g in GradientProbability},
-    "actor.bias_update": {b.value: b for b in BiasUpdate},
-    "env.presentation": {p.value: p for p in Presentation},
-}
+def _parse_bool(raw: str) -> bool:
+    try:
+        return {"true": True, "false": False}[raw.lower()]
+    except KeyError:
+        raise ValueError(raw) from None
 
-_BOOLS = {"true": True, "false": False}
 
-# section.key -> (target dataclass kwargs bucket, field name, parser kind)
+# section.key -> (target dataclass kwargs bucket, field name, parser kind).
+# The parser kind is called on the raw text and raises ValueError on bad
+# input; enum classes parse their .value strings. Layer input and output
+# sizes have no key: XOR fixes them. Each arm's rate lives under harness.
 _SCHEMA = {
     "device.g_min": ("device", "g_min", float),
     "device.g_max": ("device", "g_max", float),
@@ -70,25 +71,18 @@ _SCHEMA = {
     "device.mg_exponent": ("device", "mg_exponent", float),
     "device.pulse_threshold_v": ("device", "pulse_threshold_v", float),
     "device.pulse_time_constant_tau": ("device", "pulse_time_constant_tau", float),
-    "actor.n_in": ("actor", "n_in", int),
     "actor.n_hidden": ("actor", "n_hidden", int),
-    "actor.n_out": ("actor", "n_out", int),
     "actor.alpha_flip": ("actor", "alpha_flip", float),
-    "actor.lr_hidden": ("actor", "lr_hidden", float),
-    "actor.lr_out": ("actor", "lr_out", float),
     "actor.batch_size": ("actor", "batch_size", int),
     "actor.dw_min": ("actor", "dw_min", float),
-    "actor.update_rule": ("actor", "update_rule", "enum"),
     "actor.power_exponent": ("actor", "power_exponent", float),
-    "actor.gradient_probability": ("actor", "gradient_probability", "enum"),
-    "actor.bias_update": ("actor", "bias_update", "enum"),
-    "actor.carry_subthreshold": ("actor", "carry_subthreshold", bool),
-    "critic.n_in": ("critic", "n_in", int),
+    "actor.gradient_probability": ("actor", "gradient_probability", GradientProbability),
+    "actor.bias_update": ("actor", "bias_update", BiasUpdate),
+    "actor.carry_subthreshold": ("actor", "carry_subthreshold", _parse_bool),
     "critic.n_hidden": ("critic", "n_hidden", int),
     "critic.lr": ("critic", "lr", float),
     "critic.l1_coeff": ("critic", "l1_coeff", float),
-    "critic.batch_size": ("critic", "batch_size", int),
-    "env.presentation": ("harness", "presentation", "enum"),
+    "env.presentation": ("harness", "presentation", Presentation),
     "harness.n_trials": ("harness", "n_trials", int),
     "harness.max_epochs": ("harness", "max_epochs", int),
     "harness.goal": ("harness", "goal", float),
@@ -104,27 +98,6 @@ _SCHEMA = {
 }
 
 _LINE_RE = re.compile(r"^([a-z_]+)\.([a-z_0-9]+)\s*=\s*(.*)$")
-
-
-def _parse_value(key: str, raw: str, kind, lineno: int):
-    raw = raw.strip()
-    try:
-        if kind is int:
-            return int(raw, 10)
-        if kind is float:
-            return float(raw)
-        if kind is bool:
-            if raw.lower() not in _BOOLS:
-                raise ValueError(raw)
-            return _BOOLS[raw.lower()]
-        mapping = _ENUMS[key]
-        if raw not in mapping:
-            raise ValueError(raw)
-        return mapping[raw]
-    except ValueError:
-        raise ConfigError(
-            f"line {lineno}: invalid value {raw!r} for {key}"
-        ) from None
 
 
 def parse_config(path: str | Path | None) -> LoadedConfig:
@@ -154,7 +127,13 @@ def parse_config(path: str | Path | None) -> LoadedConfig:
             if key not in _SCHEMA:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
             bucket, field, kind = _SCHEMA[key]
-            buckets[bucket][field] = _parse_value(key, m.group(3), kind, lineno)
+            raw = m.group(3).strip()
+            try:
+                buckets[bucket][field] = kind(raw)
+            except ValueError:
+                raise ConfigError(
+                    f"line {lineno}: invalid value {raw!r} for {key}"
+                ) from None
     try:
         device = SpinValveParams(**buckets["device"])
         actor = ActorConfig(**buckets["actor"])
@@ -252,8 +231,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--rule",
                 choices=[r.value for r in UpdateRule],
-                default=None,
-                help="update rule (sweep default: both)",
+                default=UpdateRule.POWER_LAW.value if name == "train" else None,
+                help="update rule (train default: powerlaw, sweep default: both)",
             )
         if name == "train":
             p.add_argument(
@@ -278,14 +257,20 @@ def run_cli(args: argparse.Namespace) -> int:
     if args.parallelism < 1:
         raise ConfigError(f"--parallelism must be >= 1, got {args.parallelism}")
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     if args.subcommand == "train":
-        rule = UpdateRule(args.rule) if args.rule else config.actor.update_rule
+        rule = UpdateRule(args.rule)
         lr = args.lr if args.lr is not None else _rule_lr(config, rule)
         if lr <= 0:
             raise ConfigError(f"--lr must be > 0, got {lr}")
+
+    out = Path(args.out)
+    if args.subcommand == "plot":  # reads --out, never creates it
+        if not svgplot.plot_directory(out):
+            raise ConfigError(f"no plottable CSV files in {out}")
+        return 0
+    out.mkdir(parents=True, exist_ok=True)
+
+    if args.subcommand == "train":
         results = run_trials(config, rule, lr, parallelism=args.parallelism)
         write_learning_curve_csv(out / "learning_curve.csv", results)
     elif args.subcommand == "sweep":
@@ -298,17 +283,13 @@ def run_cli(args: argparse.Namespace) -> int:
         report = compare_rules(config, parallelism=args.parallelism)
         write_comparison_csv(out / "comparison.csv", report)
         write_stats_csv(out / "stats.csv", report)
-    elif args.subcommand == "device-map":
+    else:  # device-map
         ratios = pulse_map_sweep(
             DEVICE_MAP_VOLTAGES, DEVICE_MAP_DURATIONS, DEVICE_MAP_PULSES, loaded.device
         )
         write_pulse_map_csv(
             out / "pulse_map.csv", DEVICE_MAP_VOLTAGES, DEVICE_MAP_DURATIONS, ratios
         )
-    else:  # plot
-        written = svgplot.plot_directory(out)
-        if not written:
-            raise ConfigError(f"no plottable CSV files in {out}")
     return 0
 
 

@@ -30,7 +30,6 @@ class CriticConfig:
     n_hidden: int = 20
     lr: float = 1.0
     l1_coeff: float = 0.001
-    batch_size: int = 1
 
     def __post_init__(self) -> None:
         if min(self.n_in, self.n_hidden) < 1:
@@ -39,11 +38,6 @@ class CriticConfig:
             raise ValueError(f"lr must be > 0, got {self.lr}")
         if self.l1_coeff < 0.0:
             raise ValueError(f"l1_coeff must be >= 0, got {self.l1_coeff}")
-        if self.batch_size != 1:
-            raise ValueError(
-                "only per-presentation critic updates are supported "
-                f"(batch_size = 1), got {self.batch_size}"
-            )
 
 
 class CriticNetwork:

@@ -86,7 +86,7 @@ class SpinValveParams:
 
 @dataclass(frozen=True)
 class DeviceState:
-    """Mutable configuration of one device: conductance plus magnetization.
+    """Immutable state of one device: conductance plus magnetization.
 
     The conductance field always stores the parallel-configuration value;
     the antiparallel boost is applied at read time by

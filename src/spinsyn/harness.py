@@ -200,12 +200,7 @@ def run_trial(
     """
     seed = trial_seed(config.master_seed, update_rule, lr_hidden, trial_index)
     rng = np.random.default_rng(seed)
-    actor_cfg = replace(
-        config.actor,
-        update_rule=update_rule,
-        lr_hidden=lr_hidden,
-        lr_out=lr_hidden / 2.0,
-    )
+    actor_cfg = replace(config.actor, update_rule=update_rule, lr_hidden=lr_hidden)
     actor = ActorNetwork.initialize(actor_cfg, rng)
     critic = CriticNetwork.initialize(config.critic, rng)
     schedule = InputSchedule(config.presentation)
@@ -247,7 +242,7 @@ def run_trials(
     arglist = [(config, update_rule, lr_hidden, i) for i in range(config.n_trials)]
     if parallelism <= 1:
         return [run_trial(*args) for args in arglist]
-    with Pool(processes=parallelism) as pool:
+    with Pool(processes=min(parallelism, len(arglist))) as pool:
         return pool.map(_run_trial_args, arglist)
 
 

@@ -166,9 +166,7 @@ def test_criterion_05_update_map_properties():
 
 
 def test_criterion_06_policy_gradient_monte_carlo():
-    config = ActorConfig(
-        n_in=1, n_hidden=1, n_out=1, alpha_flip=0.0, lr_hidden=1.0, lr_out=1.0
-    )
+    config = ActorConfig(n_in=1, n_hidden=1, alpha_flip=0.0, lr_hidden=1.0)
     net = ActorNetwork.initialize(config, np.random.default_rng(0))
     net.w_hidden[:] = 0.8
     net.b_hidden[:] = 0.0

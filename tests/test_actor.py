@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -75,9 +77,6 @@ class TestConfig:
     def test_lr_out_defaults_to_half(self):
         assert ActorConfig(lr_hidden=0.8).lr_out == 0.4
 
-    def test_explicit_lr_out_kept(self):
-        assert ActorConfig(lr_hidden=0.8, lr_out=0.1).lr_out == 0.1
-
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -125,13 +124,18 @@ class TestForward:
         assert np.all(trace.p_out == 0.5)
 
     def test_full_reward_disables_flips(self):
+        # replay the generator to recompute the pre-flip proposals
         net = make_net()
         rng = np.random.default_rng(2)
         for _ in range(200):
+            replay = copy.deepcopy(rng)
             _, trace = net.forward(np.array([1.0, 1.0]), 1.0, rng)
             assert trace.flip_prob == 0.0
-            assert np.array_equal(trace.proposed_hidden, trace.y_hidden)
-            assert np.array_equal(trace.proposed_out, trace.y_out)
+            proposed_hidden = replay.random(net.config.n_hidden) < trace.p_hidden
+            replay.random(net.config.n_hidden)  # hidden flip draws
+            proposed_out = replay.random(1) < trace.p_out
+            assert np.array_equal(proposed_hidden, trace.y_hidden == 1.0)
+            assert np.array_equal(proposed_out, trace.y_out == 1.0)
 
     def test_rbar_clamped(self):
         net = make_net()
@@ -147,7 +151,7 @@ class TestForward:
 
     def test_single_neuron_flip_arithmetic(self):
         # P(y=1) = p*(1-f) + (1-p)*f with p = 0.9, f = alpha*(1-0) = 0.1
-        config = ActorConfig(n_in=1, n_hidden=1, n_out=1, alpha_flip=0.1)
+        config = ActorConfig(n_in=1, n_hidden=1, alpha_flip=0.1)
         net = ActorNetwork.initialize(config, np.random.default_rng(0))
         p = 0.9
         net.w_hidden[:] = 0.0
@@ -164,7 +168,7 @@ class TestForward:
 
     def test_no_flip_distribution_matches_bernoulli(self):
         # alpha_flip = 0: output bit is Bernoulli(p_out) exactly
-        config = ActorConfig(n_in=1, n_hidden=1, n_out=1, alpha_flip=0.0)
+        config = ActorConfig(n_in=1, n_hidden=1, alpha_flip=0.0)
         net = ActorNetwork.initialize(config, np.random.default_rng(0))
         net.w_hidden[:] = 0.0
         net.b_hidden[:] = 50.0  # hidden always fires
@@ -196,7 +200,7 @@ class TestAccumulate:
     def test_reference_increment(self):
         # eta=1, R=1, r_bar=0.5, y=1, p=0.8, y_j=1 -> +0.1 (no flips, so the
         # emission probability equals the sigmoid value)
-        config = ActorConfig(n_in=1, n_hidden=1, n_out=1, alpha_flip=0.0, lr_hidden=1.0, lr_out=1.0)
+        config = ActorConfig(n_in=1, n_hidden=1, alpha_flip=0.0, lr_hidden=1.0)
         net = ActorNetwork.initialize(config, np.random.default_rng(0))
         net.w_hidden[:] = 0.0
         net.b_hidden[:] = np.log(0.8 / 0.2)
@@ -211,7 +215,7 @@ class TestAccumulate:
         assert net.acc_w_hidden[0, 0] == pytest.approx(0.1, rel=1e-12)
 
     def test_emission_probability_is_flip_adjusted(self):
-        config = ActorConfig(n_in=1, n_hidden=1, n_out=1, alpha_flip=0.1, lr_hidden=1.0, lr_out=1.0)
+        config = ActorConfig(n_in=1, n_hidden=1, alpha_flip=0.1, lr_hidden=1.0)
         net = ActorNetwork.initialize(config, np.random.default_rng(0))
         net.w_hidden[:] = 0.0
         net.b_hidden[:] = np.log(0.8 / 0.2)
@@ -225,7 +229,7 @@ class TestAccumulate:
 
     def test_sigmoid_gradient_mode_uses_raw_probability(self):
         config = ActorConfig(
-            n_in=1, n_hidden=1, n_out=1, alpha_flip=0.1, lr_hidden=1.0, lr_out=1.0,
+            n_in=1, n_hidden=1, alpha_flip=0.1, lr_hidden=1.0,
             gradient_probability=GradientProbability.SIGMOID,
         )
         net = ActorNetwork.initialize(config, np.random.default_rng(0))
@@ -240,9 +244,7 @@ class TestAccumulate:
     def test_policy_gradient_expectation(self):
         # single Bernoulli neuron, x=1, no flips, R=y, baseline 0.5, eta=1:
         # E[increment] = p(1-p); Monte-Carlo mean within 3 SE
-        config = ActorConfig(
-            n_in=1, n_hidden=1, n_out=1, alpha_flip=0.0, lr_hidden=1.0, lr_out=1.0
-        )
+        config = ActorConfig(n_in=1, n_hidden=1, alpha_flip=0.0, lr_hidden=1.0)
         net = ActorNetwork.initialize(config, np.random.default_rng(0))
         w = 0.8
         net.w_hidden[:] = w

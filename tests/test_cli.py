@@ -1,19 +1,24 @@
+import dataclasses
+import enum
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spinsyn.actor import BiasUpdate, GradientProbability, UpdateRule
+from spinsyn.actor import ActorConfig, BiasUpdate, GradientProbability
 from spinsyn.cli import (
+    _SCHEMA,
     ConfigError,
     fmt,
     main,
     parse_config,
     write_learning_curve_csv,
 )
+from spinsyn.critic import CriticConfig
+from spinsyn.device import SpinValveParams
 from spinsyn.env import Presentation
-from spinsyn.harness import TrialResult
+from spinsyn.harness import ExperimentConfig, TrialResult
 from spinsyn import svgplot
 
 DATA = Path(__file__).parent / "data"
@@ -58,7 +63,6 @@ class TestParseConfig:
                 """
 # comment line
 actor.alpha_flip = 0.2   # inline comment
-actor.update_rule = linear
 actor.gradient_probability = sigmoid
 actor.bias_update = thresholded
 actor.carry_subthreshold = false
@@ -70,7 +74,6 @@ device.g_th = 2e-6
         )
         cfg = loaded.experiment
         assert cfg.actor.alpha_flip == 0.2
-        assert cfg.actor.update_rule is UpdateRule.LINEAR
         assert cfg.actor.gradient_probability is GradientProbability.SIGMOID
         assert cfg.actor.bias_update is BiasUpdate.THRESHOLDED
         assert cfg.actor.carry_subthreshold is False
@@ -101,6 +104,62 @@ device.g_th = 2e-6
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             parse_config(tmp_path / "absent.cfg")
+
+    # XOR fixes these sizes and the run derives or takes elsewhere these
+    # values (harness.lr_*, --rule), so each key fails at load time
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "actor.lr_hidden = 0.3",
+            "actor.lr_out = 0.01",
+            "actor.update_rule = linear",
+            "critic.batch_size = 1",
+            "actor.n_in = 3",
+            "critic.n_in = 3",
+            "actor.n_out = 2",
+        ],
+    )
+    def test_removed_key_rejected(self, tmp_path, line):
+        cfg = write_config(tmp_path, line + "\n")
+        with pytest.raises(ConfigError, match="line 1.*unknown key"):
+            parse_config(cfg)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+class TestSchema:
+    TARGETS = {
+        "device": SpinValveParams,
+        "actor": ActorConfig,
+        "critic": CriticConfig,
+        "harness": ExperimentConfig,
+    }
+
+    def test_every_key_names_a_field_of_its_target(self):
+        for key, (bucket, field, _) in _SCHEMA.items():
+            names = {f.name for f in dataclasses.fields(self.TARGETS[bucket])}
+            assert field in names, key
+
+    def test_every_enum_key_parses_each_value(self, tmp_path):
+        enum_keys = [
+            (key, kind)
+            for key, (_, _, kind) in _SCHEMA.items()
+            if isinstance(kind, type) and issubclass(kind, enum.Enum)
+        ]
+        assert {kind for _, kind in enum_keys} == {
+            GradientProbability,
+            BiasUpdate,
+            Presentation,
+        }
+        for key, kind in enum_keys:
+            bucket, field, _ = _SCHEMA[key]
+            for member in kind:
+                loaded = parse_config(write_config(tmp_path, f"{key} = {member.value}\n"))
+                target = loaded.experiment
+                if bucket in ("actor", "critic"):
+                    target = getattr(target, bucket)
+                assert getattr(target, field) is member, (key, member)
 
 
 class TestNumberFormat:
@@ -260,6 +319,16 @@ class TestExitCodes:
 
     def test_plot_without_csvs_exits_2(self, tmp_path):
         assert main(["plot", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["train", "--lr", "-1"], ["plot"]],
+        ids=["train-negative-lr", "plot-missing-dir"],
+    )
+    def test_rejected_arguments_leave_no_output_dir(self, tmp_path, argv):
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_bad_parallelism_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_EXPERIMENT)

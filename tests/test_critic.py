@@ -19,7 +19,7 @@ class TestConfig:
         assert (cfg.n_in, cfg.n_hidden, cfg.lr, cfg.l1_coeff) == (2, 20, 1.0, 0.001)
 
     @pytest.mark.parametrize(
-        "kwargs", [{"lr": 0.0}, {"l1_coeff": -1e-4}, {"n_hidden": 0}, {"batch_size": 2}]
+        "kwargs", [{"lr": 0.0}, {"l1_coeff": -1e-4}, {"n_hidden": 0}]
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):

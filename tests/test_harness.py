@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spinsyn import harness
 from spinsyn.actor import ActorConfig, ActorNetwork, UpdateRule
 from spinsyn.critic import CriticConfig, CriticNetwork
 from spinsyn.env import InputSchedule, Presentation
@@ -180,6 +181,28 @@ class TestRunTrialsParallel:
             assert a.seed == b.seed
             assert np.array_equal(a.filtered_curve, b.filtered_curve)
             assert np.array_equal(a.raw_curve, b.raw_curve)
+
+    def test_no_more_workers_than_trials(self, monkeypatch):
+        started = []
+
+        class FakePool:  # runs tasks in-process, records the worker count
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable):
+                return [fn(args) for args in iterable]
+
+        monkeypatch.setattr(harness, "Pool", FakePool)
+        config = small_config(n_trials=2, max_epochs=2)
+        results = run_trials(config, UpdateRule.LINEAR, 0.75, parallelism=64)
+        assert started == [2]
+        assert len(results) == 2
 
 
 class TestWelch:
