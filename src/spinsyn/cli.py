@@ -1,4 +1,4 @@
-"""Command-line front end: config files, experiment subcommands, CSV and SVG output.
+"""Command-line front end: config files, experiment subcommands, CSV output.
 
 Subcommands:
 
@@ -6,7 +6,6 @@ Subcommands:
 * ``sweep``      learning-rate sweep per rule, write sweep.csv
 * ``compare``    linear vs power-law comparison, write comparison.csv + stats.csv
 * ``device-map`` pulse-train on/off ratio grid, write pulse_map.csv
-* ``plot``       render any of the CSVs above in --out to an SVG
 
 Config files are flat ``section.key = value`` lines with ``#`` comments;
 sections are device, actor, critic, env, harness. Unknown keys are
@@ -17,6 +16,7 @@ failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -37,7 +37,6 @@ from .harness import (
     lr_sweep,
     run_trials,
 )
-from . import svgplot
 
 
 class ConfigError(Exception):
@@ -52,6 +51,13 @@ class LoadedConfig:
     device: SpinValveParams
 
 
+def _parse_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
 def _parse_bool(raw: str) -> bool:
     try:
         return {"true": True, "false": False}[raw.lower()]
@@ -61,39 +67,39 @@ def _parse_bool(raw: str) -> bool:
 
 # section.key -> (target dataclass kwargs bucket, field name, parser kind).
 # The parser kind is called on the raw text and raises ValueError on bad
-# input; enum classes parse their .value strings. Layer input and output
+# input, NaN and infinities included; enum classes parse their .value strings. Layer input and output
 # sizes have no key: XOR fixes them. Each arm's rate lives under harness.
 _SCHEMA = {
-    "device.g_min": ("device", "g_min", float),
-    "device.g_max": ("device", "g_max", float),
-    "device.g_th": ("device", "g_th", float),
-    "device.mg_max": ("device", "mg_max", float),
-    "device.mg_exponent": ("device", "mg_exponent", float),
-    "device.pulse_threshold_v": ("device", "pulse_threshold_v", float),
-    "device.pulse_time_constant_tau": ("device", "pulse_time_constant_tau", float),
+    "device.g_min": ("device", "g_min", _parse_float),
+    "device.g_max": ("device", "g_max", _parse_float),
+    "device.g_th": ("device", "g_th", _parse_float),
+    "device.mg_max": ("device", "mg_max", _parse_float),
+    "device.mg_exponent": ("device", "mg_exponent", _parse_float),
+    "device.pulse_threshold_v": ("device", "pulse_threshold_v", _parse_float),
+    "device.pulse_time_constant_tau": ("device", "pulse_time_constant_tau", _parse_float),
     "actor.n_hidden": ("actor", "n_hidden", int),
-    "actor.alpha_flip": ("actor", "alpha_flip", float),
+    "actor.alpha_flip": ("actor", "alpha_flip", _parse_float),
     "actor.batch_size": ("actor", "batch_size", int),
-    "actor.dw_min": ("actor", "dw_min", float),
-    "actor.power_exponent": ("actor", "power_exponent", float),
+    "actor.dw_min": ("actor", "dw_min", _parse_float),
+    "actor.power_exponent": ("actor", "power_exponent", _parse_float),
     "actor.gradient_probability": ("actor", "gradient_probability", GradientProbability),
     "actor.bias_update": ("actor", "bias_update", BiasUpdate),
     "actor.carry_subthreshold": ("actor", "carry_subthreshold", _parse_bool),
     "critic.n_hidden": ("critic", "n_hidden", int),
-    "critic.lr": ("critic", "lr", float),
-    "critic.l1_coeff": ("critic", "l1_coeff", float),
+    "critic.lr": ("critic", "lr", _parse_float),
+    "critic.l1_coeff": ("critic", "l1_coeff", _parse_float),
     "env.presentation": ("harness", "presentation", Presentation),
     "harness.n_trials": ("harness", "n_trials", int),
     "harness.max_epochs": ("harness", "max_epochs", int),
-    "harness.goal": ("harness", "goal", float),
-    "harness.filter_keep": ("harness", "filter_keep", float),
-    "harness.filter_gain": ("harness", "filter_gain", float),
-    "harness.filter_init": ("harness", "filter_init", float),
-    "harness.lr_sweep_from": ("harness", "lr_sweep_from", float),
-    "harness.lr_sweep_to": ("harness", "lr_sweep_to", float),
-    "harness.lr_sweep_step": ("harness", "lr_sweep_step", float),
-    "harness.lr_powerlaw": ("harness", "lr_powerlaw", float),
-    "harness.lr_linear": ("harness", "lr_linear", float),
+    "harness.goal": ("harness", "goal", _parse_float),
+    "harness.filter_keep": ("harness", "filter_keep", _parse_float),
+    "harness.filter_gain": ("harness", "filter_gain", _parse_float),
+    "harness.filter_init": ("harness", "filter_init", _parse_float),
+    "harness.lr_sweep_from": ("harness", "lr_sweep_from", _parse_float),
+    "harness.lr_sweep_to": ("harness", "lr_sweep_to", _parse_float),
+    "harness.lr_sweep_step": ("harness", "lr_sweep_step", _parse_float),
+    "harness.lr_powerlaw": ("harness", "lr_powerlaw", _parse_float),
+    "harness.lr_linear": ("harness", "lr_linear", _parse_float),
     "harness.master_seed": ("harness", "master_seed", int),
 }
 
@@ -219,7 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Spin-valve synapse simulator and XOR learning benchmark",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in ("train", "sweep", "compare", "device-map", "plot"):
+    for name in ("train", "sweep", "compare", "device-map"):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="config file path")
         p.add_argument("--out", required=True, help="output directory")
@@ -241,12 +247,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _rule_lr(config: ExperimentConfig, rule: UpdateRule) -> float:
-    return (
-        config.lr_powerlaw if rule is UpdateRule.POWER_LAW else config.lr_linear
-    )
-
-
 def run_cli(args: argparse.Namespace) -> int:
     loaded = parse_config(args.config)
     config = loaded.experiment
@@ -259,15 +259,11 @@ def run_cli(args: argparse.Namespace) -> int:
 
     if args.subcommand == "train":
         rule = UpdateRule(args.rule)
-        lr = args.lr if args.lr is not None else _rule_lr(config, rule)
-        if lr <= 0:
-            raise ConfigError(f"--lr must be > 0, got {lr}")
+        lr = args.lr if args.lr is not None else config.lr_for(rule)
+        if not 0 < lr < math.inf:
+            raise ConfigError(f"--lr must be finite and > 0, got {lr}")
 
     out = Path(args.out)
-    if args.subcommand == "plot":  # reads --out, never creates it
-        if not svgplot.plot_directory(out):
-            raise ConfigError(f"no plottable CSV files in {out}")
-        return 0
     out.mkdir(parents=True, exist_ok=True)
 
     if args.subcommand == "train":

@@ -63,12 +63,19 @@ class ExperimentConfig:
             )
         if not 0.0 <= self.filter_init <= 1.0:
             raise ValueError(f"filter_init must lie in [0, 1], got {self.filter_init}")
+        sweep = (self.lr_sweep_from, self.lr_sweep_to, self.lr_sweep_step)
+        if not all(math.isfinite(x) for x in sweep):
+            raise ValueError(f"lr sweep bounds must be finite, got {sweep}")
         if self.lr_sweep_step <= 0.0 or self.lr_sweep_from > self.lr_sweep_to:
             raise ValueError("lr sweep bounds are inconsistent")
         if min(self.lr_sweep_from, self.lr_powerlaw, self.lr_linear) <= 0.0:
             raise ValueError("learning rates must be > 0")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
+
+    def lr_for(self, rule: UpdateRule) -> float:
+        """Configured hidden-layer learning rate of one rule's arm."""
+        return self.lr_powerlaw if rule is UpdateRule.POWER_LAW else self.lr_linear
 
 
 @dataclass
@@ -312,10 +319,8 @@ def compare_rules(config: ExperimentConfig, parallelism: int = 1) -> ComparisonR
     non-converged counts are visible in the per-rule summaries.
     """
     arms = {}
-    for rule, lr in (
-        (UpdateRule.POWER_LAW, config.lr_powerlaw),
-        (UpdateRule.LINEAR, config.lr_linear),
-    ):
+    for rule in (UpdateRule.POWER_LAW, UpdateRule.LINEAR):
+        lr = config.lr_for(rule)
         results = run_trials(config, rule, lr, parallelism=parallelism)
         arms[rule] = summarize_rule(rule, lr, results)
     sample_p = [e for e in arms[UpdateRule.POWER_LAW].epochs if e is not None]

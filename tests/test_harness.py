@@ -294,6 +294,12 @@ class TestSweep:
         assert result.best_lr == min(winners)  # ties break toward smaller lr
 
 
+def test_lr_for_maps_each_rule_to_its_rate():
+    config = ExperimentConfig(lr_powerlaw=0.9, lr_linear=0.6)
+    assert config.lr_for(UpdateRule.POWER_LAW) == 0.9
+    assert config.lr_for(UpdateRule.LINEAR) == 0.6
+
+
 class TestCompareRules:
     def test_report_structure_on_reachable_goal(self):
         config = small_config(n_trials=4, max_epochs=150, goal=0.52)
@@ -320,6 +326,9 @@ class TestExperimentConfigValidation:
             {"filter_init": 1.5},
             {"lr_sweep_step": 0.0},
             {"lr_sweep_from": 2.0, "lr_sweep_to": 1.0},
+            {"lr_sweep_from": math.nan},
+            {"lr_sweep_to": math.inf},
+            {"lr_sweep_step": math.nan},
             {"master_seed": -1},
             {"n_trials": 0},
         ],
