@@ -4,7 +4,6 @@ from .actor import (
     ActorConfig,
     ActorNetwork,
     BiasUpdate,
-    ForwardTrace,
     GradientProbability,
     UpdateRule,
     sigmoid,
@@ -23,7 +22,7 @@ from .device import (
     pulse_map_sweep,
     set_magnetization,
 )
-from .env import InputSchedule, Presentation, Sample, reward, sample_input
+from .env import InputSchedule, Presentation, Sample, reward
 from .harness import (
     ComparisonReport,
     ExperimentConfig,

@@ -27,30 +27,36 @@ whether the XOR benchmark converges reliably (defaults in ActorConfig):
   trial-batched re-implementation of the training loop gave power-law
   1200 +- 608 epochs to goal when carrying and 884 +- 215 (all converged)
   when resetting, against linear 1428 +- 1068 (994/1000 converged).
-  compare_rules itself, at master seeds 12345 and 1-4, gives power-law
-  means of 1092-1313 when carrying and 840-913 when resetting.
+  compare_rules on the per-presentation engine, at master seeds 12345
+  and 1-4, gave power-law means of 1092-1313 when carrying and 840-913
+  when resetting.
 * bias_update: biases can follow the same thresholded power law as the
   weights or apply their accumulated change linearly every batch.
 
 Reproduction status (tests/test_acceptance.py, 50 trials per rule at the
-default config, 20 master seeds). Power-law beats linear at every seed
-with one-sided Welch p < 0.01, and criterion 2 (long tail) holds at all
-20. Pooled over the 1000 trials per arm, power-law takes 875 +- 189
-epochs (999 converged) against the paper's 896 +- 301, and linear
-1439 +- 1207 (994 converged, median 1058) against 1076 +- 484. The
-linear arm's heavy tail puts its mean above the +-40% band (upper bound
-1506.4) at 6 of the 20 seeds, the gate seed 12345 among them: there the
-linear arm gives 1716 +- 1589 and criterion 1 fails with
-`bands linear=False` as its only false check. None of these readings
-closed the linear gap without losing the ordering: raw-sigmoid
-(y - p), thresholded biases, an output/hidden rate ratio of 1, a linear
-rule with the dw_min dead zone, critic rate 0.5, critic L1 = 0, init
-scale x0.5 or x2, alpha_flip 0.05 or 0.2.
+default config, 20 master seeds: 12345 and 1-19). Power-law beats linear
+at every seed with one-sided Welch p < 0.01, and criterion 2 (long tail)
+holds at all 20. Pooled over the 1000 trials per arm, power-law takes
+869 +- 176 epochs (998 converged) against the paper's 896 +- 301, and
+linear 1460 +- 1182 (993 converged, median 1084) against 1076 +- 484.
+The linear arm's heavy tail puts its mean above the +-40% band (upper
+bound 1506.4) at 8 of the 20 seeds, so criterion 1 holds at 12. At the
+gate seed 12345 the linear arm gives 1339 +- 848 and criterion 1 passes,
+but only because the trial-batched engine lays out each trial's random
+draws differently: the per-presentation engine it replaced gave the same
+distributions (875 +- 189 and 1439 +- 1207 pooled, criterion 1 at 14 of
+20 seeds) and failed at the gate seed with linear 1716 +- 1589. The
+linear gap is not closed. None of these readings closed it without
+losing the ordering: raw-sigmoid (y - p), thresholded biases, an
+output/hidden rate ratio of 1, a linear rule with the dw_min dead zone,
+critic rate 0.5, critic L1 = 0, init scale x0.5 or x2, alpha_flip 0.05
+or 0.2.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,7 +92,8 @@ class ActorConfig:
     """Architecture and learning hyperparameters of the actor.
 
     The network has a single output unit; the output-layer rate is
-    derived from lr_hidden (see lr_out).
+    derived from lr_hidden (see lr_out). update_rule and lr_hidden are
+    what a lane of an ActorNetwork uses when it is not given its own.
     """
 
     n_in: int = 2
@@ -106,15 +113,15 @@ class ActorConfig:
             raise ValueError("layer sizes must be >= 1")
         if not 0.0 <= self.alpha_flip <= 1.0:
             raise ValueError(f"alpha_flip must lie in [0, 1], got {self.alpha_flip}")
-        if self.lr_hidden <= 0.0:
-            raise ValueError(f"lr_hidden must be > 0, got {self.lr_hidden}")
+        if not 0.0 < self.lr_hidden < math.inf:
+            raise ValueError(f"lr_hidden must be finite and > 0, got {self.lr_hidden}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.dw_min < 0.0:
-            raise ValueError(f"dw_min must be >= 0, got {self.dw_min}")
-        if self.power_exponent <= 0.0:
+        if not 0.0 <= self.dw_min < math.inf:
+            raise ValueError(f"dw_min must be finite and >= 0, got {self.dw_min}")
+        if not 0.0 < self.power_exponent < math.inf:
             raise ValueError(
-                f"power_exponent must be > 0, got {self.power_exponent}"
+                f"power_exponent must be finite and > 0, got {self.power_exponent}"
             )
 
     @property
@@ -123,27 +130,22 @@ class ActorConfig:
         return self.lr_hidden * LR_OUT_RATIO
 
 
-@dataclass
-class ForwardTrace:
-    """Everything one forward pass recorded, as needed by the update rule.
-
-    Per layer: the Bernoulli parameters p, the emitted bits after the
-    exploration flip, and the inputs the layer saw; plus the flip
-    probability that was in force.
-    """
-
-    x: np.ndarray
-    p_hidden: np.ndarray
-    y_hidden: np.ndarray
-    p_out: np.ndarray
-    y_out: np.ndarray
-    flip_prob: float
-
-
 def sigmoid(z):
     """Logistic function 1/(1 + e^-z), elementwise."""
     z = np.clip(z, -709.0, 709.0)  # exp overflow guard; saturates far earlier
     return 1.0 / (1.0 + np.exp(-z))
+
+
+def affine(w: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Every lane's w @ x + b for w (lanes, units, n_in), x (lanes, n_in).
+
+    The inputs are summed one at a time, in order: for the two XOR inputs
+    this is several times faster than a reduction over a length-2 axis.
+    """
+    z = w[..., 0] * x[:, :1]
+    for j in range(1, x.shape[1]):
+        z += w[..., j] * x[:, j : j + 1]
+    return z + b
 
 
 def threshold_power_update(acc, dw_min: float, exponent: float):
@@ -158,7 +160,18 @@ def threshold_power_update(acc, dw_min: float, exponent: float):
 
 
 class ActorNetwork:
-    """Two-layer stochastic binary network with per-batch update accumulators."""
+    """A batch of independent two-layer stochastic binary actors.
+
+    Every array has a leading lane axis: w_hidden (lanes, n_hidden, n_in),
+    b_hidden (lanes, n_hidden), w_out (lanes, n_hidden), b_out (lanes,).
+    Each lane has its own update rule (the powerlaw mask) and hidden-layer
+    rate (lr_hidden); config holds everything the lanes share. All
+    arithmetic is elementwise or reduces over the trailing axis, so a lane
+    computes the same bits whatever batch it runs in.
+
+    forward keeps what the update rule needs (inputs, probabilities,
+    emitted bits, flip probability, r_bar) until accumulate reads it.
+    """
 
     def __init__(
         self,
@@ -167,110 +180,146 @@ class ActorNetwork:
         b_hidden: np.ndarray,
         w_out: np.ndarray,
         b_out: np.ndarray,
+        update_rules,
+        lr_hidden,
     ):
         self.config = config
         self.w_hidden = np.asarray(w_hidden, dtype=float)
         self.b_hidden = np.asarray(b_hidden, dtype=float)
         self.w_out = np.asarray(w_out, dtype=float)
         self.b_out = np.asarray(b_out, dtype=float)
-        if self.w_hidden.shape != (config.n_hidden, config.n_in):
-            raise ValueError(f"w_hidden shape {self.w_hidden.shape} mismatch")
-        if self.w_out.shape != (1, config.n_hidden):
-            raise ValueError(f"w_out shape {self.w_out.shape} mismatch")
+        lanes = self.w_hidden.shape[0]
+        self.powerlaw = np.array([r is UpdateRule.POWER_LAW for r in update_rules])
+        self.lr_hidden = np.asarray(lr_hidden, dtype=float)
+        expected = {
+            "w_hidden": (lanes, config.n_hidden, config.n_in),
+            "b_hidden": (lanes, config.n_hidden),
+            "w_out": (lanes, config.n_hidden),
+            "b_out": (lanes,),
+            "powerlaw": (lanes,),
+            "lr_hidden": (lanes,),
+        }
+        for name, shape in expected.items():
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"{name} shape {getattr(self, name).shape} != {shape}")
         self.acc_w_hidden = np.zeros_like(self.w_hidden)
         self.acc_b_hidden = np.zeros_like(self.b_hidden)
         self.acc_w_out = np.zeros_like(self.w_out)
         self.acc_b_out = np.zeros_like(self.b_out)
 
     @classmethod
-    def initialize(cls, config: ActorConfig, rng: np.random.Generator) -> "ActorNetwork":
-        """Fresh network: weights uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)], biases 0."""
+    def initialize(
+        cls,
+        config: ActorConfig,
+        rngs: list[np.random.Generator],
+        update_rules=None,
+        lr_hidden=None,
+    ) -> "ActorNetwork":
+        """One fresh lane per generator: weights uniform in
+        [-1/sqrt(fan_in), 1/sqrt(fan_in)], biases 0.
+
+        Each lane draws its hidden weights, then its output weights.
+        update_rules and lr_hidden give one value per lane and default to
+        config's.
+        """
         bound_h = 1.0 / np.sqrt(config.n_in)
         bound_o = 1.0 / np.sqrt(config.n_hidden)
+        w_hidden, w_out = [], []
+        for rng in rngs:
+            w_hidden.append(
+                rng.uniform(-bound_h, bound_h, size=(config.n_hidden, config.n_in))
+            )
+            w_out.append(rng.uniform(-bound_o, bound_o, size=config.n_hidden))
+        lanes = len(rngs)
         return cls(
             config,
-            w_hidden=rng.uniform(-bound_h, bound_h, size=(config.n_hidden, config.n_in)),
-            b_hidden=np.zeros(config.n_hidden),
-            w_out=rng.uniform(-bound_o, bound_o, size=(1, config.n_hidden)),
-            b_out=np.zeros(1),
+            w_hidden=np.reshape(w_hidden, (lanes, config.n_hidden, config.n_in)),
+            b_hidden=np.zeros((lanes, config.n_hidden)),
+            w_out=np.reshape(w_out, (lanes, config.n_hidden)),
+            b_out=np.zeros(lanes),
+            update_rules=[config.update_rule] * lanes if update_rules is None else update_rules,
+            lr_hidden=[config.lr_hidden] * lanes if lr_hidden is None else lr_hidden,
         )
 
-    def forward(
-        self, x, r_bar: float, rng: np.random.Generator
-    ) -> tuple[int, ForwardTrace]:
-        """Sample one output bit for input x given the predicted reward r_bar.
+    def select(self, lanes: np.ndarray) -> None:
+        """Keep only the given lanes, in the given order."""
+        for name in ("w_hidden", "b_hidden", "w_out", "b_out", "powerlaw", "lr_hidden",
+                     "acc_w_hidden", "acc_b_hidden", "acc_w_out", "acc_b_out"):
+            setattr(self, name, getattr(self, name)[lanes])
 
-        r_bar is clamped into [0, 1] before the flip probability
-        alpha_flip * (1 - r_bar) is computed. Draw order is fixed:
-        hidden proposals, hidden flips, output proposal, output flip.
+    def forward(self, x, r_bar, u) -> np.ndarray:
+        """Sample every lane's output bit for inputs x given predicted rewards r_bar.
+
+        x has shape (lanes, n_in), r_bar (lanes,) and u (lanes,
+        2 * n_hidden + 2): uniforms for the hidden proposals, the hidden
+        flips, the output proposal and the output flip, in that order. A
+        unit proposes 1 when its uniform lies below its firing
+        probability and flips when its flip uniform lies below
+        alpha_flip * (1 - r_bar), with r_bar clamped into [0, 1].
         """
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.config.n_in,):
+        lanes, n_hidden = self.b_hidden.shape
+        if x.shape != (lanes, self.config.n_in):
             raise ValueError(
-                f"input shape {x.shape} does not match n_in={self.config.n_in}"
+                f"input shape {x.shape} does not match ({lanes}, n_in={self.config.n_in})"
             )
-        r_bar = min(max(r_bar, 0.0), 1.0)
+        r_bar = np.clip(r_bar, 0.0, 1.0)
         p_flip = self.config.alpha_flip * (1.0 - r_bar)
 
-        p_hidden = sigmoid(self.w_hidden @ x + self.b_hidden)
-        proposed_hidden = rng.random(self.config.n_hidden) < p_hidden
-        flips_hidden = rng.random(self.config.n_hidden) < p_flip
+        p_hidden = sigmoid(affine(self.w_hidden, x, self.b_hidden))
+        proposed_hidden = u[:, :n_hidden] < p_hidden
+        flips_hidden = u[:, n_hidden : 2 * n_hidden] < p_flip[:, None]
         y_hidden = (proposed_hidden ^ flips_hidden).astype(float)
 
-        p_out = sigmoid(self.w_out @ y_hidden + self.b_out)
-        proposed_out = rng.random(1) < p_out
-        flips_out = rng.random(1) < p_flip
-        y_out = (proposed_out ^ flips_out).astype(float)
-
-        trace = ForwardTrace(
-            x=x,
-            p_hidden=p_hidden,
-            y_hidden=y_hidden,
-            p_out=p_out,
-            y_out=y_out,
-            flip_prob=p_flip,
+        p_out = sigmoid((self.w_out * y_hidden).sum(axis=-1) + self.b_out)
+        y_out = ((u[:, 2 * n_hidden] < p_out) ^ (u[:, 2 * n_hidden + 1] < p_flip)).astype(
+            float
         )
-        return int(y_out[0]), trace
 
-    def _gradient_probs(self, trace: ForwardTrace) -> tuple[np.ndarray, np.ndarray]:
+        self.x, self.r_bar, self.p_flip = x, r_bar, p_flip
+        self.p_hidden, self.y_hidden = p_hidden, y_hidden
+        self.p_out, self.y_out = p_out, y_out
+        return y_out
+
+    def _gradient_probs(self) -> tuple[np.ndarray, np.ndarray]:
         if self.config.gradient_probability is GradientProbability.SIGMOID:
-            return trace.p_hidden, trace.p_out
-        f = trace.flip_prob
+            return self.p_hidden, self.p_out
+        f = self.p_flip
         return (
-            trace.p_hidden * (1.0 - f) + (1.0 - trace.p_hidden) * f,
-            trace.p_out * (1.0 - f) + (1.0 - trace.p_out) * f,
+            self.p_hidden * (1.0 - f[:, None]) + (1.0 - self.p_hidden) * f[:, None],
+            self.p_out * (1.0 - f) + (1.0 - self.p_out) * f,
         )
 
-    def accumulate(self, trace: ForwardTrace, r: float, r_bar: float) -> None:
-        """Add one presentation's proposed changes to the batch accumulators.
+    def accumulate(self, r) -> None:
+        """Add the last forward pass's proposed changes, given rewards r.
 
         Weights get eta * (R - r_bar) * (y_i - p_i) * y_j with the presynaptic
-        value y_j; biases use the same rule with y_j = 1. p_i is the
-        configured gradient probability (emission by default, so the term
-        is mean-zero under the exploration flips).
+        value y_j; biases use the same rule with y_j = 1. eta is the lane's
+        rate (half of it in the output layer) and p_i the configured
+        gradient probability (emission by default, so the term is
+        mean-zero under the exploration flips).
         """
-        p_hidden, p_out = self._gradient_probs(trace)
-        delta = r - r_bar
-        err_hidden = self.config.lr_hidden * delta * (trace.y_hidden - p_hidden)
-        self.acc_w_hidden += np.outer(err_hidden, trace.x)
+        p_hidden, p_out = self._gradient_probs()
+        delta = r - self.r_bar
+        err_hidden = (self.lr_hidden * delta)[:, None] * (self.y_hidden - p_hidden)
+        self.acc_w_hidden += err_hidden[:, :, None] * self.x[:, None, :]
         self.acc_b_hidden += err_hidden
-        err_out = self.config.lr_out * delta * (trace.y_out - p_out)
-        self.acc_w_out += np.outer(err_out, trace.y_hidden)
+        err_out = self.lr_hidden * LR_OUT_RATIO * delta * (self.y_out - p_out)
+        self.acc_w_out += err_out[:, None] * self.y_hidden
         self.acc_b_out += err_out
 
     def apply_batch_update(self) -> None:
-        """Fold the accumulators into the parameters.
+        """Fold the accumulators into the parameters, each lane by its rule.
 
-        Linear rule: parameter += accumulator, accumulator zeroed. Power-law
-        rule: weight components strictly above dw_min in magnitude are
-        transformed by threshold_power_update, added, and zeroed; components
-        at or below the threshold contribute nothing now and are zeroed
-        too, unless carry_subthreshold keeps them integrating.
-        Biases follow bias_update: linear application every batch, or the
-        same thresholded map as the weights.
+        Linear lanes: parameter += accumulator, accumulator zeroed.
+        Power-law lanes: weight components strictly above dw_min in
+        magnitude are transformed by threshold_power_update, added, and
+        zeroed; components at or below the threshold contribute nothing
+        now and are zeroed too, unless carry_subthreshold keeps them
+        integrating. Biases follow bias_update: linear application every
+        batch, or the same thresholded map as the weights.
         """
         cfg = self.config
-        powerlaw = cfg.update_rule is UpdateRule.POWER_LAW
         bias_thresholded = cfg.bias_update is BiasUpdate.THRESHOLDED
         for param, acc, is_bias in (
             (self.w_hidden, self.acc_w_hidden, False),
@@ -278,13 +327,16 @@ class ActorNetwork:
             (self.w_out, self.acc_w_out, False),
             (self.b_out, self.acc_b_out, True),
         ):
-            if powerlaw and (not is_bias or bias_thresholded):
-                fired = np.abs(acc) > cfg.dw_min
-                param += threshold_power_update(acc, cfg.dw_min, cfg.power_exponent)
-                if cfg.carry_subthreshold:
-                    acc[fired] = 0.0
-                else:
-                    acc.fill(0.0)
-            else:
+            if is_bias and not bias_thresholded:
                 param += acc
+                acc.fill(0.0)
+                continue
+            powerlaw = self.powerlaw.reshape((-1,) + (1,) * (acc.ndim - 1))
+            fired = np.abs(acc) > cfg.dw_min
+            param += np.where(
+                powerlaw, threshold_power_update(acc, cfg.dw_min, cfg.power_exponent), acc
+            )
+            if cfg.carry_subthreshold:
+                acc[fired | ~powerlaw] = 0.0
+            else:
                 acc.fill(0.0)

@@ -267,7 +267,7 @@ def run_cli(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     if args.subcommand == "train":
-        results = run_trials(config, rule, lr, parallelism=args.parallelism)
+        results = run_trials(config, [(rule, lr)], parallelism=args.parallelism)
         write_learning_curve_csv(out / "learning_curve.csv", results)
     elif args.subcommand == "sweep":
         rules = [UpdateRule(args.rule)] if args.rule else list(UpdateRule)
@@ -275,6 +275,14 @@ def run_cli(args: argparse.Namespace) -> int:
             lr_sweep(config, rule, parallelism=args.parallelism) for rule in rules
         ]
         write_sweep_csv(out / "sweep.csv", sweeps)
+        for sweep in sweeps:
+            if sweep.best_on_edge:
+                print(
+                    f"spinsyn: warning: {sweep.rule.value} best_lr {sweep.best_lr:g} lies on "
+                    f"an edge of the grid {sweep.points[0].lr_hidden:g}.."
+                    f"{sweep.points[-1].lr_hidden:g}; the best rate may lie outside it",
+                    file=sys.stderr,
+                )
     elif args.subcommand == "compare":
         report = compare_rules(config, parallelism=args.parallelism)
         write_comparison_csv(out / "comparison.csv", report)

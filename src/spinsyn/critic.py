@@ -15,11 +15,12 @@ weights. Biases train with y_j = 1 and no L1 term.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .actor import sigmoid
+from .actor import affine, sigmoid
 
 
 @dataclass
@@ -34,14 +35,21 @@ class CriticConfig:
     def __post_init__(self) -> None:
         if min(self.n_in, self.n_hidden) < 1:
             raise ValueError("layer sizes must be >= 1")
-        if self.lr <= 0.0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
-        if self.l1_coeff < 0.0:
-            raise ValueError(f"l1_coeff must be >= 0, got {self.l1_coeff}")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if not 0.0 <= self.l1_coeff < math.inf:
+            raise ValueError(f"l1_coeff must be finite and >= 0, got {self.l1_coeff}")
 
 
 class CriticNetwork:
-    """One-hidden-layer sigmoid network; output weights never change."""
+    """A batch of independent one-hidden-layer sigmoid critics.
+
+    Every array has a leading lane axis: w_hidden (lanes, n_hidden, n_in),
+    b_hidden (lanes, n_hidden), w_out (lanes, n_hidden), b_out (lanes,).
+    The output layer never changes. forward keeps its input and its
+    prediction, and update reuses them: the weights do not change between
+    the two, so the read and the update share one forward pass exactly.
+    """
 
     def __init__(
         self,
@@ -49,58 +57,75 @@ class CriticNetwork:
         w_hidden: np.ndarray,
         b_hidden: np.ndarray,
         w_out: np.ndarray,
-        b_out: float,
+        b_out: np.ndarray,
     ):
         self.config = config
         self.w_hidden = np.asarray(w_hidden, dtype=float)
         self.b_hidden = np.asarray(b_hidden, dtype=float)
         self.w_out = np.asarray(w_out, dtype=float)
-        self.b_out = float(b_out)
-        if self.w_hidden.shape != (config.n_hidden, config.n_in):
-            raise ValueError(f"w_hidden shape {self.w_hidden.shape} mismatch")
-        if self.w_out.shape != (config.n_hidden,):
-            raise ValueError(f"w_out shape {self.w_out.shape} mismatch")
+        self.b_out = np.asarray(b_out, dtype=float)
+        lanes = self.w_hidden.shape[0]
+        expected = {
+            "w_hidden": (lanes, config.n_hidden, config.n_in),
+            "b_hidden": (lanes, config.n_hidden),
+            "w_out": (lanes, config.n_hidden),
+            "b_out": (lanes,),
+        }
+        for name, shape in expected.items():
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"{name} shape {getattr(self, name).shape} != {shape}")
 
     @classmethod
     def initialize(
-        cls, config: CriticConfig, rng: np.random.Generator
+        cls, config: CriticConfig, rngs: list[np.random.Generator]
     ) -> "CriticNetwork":
-        """Hidden weights uniform in [-1/sqrt(n_in), 1/sqrt(n_in)] with zero
-        biases; output weights uniform in [-1.25, 1.25] with bias 0.5."""
+        """One fresh lane per generator: hidden weights uniform in
+        [-1/sqrt(n_in), 1/sqrt(n_in)] with zero biases, output weights
+        uniform in [-1.25, 1.25] with bias 0.5. Each lane draws its hidden
+        weights, then its output weights."""
         bound = 1.0 / np.sqrt(config.n_in)
+        w_hidden, w_out = [], []
+        for rng in rngs:
+            w_hidden.append(rng.uniform(-bound, bound, size=(config.n_hidden, config.n_in)))
+            w_out.append(rng.uniform(-1.25, 1.25, size=config.n_hidden))
+        lanes = len(rngs)
         return cls(
             config,
-            w_hidden=rng.uniform(-bound, bound, size=(config.n_hidden, config.n_in)),
-            b_hidden=np.zeros(config.n_hidden),
-            w_out=rng.uniform(-1.25, 1.25, size=config.n_hidden),
-            b_out=0.5,
+            w_hidden=np.reshape(w_hidden, (lanes, config.n_hidden, config.n_in)),
+            b_hidden=np.zeros((lanes, config.n_hidden)),
+            w_out=np.reshape(w_out, (lanes, config.n_hidden)),
+            b_out=np.full(lanes, 0.5),
         )
 
-    def _activations(self, x: np.ndarray) -> tuple[np.ndarray, float]:
-        y_hidden = sigmoid(self.w_hidden @ x + self.b_hidden)
-        y_out = float(sigmoid(self.w_out @ y_hidden + self.b_out))
-        return y_hidden, y_out
+    def select(self, lanes: np.ndarray) -> None:
+        """Keep only the given lanes, in the given order."""
+        for name in ("w_hidden", "b_hidden", "w_out", "b_out"):
+            setattr(self, name, getattr(self, name)[lanes])
 
-    def forward(self, x) -> float:
-        """Predicted reward for input x, strictly inside (0, 1)."""
+    def forward(self, x) -> np.ndarray:
+        """Predicted reward of every lane for inputs x (lanes, n_in), inside [0, 1]."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.config.n_in,):
+        lanes = self.b_out.shape[0]
+        if x.shape != (lanes, self.config.n_in):
             raise ValueError(
-                f"input shape {x.shape} does not match n_in={self.config.n_in}"
+                f"input shape {x.shape} does not match ({lanes}, n_in={self.config.n_in})"
             )
-        return self._activations(x)[1]
+        y_hidden = sigmoid(affine(self.w_hidden, x, self.b_hidden))
+        self.x = x
+        self.prediction = sigmoid((self.w_out * y_hidden).sum(axis=-1) + self.b_out)
+        return self.prediction
 
-    def update(self, x, r: float) -> None:
-        """One training step toward the observed reward r.
+    def update(self, r) -> None:
+        """One training step of every lane toward its observed reward r.
 
-        Hidden weights and biases move by the simplified rule; the output
-        layer is untouched. sign(0) is 0, so exactly-zero weights receive
-        no L1 drift.
+        Uses the input and the prediction of the last forward call. Hidden
+        weights and biases move by the simplified rule; the output layer
+        is untouched. sign(0) is 0, so exactly-zero weights receive no L1
+        drift.
         """
-        x = np.asarray(x, dtype=float)
-        _, y_out = self._activations(x)
-        gain = (r - y_out) * self.w_out
+        gain = (r - self.prediction)[:, None] * self.w_out
         self.w_hidden += self.config.lr * (
-            np.outer(gain, x) - self.config.l1_coeff * np.sign(self.w_hidden)
+            gain[:, :, None] * self.x[:, None, :]
+            - self.config.l1_coeff * np.sign(self.w_hidden)
         )
         self.b_hidden += self.config.lr * gain

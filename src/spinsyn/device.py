@@ -64,22 +64,22 @@ class SpinValveParams:
     pulse_time_constant_tau: float = TAU_DEFAULT
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.g_min < self.g_th < self.g_max:
+        if not 0.0 < self.g_min < self.g_th < self.g_max < math.inf:
             raise ValueError(
-                f"conductance bounds must satisfy 0 < g_min < g_th < g_max, "
+                f"conductance bounds must satisfy 0 < g_min < g_th < g_max < inf, "
                 f"got g_min={self.g_min}, g_th={self.g_th}, g_max={self.g_max}"
             )
-        if self.mg_max < 0.0:
-            raise ValueError(f"mg_max must be >= 0, got {self.mg_max}")
-        if self.mg_exponent <= 0.0:
-            raise ValueError(f"mg_exponent must be > 0, got {self.mg_exponent}")
-        if self.pulse_threshold_v <= 0.0:
+        if not 0.0 <= self.mg_max < math.inf:
+            raise ValueError(f"mg_max must be finite and >= 0, got {self.mg_max}")
+        if not 0.0 < self.mg_exponent < math.inf:
+            raise ValueError(f"mg_exponent must be finite and > 0, got {self.mg_exponent}")
+        if not 0.0 < self.pulse_threshold_v < math.inf:
             raise ValueError(
-                f"pulse_threshold_v must be > 0, got {self.pulse_threshold_v}"
+                f"pulse_threshold_v must be finite and > 0, got {self.pulse_threshold_v}"
             )
-        if self.pulse_time_constant_tau <= 0.0:
+        if not 0.0 < self.pulse_time_constant_tau < math.inf:
             raise ValueError(
-                f"pulse_time_constant_tau must be > 0, "
+                f"pulse_time_constant_tau must be finite and > 0, "
                 f"got {self.pulse_time_constant_tau}"
             )
 

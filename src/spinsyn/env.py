@@ -35,32 +35,30 @@ class Presentation(enum.Enum):
     CYCLIC = "cyclic"
 
 
-def sample_input(rng: np.random.Generator) -> Sample:
-    """Draw one of the four input patterns uniformly at random."""
-    bits = rng.integers(0, 2, size=2)
-    x0, x1 = int(bits[0]), int(bits[1])
-    return Sample(x=(x0, x1), target=x0 ^ x1)
-
-
-def reward(y: int, target: int) -> int:
-    """1 if the emitted bit matches the target, else 0."""
-    return 1 if y == target else 0
+def reward(y, target):
+    """1 where the emitted bit matches the target, else 0, elementwise."""
+    return np.where(np.equal(y, target), 1.0, 0.0)
 
 
 class InputSchedule:
-    """Supplies samples per the configured presentation mode.
+    """Supplies every lane's inputs and targets, one presentation per call.
 
-    UNIFORM draws i.i.d. from the rng; CYCLIC walks the four patterns in
-    truth-table order and never consumes random numbers.
+    UNIFORM takes lane k's input bit j as u[k, j] < 0.5, so each lane
+    draws i.i.d. patterns from its own uniforms. CYCLIC ignores u and
+    shows every lane the truth-table row at the presentation index.
     """
 
     def __init__(self, mode: Presentation = Presentation.UNIFORM):
         self.mode = mode
         self._index = 0
 
-    def next(self, rng: np.random.Generator) -> Sample:
+    def next(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(x, target) for uniforms u of shape (lanes, 2): x (lanes, 2) as
+        floats, target (lanes,) the XOR of each lane's bits."""
         if self.mode is Presentation.CYCLIC:
             sample = PATTERNS[self._index % len(PATTERNS)]
             self._index += 1
-            return sample
-        return sample_input(rng)
+            bits = np.broadcast_to(np.array(sample.x, dtype=bool), u.shape)
+        else:
+            bits = u < 0.5
+        return bits.astype(float), bits[:, 0] ^ bits[:, 1]

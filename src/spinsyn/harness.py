@@ -1,22 +1,41 @@
 """Experiment orchestration: trials, learning-rate sweeps, rule comparison.
 
-One epoch is a batch of presentations followed by a single actor weight
-update. The per-presentation loop is fixed: sample input, read the critic,
-run the actor, collect the reward, accumulate the actor update, train the
-critic, advance the reward filter. Per-epoch filtered rewards define the
+One engine runs every trial. The trials of one call are the lanes of one
+batch: every array of the actor and the critic has a leading lane axis,
+and each lane has its own update rule and learning rate, so both arms of
+a comparison or a rule's whole sweep grid train in one loop. One epoch is
+batch_size presentations followed by a single actor weight update. The
+per-presentation steps are fixed: inputs, critic read, actor forward,
+reward, actor accumulate, critic update, reward filter. A lane leaves the
+batch at the end of the epoch in which its filtered reward reaches the
+goal or it reaches max_epochs. Per-epoch filtered rewards define the
 epochs-to-goal statistic; the linear and power-law update rules are
 compared on it with Welch's t-test.
 
-Trials are embarrassingly parallel. Every trial derives its own RNG stream
-from (master_seed, rule, learning rate, trial index), so results are
-bit-identical no matter how many workers run them or in which order.
+Random streams. Every lane has its own generator,
+default_rng(trial_seed(master_seed, rule, lr, trial index)). It first
+draws the actor's initial weights, then the critic's. Then, per epoch, it
+draws one block rng.random((batch_size, 2 + 2 * n_hidden + 2)); row t
+serves presentation t, and its columns are, in order:
+
+* 0-1: the input bits, bit j = (u < 0.5); CYCLIC presentation ignores
+  them and takes the pattern from the presentation index;
+* 2 .. 2 + n_hidden - 1: the hidden units' proposals;
+* 2 + n_hidden .. 2 + 2 * n_hidden - 1: the hidden units' flips;
+* 2 + 2 * n_hidden: the output proposal;
+* 2 + 2 * n_hidden + 1: the output flip.
+
+All arithmetic on lanes is elementwise or reduces over the trailing axis,
+so a lane's results are bit-identical alone, in any batch, and in any
+worker's shard. With parallelism N the lane list is split into
+contiguous chunks, one per worker, each run as one batch.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from multiprocessing import Pool
 
 import numpy as np
@@ -52,6 +71,11 @@ class ExperimentConfig:
     presentation: Presentation = Presentation.UNIFORM
 
     def __post_init__(self) -> None:
+        floats = ("goal", "filter_keep", "filter_gain", "filter_init", "lr_sweep_from",
+                  "lr_sweep_to", "lr_sweep_step", "lr_powerlaw", "lr_linear")
+        not_finite = [name for name in floats if not math.isfinite(getattr(self, name))]
+        if not_finite:
+            raise ValueError(f"{', '.join(not_finite)} must be finite")
         if self.n_trials < 1 or self.max_epochs < 1:
             raise ValueError("n_trials and max_epochs must be >= 1")
         if not 0.0 < self.goal < 1.0:
@@ -63,9 +87,6 @@ class ExperimentConfig:
             )
         if not 0.0 <= self.filter_init <= 1.0:
             raise ValueError(f"filter_init must lie in [0, 1], got {self.filter_init}")
-        sweep = (self.lr_sweep_from, self.lr_sweep_to, self.lr_sweep_step)
-        if not all(math.isfinite(x) for x in sweep):
-            raise ValueError(f"lr sweep bounds must be finite, got {sweep}")
         if self.lr_sweep_step <= 0.0 or self.lr_sweep_from > self.lr_sweep_to:
             raise ValueError("lr sweep bounds are inconsistent")
         if min(self.lr_sweep_from, self.lr_powerlaw, self.lr_linear) <= 0.0:
@@ -133,6 +154,12 @@ class SweepResult:
     points: list[SweepPoint]
     best_lr: float
 
+    @property
+    def best_on_edge(self) -> bool:
+        """Whether the winner is the grid's first or last rate, so the
+        best rate may lie outside the grid."""
+        return self.best_lr in (self.points[0].lr_hidden, self.points[-1].lr_hidden)
+
 
 def filter_reward(prev: float, r: float, keep: float = 0.999, gain: float = 0.001) -> float:
     """One step of the online exponential reward filter keep*prev + gain*R."""
@@ -151,25 +178,29 @@ def run_epoch(
     actor: ActorNetwork,
     critic: CriticNetwork,
     schedule: InputSchedule,
-    rng: np.random.Generator,
-    filter_state: float,
+    rngs: list[np.random.Generator],
+    filter_state: np.ndarray,
     config: ExperimentConfig,
-) -> tuple[float, float]:
-    """One batch of presentations plus the closing actor batch update.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One batch of presentations for every lane plus the closing actor update.
 
-    Returns the mean batch reward and the filter state after the last
-    presentation.
+    Draws each lane's block of uniforms (see the module docstring).
+    Returns every lane's mean batch reward and its filter state after the
+    last presentation.
     """
     batch_size = actor.config.batch_size
-    total = 0
-    for _ in range(batch_size):
-        sample = schedule.next(rng)
-        x = np.asarray(sample.x, dtype=float)
-        r_bar = min(max(critic.forward(x), 0.0), 1.0)
-        y, trace = actor.forward(x, r_bar, rng)
-        r = reward(y, sample.target)
-        actor.accumulate(trace, r, r_bar)
-        critic.update(x, r)
+    n_hidden = actor.config.n_hidden
+    block = np.empty((len(rngs), batch_size, 2 + 2 * n_hidden + 2))
+    for lane, rng in enumerate(rngs):
+        rng.random(out=block[lane])
+    total = np.zeros(len(rngs))
+    for t in range(batch_size):
+        u = block[:, t]
+        x, target = schedule.next(u[:, :2])
+        r_bar = critic.forward(x)
+        r = reward(actor.forward(x, r_bar, u[:, 2:]), target)
+        actor.accumulate(r)
+        critic.update(r)
         filter_state = filter_reward(filter_state, r, config.filter_keep, config.filter_gain)
         total += r
     actor.apply_batch_update()
@@ -194,63 +225,88 @@ def trial_seed(
     return int(seq.generate_state(1, np.uint64)[0])
 
 
+def _run_batch(
+    config: ExperimentConfig, lanes: list[tuple[UpdateRule, float, int]]
+) -> list[TrialResult]:
+    """Train one lane per (rule, lr, trial index) until each reaches the
+    goal or max_epochs; results in lane order."""
+    seeds = [trial_seed(config.master_seed, rule, lr, i) for rule, lr, i in lanes]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    actor = ActorNetwork.initialize(
+        config.actor, rngs, [rule for rule, _, _ in lanes], [lr for _, lr, _ in lanes]
+    )
+    critic = CriticNetwork.initialize(config.critic, rngs)
+    schedule = InputSchedule(config.presentation)
+
+    live = np.arange(len(lanes))  # lane index of every row still training
+    filter_state = np.full(len(lanes), config.filter_init)
+    raw = np.empty((len(lanes), config.max_epochs))
+    filtered = np.empty((len(lanes), config.max_epochs))
+    n_epochs = np.empty(len(lanes), dtype=int)
+    for epoch in range(config.max_epochs):
+        mean_r, filter_state = run_epoch(actor, critic, schedule, rngs, filter_state, config)
+        raw[live, epoch] = mean_r
+        filtered[live, epoch] = filter_state
+        done = (filter_state >= config.goal) | (epoch + 1 == config.max_epochs)
+        if done.any():
+            n_epochs[live[done]] = epoch + 1
+            keep = np.flatnonzero(~done)
+            live, filter_state = live[keep], filter_state[keep]
+            rngs = [rngs[k] for k in keep]
+            actor.select(keep)
+            critic.select(keep)
+        if not live.size:
+            break
+    results = []
+    for k, seed in enumerate(seeds):
+        curve = filtered[k, : n_epochs[k]].copy()
+        results.append(
+            TrialResult(
+                filtered_curve=curve,
+                raw_curve=raw[k, : n_epochs[k]].copy(),
+                epochs_to_goal=epochs_to_goal(curve, config.goal),
+                seed=seed,
+            )
+        )
+    return results
+
+
 def run_trial(
     config: ExperimentConfig,
     update_rule: UpdateRule,
     lr_hidden: float,
     trial_index: int,
 ) -> TrialResult:
-    """Train freshly initialized networks until goal or max_epochs.
-
-    Initialization draw order is fixed (actor first, then critic) so a
-    trial is fully reproducible from its derived seed.
-    """
-    seed = trial_seed(config.master_seed, update_rule, lr_hidden, trial_index)
-    rng = np.random.default_rng(seed)
-    actor_cfg = replace(config.actor, update_rule=update_rule, lr_hidden=lr_hidden)
-    actor = ActorNetwork.initialize(actor_cfg, rng)
-    critic = CriticNetwork.initialize(config.critic, rng)
-    schedule = InputSchedule(config.presentation)
-
-    filter_state = config.filter_init
-    raw_curve = []
-    filtered_curve = []
-    for _ in range(config.max_epochs):
-        mean_r, filter_state = run_epoch(
-            actor, critic, schedule, rng, filter_state, config
-        )
-        raw_curve.append(mean_r)
-        filtered_curve.append(filter_state)
-        if filter_state >= config.goal:
-            break
-    filtered = np.asarray(filtered_curve)
-    return TrialResult(
-        filtered_curve=filtered,
-        raw_curve=np.asarray(raw_curve),
-        epochs_to_goal=epochs_to_goal(filtered, config.goal),
-        seed=seed,
-    )
+    """One trial, as a batch of one lane."""
+    return _run_batch(config, [(update_rule, lr_hidden, trial_index)])[0]
 
 
-def _run_trial_args(args) -> TrialResult:
-    return run_trial(*args)
+def _run_batch_args(args) -> list[TrialResult]:
+    return _run_batch(*args)
 
 
 def run_trials(
     config: ExperimentConfig,
-    update_rule: UpdateRule,
-    lr_hidden: float,
+    arms: list[tuple[UpdateRule, float]],
     parallelism: int = 1,
 ) -> list[TrialResult]:
-    """All n_trials trials of one (rule, lr) arm, optionally across workers.
+    """n_trials trials of every (rule, lr) arm, all as lanes of one batch.
 
-    Results are ordered by trial index and identical for any worker count.
+    Results come arm by arm, each arm's by trial index. parallelism > 1
+    splits the lanes into contiguous chunks, one batch per worker, in one
+    Pool of min(parallelism, lanes) processes; results are identical for
+    any worker count.
     """
-    arglist = [(config, update_rule, lr_hidden, i) for i in range(config.n_trials)]
-    if parallelism <= 1:
-        return [run_trial(*args) for args in arglist]
-    with Pool(processes=min(parallelism, len(arglist))) as pool:
-        return pool.map(_run_trial_args, arglist)
+    lanes = [(rule, lr, i) for rule, lr in arms for i in range(config.n_trials)]
+    workers = min(parallelism, len(lanes))
+    if workers <= 1:
+        return _run_batch(config, lanes)
+    size, extra = divmod(len(lanes), workers)
+    bounds = np.cumsum([0] + [size + (w < extra) for w in range(workers)])
+    chunks = [(config, lanes[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    with Pool(processes=workers) as pool:
+        parts = pool.map(_run_batch_args, chunks)
+    return [result for part in parts for result in part]
 
 
 def summarize_rule(
@@ -318,11 +374,15 @@ def compare_rules(config: ExperimentConfig, parallelism: int = 1) -> ComparisonR
     against the linear arm (sample b) over converged trials only;
     non-converged counts are visible in the per-rule summaries.
     """
-    arms = {}
-    for rule in (UpdateRule.POWER_LAW, UpdateRule.LINEAR):
-        lr = config.lr_for(rule)
-        results = run_trials(config, rule, lr, parallelism=parallelism)
-        arms[rule] = summarize_rule(rule, lr, results)
+    rules = (UpdateRule.POWER_LAW, UpdateRule.LINEAR)
+    results = run_trials(
+        config, [(rule, config.lr_for(rule)) for rule in rules], parallelism=parallelism
+    )
+    n = config.n_trials
+    arms = {
+        rule: summarize_rule(rule, config.lr_for(rule), results[k * n : (k + 1) * n])
+        for k, rule in enumerate(rules)
+    }
     sample_p = [e for e in arms[UpdateRule.POWER_LAW].epochs if e is not None]
     sample_l = [e for e in arms[UpdateRule.LINEAR].epochs if e is not None]
     if len(sample_p) < 2 or len(sample_l) < 2:
@@ -357,7 +417,7 @@ def sweep_grid(config: ExperimentConfig) -> list[float]:
 def lr_sweep(
     config: ExperimentConfig, update_rule: UpdateRule, parallelism: int = 1
 ) -> SweepResult:
-    """n_trials trials at every grid learning rate; pick the fastest one.
+    """n_trials trials at every grid learning rate, as one batch; pick the fastest.
 
     Ranking uses the mean with non-converged trials penalized as
     max_epochs; ties break toward the smaller learning rate. The reported
@@ -366,10 +426,11 @@ def lr_sweep(
     grid = sweep_grid(config)
     if not grid:
         raise ValueError("learning-rate sweep grid is empty")
+    results = run_trials(config, [(update_rule, lr) for lr in grid], parallelism=parallelism)
+    n = config.n_trials
     points = []
-    for lr in grid:
-        results = run_trials(config, update_rule, lr, parallelism=parallelism)
-        summary = summarize_rule(update_rule, lr, results)
+    for k, lr in enumerate(grid):
+        summary = summarize_rule(update_rule, lr, results[k * n : (k + 1) * n])
         penalized = float(
             np.mean([e if e is not None else config.max_epochs for e in summary.epochs])
         )

@@ -2,7 +2,7 @@
 
 Each test prints one PASS/FAIL line (run with ``pytest -s`` to see them
 live). The first two criteria need the full 50-trial-per-rule comparison,
-which runs once as a module fixture (a few minutes).
+which runs once as a module fixture (about 10 s on a two-core host).
 """
 
 import math
@@ -166,20 +166,22 @@ def test_criterion_05_update_map_properties():
 
 
 def test_criterion_06_policy_gradient_monte_carlo():
+    # a batch of one lane, one hidden unit rewarded with its own bit
     config = ActorConfig(n_in=1, n_hidden=1, alpha_flip=0.0, lr_hidden=1.0)
-    net = ActorNetwork.initialize(config, np.random.default_rng(0))
+    net = ActorNetwork.initialize(config, [np.random.default_rng(0)])
     net.w_hidden[:] = 0.8
     net.b_hidden[:] = 0.0
     p = float(sigmoid(0.8))
     rng = np.random.default_rng(2024)
-    x = np.array([1.0])
+    x = np.array([[1.0]])
+    r_bar = np.array([0.5])
     n = 100_000
     increments = np.empty(n)
     for i in range(n):
-        net.acc_w_hidden[0, 0] = 0.0
-        _, trace = net.forward(x, 0.5, rng)
-        net.accumulate(trace, float(trace.y_hidden[0]), 0.5)
-        increments[i] = net.acc_w_hidden[0, 0]
+        net.acc_w_hidden[0, 0, 0] = 0.0
+        net.forward(x, r_bar, rng.random((1, 2 * config.n_hidden + 2)))
+        net.accumulate(net.y_hidden[:, 0])
+        increments[i] = net.acc_w_hidden[0, 0, 0]
     expected = p * (1 - p)
     se = increments.std(ddof=1) / math.sqrt(n)
     deviation = abs(increments.mean() - expected)
@@ -200,27 +202,29 @@ def test_criterion_07_critic_sign_alignment():
     checked = 0
     mismatches = 0
     for _ in range(1000):
-        critic = CriticNetwork.initialize(cfg, rng)
+        # a batch of one lane
+        critic = CriticNetwork.initialize(cfg, [rng])
         critic.w_hidden[:] = rng.normal(scale=1.0, size=critic.w_hidden.shape)
         critic.b_hidden[:] = rng.normal(scale=1.0, size=critic.b_hidden.shape)
-        x = rng.integers(0, 2, size=2).astype(float)
+        x = rng.integers(0, 2, size=(1, 2)).astype(float)
         r = float(rng.random())
         w_before = critic.w_hidden.copy()
         b_before = critic.b_hidden.copy()
-        critic.update(x, r)
-        update = critic.w_hidden - w_before
+        critic.forward(x)
+        critic.update(np.array([r]))
+        update = (critic.w_hidden - w_before)[0]
         critic.w_hidden[:] = w_before
         critic.b_hidden[:] = b_before
         for i in range(cfg.n_hidden):
             for j in range(cfg.n_in):
                 if abs(update[i, j]) <= 1e-9:
                     continue
-                w0 = critic.w_hidden[i, j]
-                critic.w_hidden[i, j] = w0 + h
-                up = (r - critic.forward(x)) ** 2
-                critic.w_hidden[i, j] = w0 - h
-                down = (r - critic.forward(x)) ** 2
-                critic.w_hidden[i, j] = w0
+                w0 = critic.w_hidden[0, i, j]
+                critic.w_hidden[0, i, j] = w0 + h
+                up = (r - critic.forward(x)[0]) ** 2
+                critic.w_hidden[0, i, j] = w0 - h
+                down = (r - critic.forward(x)[0]) ** 2
+                critic.w_hidden[0, i, j] = w0
                 fd = (up - down) / (2 * h)
                 if abs(fd) <= 1e-9:
                     continue

@@ -1,4 +1,4 @@
-import copy
+import math
 
 import numpy as np
 import pytest
@@ -16,7 +16,12 @@ from spinsyn.actor import (
 
 def make_net(config=None, **overrides):
     config = config or ActorConfig(**overrides)
-    return ActorNetwork.initialize(config, np.random.default_rng(0))
+    return ActorNetwork.initialize(config, [np.random.default_rng(0)])
+
+
+def step_uniforms(rng, net):
+    """One lane's forward uniforms: hidden proposals, hidden flips, output proposal and flip."""
+    return rng.random((1, 2 * net.config.n_hidden + 2))
 
 
 class TestSigmoid:
@@ -93,6 +98,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             ActorConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["lr_hidden", "dw_min", "power_exponent", "alpha_flip"])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            ActorConfig(**{field: value})
+
 
 class TestInitialize:
     def test_bounds_and_zero_biases(self):
@@ -107,7 +118,7 @@ class TestInitialize:
     def test_uniform_symmetry_monte_carlo(self):
         # 1e5 hidden weights in one network; mean should vanish within 3 SE
         config = ActorConfig(n_hidden=50_000)
-        net = ActorNetwork.initialize(config, np.random.default_rng(42))
+        net = ActorNetwork.initialize(config, [np.random.default_rng(42)])
         samples = net.w_hidden.ravel()
         bound = 1 / np.sqrt(2)
         se = bound / np.sqrt(3) / np.sqrt(samples.size)
@@ -119,40 +130,45 @@ class TestForward:
         net = make_net()
         net.w_hidden[:] = 0.0
         net.w_out[:] = 0.0
-        _, trace = net.forward(np.array([1.0, 0.0]), 0.5, np.random.default_rng(1))
-        assert np.all(trace.p_hidden == 0.5)
-        assert np.all(trace.p_out == 0.5)
+        rng = np.random.default_rng(1)
+        net.forward(np.array([[1.0, 0.0]]), np.array([0.5]), step_uniforms(rng, net))
+        assert np.all(net.p_hidden == 0.5)
+        assert np.all(net.p_out == 0.5)
 
     def test_full_reward_disables_flips(self):
-        # replay the generator to recompute the pre-flip proposals
+        # the proposals follow from the uniforms, so the emitted bits must equal them
         net = make_net()
         rng = np.random.default_rng(2)
+        n_hidden = net.config.n_hidden
         for _ in range(200):
-            replay = copy.deepcopy(rng)
-            _, trace = net.forward(np.array([1.0, 1.0]), 1.0, rng)
-            assert trace.flip_prob == 0.0
-            proposed_hidden = replay.random(net.config.n_hidden) < trace.p_hidden
-            replay.random(net.config.n_hidden)  # hidden flip draws
-            proposed_out = replay.random(1) < trace.p_out
-            assert np.array_equal(proposed_hidden, trace.y_hidden == 1.0)
-            assert np.array_equal(proposed_out, trace.y_out == 1.0)
+            u = step_uniforms(rng, net)
+            net.forward(np.array([[1.0, 1.0]]), np.array([1.0]), u)
+            assert np.all(net.p_flip == 0.0)
+            proposed_hidden = u[:, :n_hidden] < net.p_hidden
+            proposed_out = u[:, 2 * n_hidden] < net.p_out
+            assert np.array_equal(proposed_hidden, net.y_hidden == 1.0)
+            assert np.array_equal(proposed_out, net.y_out == 1.0)
 
     def test_rbar_clamped(self):
         net = make_net()
-        _, trace = net.forward(np.array([0.0, 1.0]), 7.5, np.random.default_rng(3))
-        assert trace.flip_prob == 0.0
-        _, trace = net.forward(np.array([0.0, 1.0]), -3.0, np.random.default_rng(3))
-        assert trace.flip_prob == pytest.approx(0.1)
+        u = step_uniforms(np.random.default_rng(3), net)
+        net.forward(np.array([[0.0, 1.0]]), np.array([7.5]), u)
+        assert np.all(net.p_flip == 0.0)
+        net.forward(np.array([[0.0, 1.0]]), np.array([-3.0]), u)
+        assert net.p_flip[0] == pytest.approx(0.1)
 
     def test_dimension_mismatch_rejected(self):
         net = make_net()
+        u = step_uniforms(np.random.default_rng(0), net)
         with pytest.raises(ValueError):
-            net.forward(np.array([1.0, 0.0, 1.0]), 0.5, np.random.default_rng(0))
+            net.forward(np.array([[1.0, 0.0, 1.0]]), np.array([0.5]), u)
+        with pytest.raises(ValueError):
+            net.forward(np.array([1.0, 0.0]), np.array([0.5]), u)
 
     def test_single_neuron_flip_arithmetic(self):
         # P(y=1) = p*(1-f) + (1-p)*f with p = 0.9, f = alpha*(1-0) = 0.1
         config = ActorConfig(n_in=1, n_hidden=1, alpha_flip=0.1)
-        net = ActorNetwork.initialize(config, np.random.default_rng(0))
+        net = ActorNetwork.initialize(config, [np.random.default_rng(0)])
         p = 0.9
         net.w_hidden[:] = 0.0
         net.b_hidden[:] = np.log(p / (1 - p))
@@ -160,8 +176,8 @@ class TestForward:
         n = 100_000
         ones = 0
         for _ in range(n):
-            _, trace = net.forward(np.array([1.0]), 0.0, rng)
-            ones += trace.y_hidden[0]
+            net.forward(np.array([[1.0]]), np.array([0.0]), step_uniforms(rng, net))
+            ones += net.y_hidden[0, 0]
         expected = 0.9 * 0.9 + 0.1 * 0.1  # 0.82
         se = np.sqrt(expected * (1 - expected) / n)
         assert abs(ones / n - expected) < 3.5 * se
@@ -169,7 +185,7 @@ class TestForward:
     def test_no_flip_distribution_matches_bernoulli(self):
         # alpha_flip = 0: output bit is Bernoulli(p_out) exactly
         config = ActorConfig(n_in=1, n_hidden=1, alpha_flip=0.0)
-        net = ActorNetwork.initialize(config, np.random.default_rng(0))
+        net = ActorNetwork.initialize(config, [np.random.default_rng(0)])
         net.w_hidden[:] = 0.0
         net.b_hidden[:] = 50.0  # hidden always fires
         net.w_out[:] = 0.31
@@ -177,88 +193,116 @@ class TestForward:
         p = float(sigmoid(0.71))
         rng = np.random.default_rng(5)
         n = 100_000
-        ones = sum(net.forward(np.array([1.0]), 0.5, rng)[0] for _ in range(n))
+        ones = sum(
+            net.forward(np.array([[1.0]]), np.array([0.5]), step_uniforms(rng, net))[0]
+            for _ in range(n)
+        )
         se = np.sqrt(p * (1 - p) / n)
         assert abs(ones / n - p) < 3.5 * se
+
+    def test_lanes_are_independent(self):
+        # lane k of a batch emits what the same lane emits alone
+        config = ActorConfig()
+        rngs = [np.random.default_rng(s) for s in range(5)]
+        batch = ActorNetwork.initialize(config, rngs)
+        x = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [1.0, 0.0]])
+        r_bar = np.linspace(0.1, 0.9, 5)
+        u = np.random.default_rng(9).random((5, 2 * config.n_hidden + 2))
+        y = batch.forward(x, r_bar, u)
+        for k in range(5):
+            alone = ActorNetwork.initialize(config, [np.random.default_rng(k)])
+            assert alone.forward(x[k : k + 1], r_bar[k : k + 1], u[k : k + 1])[0] == y[k]
+            assert alone.p_hidden[0].tobytes() == batch.p_hidden[k].tobytes()
+            assert alone.p_out[0] == batch.p_out[k]
 
 
 class TestAccumulate:
     def test_zero_prediction_error_gives_zero(self):
         net = make_net()
-        _, trace = net.forward(np.array([1.0, 1.0]), 0.5, np.random.default_rng(4))
-        net.accumulate(trace, 0.5, 0.5)
+        u = step_uniforms(np.random.default_rng(4), net)
+        net.forward(np.array([[1.0, 1.0]]), np.array([0.5]), u)
+        net.accumulate(np.array([0.5]))
         assert np.all(net.acc_w_hidden == 0.0)
         assert np.all(net.acc_w_out == 0.0)
 
     def test_zero_presynaptic_value_gives_zero_weight_increment(self):
         net = make_net()
-        _, trace = net.forward(np.array([0.0, 1.0]), 0.5, np.random.default_rng(4))
-        net.accumulate(trace, 1.0, 0.5)
-        assert np.all(net.acc_w_hidden[:, 0] == 0.0)  # x_0 = 0
-        assert np.any(net.acc_w_hidden[:, 1] != 0.0)
+        u = step_uniforms(np.random.default_rng(4), net)
+        net.forward(np.array([[0.0, 1.0]]), np.array([0.5]), u)
+        net.accumulate(np.array([1.0]))
+        assert np.all(net.acc_w_hidden[0, :, 0] == 0.0)  # x_0 = 0
+        assert np.any(net.acc_w_hidden[0, :, 1] != 0.0)
 
     def test_reference_increment(self):
         # eta=1, R=1, r_bar=0.5, y=1, p=0.8, y_j=1 -> +0.1 (no flips, so the
         # emission probability equals the sigmoid value)
         config = ActorConfig(n_in=1, n_hidden=1, alpha_flip=0.0, lr_hidden=1.0)
-        net = ActorNetwork.initialize(config, np.random.default_rng(0))
+        net = ActorNetwork.initialize(config, [np.random.default_rng(0)])
         net.w_hidden[:] = 0.0
         net.b_hidden[:] = np.log(0.8 / 0.2)
         rng = np.random.default_rng(9)
         while True:  # draw until the hidden proposal comes out 1
-            net.acc_w_hidden[:] = 0.0
-            _, trace = net.forward(np.array([1.0]), 0.5, rng)
-            if trace.y_hidden[0] == 1.0:
+            net.forward(np.array([[1.0]]), np.array([0.5]), step_uniforms(rng, net))
+            if net.y_hidden[0, 0] == 1.0:
                 break
-        net.acc_w_hidden[:] = 0.0
-        net.accumulate(trace, 1.0, 0.5)
-        assert net.acc_w_hidden[0, 0] == pytest.approx(0.1, rel=1e-12)
+        net.accumulate(np.array([1.0]))
+        assert net.acc_w_hidden[0, 0, 0] == pytest.approx(0.1, rel=1e-12)
 
     def test_emission_probability_is_flip_adjusted(self):
         config = ActorConfig(n_in=1, n_hidden=1, alpha_flip=0.1, lr_hidden=1.0)
-        net = ActorNetwork.initialize(config, np.random.default_rng(0))
+        net = ActorNetwork.initialize(config, [np.random.default_rng(0)])
         net.w_hidden[:] = 0.0
         net.b_hidden[:] = np.log(0.8 / 0.2)
-        _, trace = net.forward(np.array([1.0]), 0.0, np.random.default_rng(1))
+        u = step_uniforms(np.random.default_rng(1), net)
+        net.forward(np.array([[1.0]]), np.array([0.0]), u)
         q = 0.8 * 0.9 + 0.2 * 0.1
-        net.acc_w_hidden[:] = 0.0
-        net.acc_b_hidden[:] = 0.0
-        net.accumulate(trace, 1.0, 0.0)
-        expected = (1.0 - 0.0) * (trace.y_hidden[0] - q) * 1.0
-        assert net.acc_w_hidden[0, 0] == pytest.approx(expected, rel=1e-12)
+        net.accumulate(np.array([1.0]))
+        expected = (1.0 - 0.0) * (net.y_hidden[0, 0] - q) * 1.0
+        assert net.acc_w_hidden[0, 0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_sigmoid_gradient_mode_uses_raw_probability(self):
         config = ActorConfig(
             n_in=1, n_hidden=1, alpha_flip=0.1, lr_hidden=1.0,
             gradient_probability=GradientProbability.SIGMOID,
         )
-        net = ActorNetwork.initialize(config, np.random.default_rng(0))
+        net = ActorNetwork.initialize(config, [np.random.default_rng(0)])
         net.w_hidden[:] = 0.0
         net.b_hidden[:] = np.log(0.8 / 0.2)
-        _, trace = net.forward(np.array([1.0]), 0.0, np.random.default_rng(1))
-        net.acc_w_hidden[:] = 0.0
-        net.accumulate(trace, 1.0, 0.0)
-        expected = (trace.y_hidden[0] - 0.8) * 1.0
-        assert net.acc_w_hidden[0, 0] == pytest.approx(expected, rel=1e-12)
+        u = step_uniforms(np.random.default_rng(1), net)
+        net.forward(np.array([[1.0]]), np.array([0.0]), u)
+        net.accumulate(np.array([1.0]))
+        expected = (net.y_hidden[0, 0] - 0.8) * 1.0
+        assert net.acc_w_hidden[0, 0, 0] == pytest.approx(expected, rel=1e-12)
+
+    def test_per_lane_learning_rate(self):
+        # the same draws at two rates: every accumulator scales with the lane's rate
+        config = ActorConfig(alpha_flip=0.1)
+        rngs = [np.random.default_rng(3), np.random.default_rng(3)]
+        net = ActorNetwork.initialize(config, rngs, lr_hidden=[0.5, 1.0])
+        u = np.repeat(np.random.default_rng(4).random((1, 2 * config.n_hidden + 2)), 2, axis=0)
+        net.forward(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([0.3, 0.3]), u)
+        net.accumulate(np.array([1.0, 1.0]))
+        for acc in (net.acc_w_hidden, net.acc_b_hidden, net.acc_w_out, net.acc_b_out):
+            assert np.allclose(acc[1], 2.0 * acc[0], rtol=1e-15, atol=0.0)
 
     def test_policy_gradient_expectation(self):
         # single Bernoulli neuron, x=1, no flips, R=y, baseline 0.5, eta=1:
         # E[increment] = p(1-p); Monte-Carlo mean within 3 SE
         config = ActorConfig(n_in=1, n_hidden=1, alpha_flip=0.0, lr_hidden=1.0)
-        net = ActorNetwork.initialize(config, np.random.default_rng(0))
+        net = ActorNetwork.initialize(config, [np.random.default_rng(0)])
         w = 0.8
         net.w_hidden[:] = w
         net.b_hidden[:] = 0.0
         p = float(sigmoid(w))
         rng = np.random.default_rng(77)
-        x = np.array([1.0])
+        x = np.array([[1.0]])
         n = 100_000
         increments = np.empty(n)
         for i in range(n):
-            net.acc_w_hidden[0, 0] = 0.0
-            _, trace = net.forward(x, 0.5, rng)
-            net.accumulate(trace, float(trace.y_hidden[0]), 0.5)
-            increments[i] = net.acc_w_hidden[0, 0]
+            net.acc_w_hidden[0, 0, 0] = 0.0
+            net.forward(x, np.array([0.5]), step_uniforms(rng, net))
+            net.accumulate(net.y_hidden[:, 0])
+            increments[i] = net.acc_w_hidden[0, 0, 0]
         expected = p * (1 - p)
         se = increments.std(ddof=1) / np.sqrt(n)
         assert abs(increments.mean() - expected) < 3 * se
@@ -268,63 +312,90 @@ class TestApplyBatchUpdate:
     def _loaded_net(self, acc_value, **overrides):
         net = make_net(**overrides)
         net.w_hidden[:] = 0.0
-        net.acc_w_hidden[0, 0] = acc_value
+        net.acc_w_hidden[0, 0, 0] = acc_value
         return net
 
     def test_powerlaw_at_threshold_leaves_weight_unchanged(self):
         net = self._loaded_net(0.4)
         net.apply_batch_update()
-        assert net.w_hidden[0, 0] == 0.0
+        assert net.w_hidden[0, 0, 0] == 0.0
 
     def test_powerlaw_unit_accumulator(self):
         net = self._loaded_net(1.0)
         net.apply_batch_update()
-        assert net.w_hidden[0, 0] == 1.0
+        assert net.w_hidden[0, 0, 0] == 1.0
         net = self._loaded_net(-1.0)
         net.apply_batch_update()
-        assert net.w_hidden[0, 0] == -1.0
+        assert net.w_hidden[0, 0, 0] == -1.0
 
     def test_powerlaw_reference_value(self):
         net = self._loaded_net(0.5)
         net.apply_batch_update()
-        assert net.w_hidden[0, 0] == pytest.approx(0.29730177875068026, abs=1e-10)
-        assert net.acc_w_hidden[0, 0] == 0.0  # fired component resets
+        assert net.w_hidden[0, 0, 0] == pytest.approx(0.29730177875068026, abs=1e-10)
+        assert net.acc_w_hidden[0, 0, 0] == 0.0  # fired component resets
 
     def test_linear_applies_verbatim(self):
         net = self._loaded_net(0.3, update_rule=UpdateRule.LINEAR)
         net.apply_batch_update()
-        assert net.w_hidden[0, 0] == pytest.approx(0.3)
+        assert net.w_hidden[0, 0, 0] == pytest.approx(0.3)
         for acc in (net.acc_w_hidden, net.acc_b_hidden, net.acc_w_out, net.acc_b_out):
             assert np.all(acc == 0.0)
 
     def test_subthreshold_accumulator_carries_over(self):
         net = self._loaded_net(0.3, carry_subthreshold=True)
         net.apply_batch_update()
-        assert net.w_hidden[0, 0] == 0.0
-        assert net.acc_w_hidden[0, 0] == 0.3  # keeps integrating
-        net.acc_w_hidden[0, 0] += 0.3
+        assert net.w_hidden[0, 0, 0] == 0.0
+        assert net.acc_w_hidden[0, 0, 0] == 0.3  # keeps integrating
+        net.acc_w_hidden[0, 0, 0] += 0.3
         net.apply_batch_update()
-        assert net.w_hidden[0, 0] == pytest.approx(0.6**1.75)
-        assert net.acc_w_hidden[0, 0] == 0.0
+        assert net.w_hidden[0, 0, 0] == pytest.approx(0.6**1.75)
+        assert net.acc_w_hidden[0, 0, 0] == 0.0
 
     def test_subthreshold_reset_mode_zeroes_everything(self):
         net = self._loaded_net(0.3, carry_subthreshold=False)
         net.apply_batch_update()
-        assert net.w_hidden[0, 0] == 0.0
+        assert net.w_hidden[0, 0, 0] == 0.0
         assert np.all(net.acc_w_hidden == 0.0)
 
     def test_bias_update_linear_by_default(self):
         net = make_net()
         net.b_hidden[:] = 0.0
-        net.acc_b_hidden[0] = 0.3  # below dw_min, applied anyway
+        net.acc_b_hidden[0, 0] = 0.3  # below dw_min, applied anyway
         net.apply_batch_update()
-        assert net.b_hidden[0] == pytest.approx(0.3)
-        assert net.acc_b_hidden[0] == 0.0
+        assert net.b_hidden[0, 0] == pytest.approx(0.3)
+        assert net.acc_b_hidden[0, 0] == 0.0
 
     def test_bias_update_thresholded_mode(self):
         net = make_net(bias_update=BiasUpdate.THRESHOLDED, carry_subthreshold=True)
         net.b_hidden[:] = 0.0
-        net.acc_b_hidden[0] = 0.3
+        net.acc_b_hidden[0, 0] = 0.3
         net.apply_batch_update()
-        assert net.b_hidden[0] == 0.0
-        assert net.acc_b_hidden[0] == 0.3
+        assert net.b_hidden[0, 0] == 0.0
+        assert net.acc_b_hidden[0, 0] == 0.3
+
+    def test_mixed_rules_follow_each_lane(self):
+        # one linear and one power-law lane with the same sub-threshold accumulator
+        rngs = [np.random.default_rng(0), np.random.default_rng(0)]
+        net = ActorNetwork.initialize(
+            ActorConfig(), rngs, update_rules=[UpdateRule.LINEAR, UpdateRule.POWER_LAW]
+        )
+        net.w_hidden[:] = 0.0
+        net.acc_w_hidden[:, 0, 0] = [0.3, 0.3]
+        net.acc_w_hidden[:, 1, 0] = [0.5, 0.5]
+        net.apply_batch_update()
+        assert net.w_hidden[0, 0, 0] == pytest.approx(0.3)
+        assert net.w_hidden[1, 0, 0] == 0.0
+        assert net.w_hidden[0, 1, 0] == pytest.approx(0.5)
+        assert net.w_hidden[1, 1, 0] == pytest.approx(0.29730177875068026, abs=1e-10)
+        assert np.all(net.acc_w_hidden == 0.0)
+
+    def test_carry_mode_zeroes_linear_lanes(self):
+        rngs = [np.random.default_rng(0), np.random.default_rng(0)]
+        net = ActorNetwork.initialize(
+            ActorConfig(carry_subthreshold=True), rngs,
+            update_rules=[UpdateRule.LINEAR, UpdateRule.POWER_LAW],
+        )
+        net.acc_w_hidden[:, 0, 0] = 0.3
+        net.apply_batch_update()
+        assert net.acc_w_hidden[0, 0, 0] == 0.0
+        assert net.acc_w_hidden[1, 0, 0] == 0.3

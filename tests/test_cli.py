@@ -17,7 +17,7 @@ from spinsyn.cli import (
 from spinsyn.critic import CriticConfig
 from spinsyn.device import SpinValveParams
 from spinsyn.env import Presentation
-from spinsyn.harness import ExperimentConfig, TrialResult
+from spinsyn.harness import ExperimentConfig, SweepResult, TrialResult
 
 
 def write_config(tmp_path, text):
@@ -268,6 +268,35 @@ class TestCliCommands:
         rules = {l.split(",")[0] for l in lines[1:]}
         assert rules == {"powerlaw", "linear"}
         assert len(lines) == 1 + 2 * 2
+
+    def test_sweep_warns_when_best_lr_is_on_a_grid_edge(self, tmp_path, capsys):
+        # no trial reaches the goal in 30 epochs, so every point ties and the
+        # tie-break picks the grid's first rate
+        cfg = write_config(
+            tmp_path,
+            SMALL_EXPERIMENT + "harness.lr_sweep_from = 0.7\nharness.lr_sweep_to = 0.8\n",
+        )
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--rule", "linear"]) == 0
+        assert capsys.readouterr().err == (
+            "spinsyn: warning: linear best_lr 0.7 lies on an edge of the grid 0.7..0.8; "
+            "the best rate may lie outside it\n"
+        )
+
+    def test_sweep_csv_identical_with_and_without_the_edge_warning(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        cfg = write_config(
+            tmp_path,
+            SMALL_EXPERIMENT + "harness.lr_sweep_from = 0.7\nharness.lr_sweep_to = 0.8\n",
+        )
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out_a)]) == 0
+        assert "warning" in capsys.readouterr().err
+        monkeypatch.setattr(SweepResult, "best_on_edge", property(lambda self: False))
+        assert main(["sweep", "--config", str(cfg), "--out", str(out_b)]) == 0
+        assert capsys.readouterr().err == ""
+        assert (out_a / "sweep.csv").read_bytes() == (out_b / "sweep.csv").read_bytes()
 
     def test_compare_writes_comparison_and_stats(self, tmp_path):
         cfg = write_config(

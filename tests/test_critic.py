@@ -1,4 +1,5 @@
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -9,8 +10,19 @@ from spinsyn.critic import CriticConfig, CriticNetwork
 
 def make_critic(seed=0, **overrides):
     return CriticNetwork.initialize(
-        CriticConfig(**overrides), np.random.default_rng(seed)
+        CriticConfig(**overrides), [np.random.default_rng(seed)]
     )
+
+
+def read(critic, x):
+    """Prediction of a one-lane critic for one input pattern."""
+    return float(critic.forward(np.asarray([x], dtype=float))[0])
+
+
+def train(critic, x, r):
+    """One read-and-update step of a one-lane critic toward reward r."""
+    read(critic, x)
+    critic.update(np.array([r]))
 
 
 class TestConfig:
@@ -25,6 +37,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             CriticConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["lr", "l1_coeff"])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            CriticConfig(**{field: value})
+
 
 class TestInitialize:
     def test_ranges_and_fixed_output_values(self):
@@ -32,11 +50,11 @@ class TestInitialize:
         assert np.all(np.abs(critic.w_hidden) <= 1 / np.sqrt(2))
         assert np.all(critic.b_hidden == 0.0)
         assert np.all(np.abs(critic.w_out) <= 1.25)
-        assert critic.b_out == 0.5
+        assert np.all(critic.b_out == 0.5)
 
     def test_output_weight_symmetry_monte_carlo(self):
         cfg = CriticConfig(n_hidden=100_000)
-        critic = CriticNetwork.initialize(cfg, np.random.default_rng(21))
+        critic = CriticNetwork.initialize(cfg, [np.random.default_rng(21)])
         se = 1.25 / np.sqrt(3) / np.sqrt(cfg.n_hidden)
         assert abs(critic.w_out.mean()) < 3 * se
 
@@ -47,7 +65,7 @@ class TestForward:
         critic.w_hidden[:] = 0.0
         critic.w_out[:] = 0.0
         # output = sigmoid(b_out) = sigmoid(0.5)
-        assert critic.forward(np.array([1.0, 0.0])) == pytest.approx(
+        assert read(critic, [1.0, 0.0]) == pytest.approx(
             float(sigmoid(0.5)), rel=1e-12
         )
 
@@ -58,30 +76,42 @@ class TestForward:
             critic.w_hidden[:] = rng.normal(scale=5.0, size=critic.w_hidden.shape)
             critic.b_hidden[:] = rng.normal(scale=5.0, size=critic.b_hidden.shape)
             for x in ([0, 0], [0, 1], [1, 0], [1, 1]):
-                out = critic.forward(np.asarray(x, dtype=float))
+                out = read(critic, x)
                 assert 0.0 < out < 1.0
 
     def test_pure_function(self):
         critic = make_critic(seed=5)
-        x = np.array([1.0, 1.0])
-        assert critic.forward(x) == critic.forward(x)
+        x = [1.0, 1.0]
+        assert read(critic, x) == read(critic, x)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            make_critic().forward(np.array([1.0]))
+            make_critic().forward(np.array([[1.0]]))
+        with pytest.raises(ValueError):
+            make_critic().forward(np.array([1.0, 0.0]))
+
+    def test_lanes_are_independent(self):
+        # lane k of a batch predicts what the same lane predicts alone
+        cfg = CriticConfig()
+        batch = CriticNetwork.initialize(cfg, [np.random.default_rng(s) for s in range(4)])
+        x = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+        predicted = batch.forward(x)
+        for k in range(4):
+            alone = make_critic(seed=k)
+            assert read(alone, x[k]) == predicted[k]
 
 
 class TestUpdate:
     def test_output_layer_bit_identical_after_training(self):
         critic = make_critic(seed=7)
         w_out_before = critic.w_out.copy()
-        b_out_before = critic.b_out
+        b_out_before = critic.b_out.copy()
         rng = np.random.default_rng(8)
         for _ in range(500):
             x = rng.integers(0, 2, size=2).astype(float)
-            critic.update(x, float(rng.integers(0, 2)))
+            train(critic, x, float(rng.integers(0, 2)))
         assert np.array_equal(critic.w_out, w_out_before)
-        assert critic.b_out == b_out_before
+        assert np.array_equal(critic.b_out, b_out_before)
 
     def test_reference_update_component(self):
         # R=0.8, y_out=0.5, w_out=1.0, y_j=1, w=0.2 -> 0.299; the hidden
@@ -91,31 +121,30 @@ class TestUpdate:
         assert delta == pytest.approx(0.299, abs=1e-12)
         # the implementation produces the same number through its own path
         cfg = CriticConfig(n_in=1, n_hidden=1)
-        net = CriticNetwork.initialize(cfg, np.random.default_rng(0))
+        net = CriticNetwork.initialize(cfg, [np.random.default_rng(0)])
         net.w_out[:] = 1.0
-        net.b_out = 0.0
-        net.w_hidden[0, 0] = 0.2
+        net.w_hidden[0, 0, 0] = 0.2
         # choose bias so hidden output is 0.6 at x=1, and output 0.5
-        net.b_hidden[0] = np.log(0.6 / 0.4) - 0.2
-        net.b_out = -0.6  # w_out*y_i + b_out = 0 -> y_out = 0.5
-        before = net.w_hidden[0, 0]
-        net.update(np.array([1.0]), 0.8)
-        assert net.w_hidden[0, 0] - before == pytest.approx(0.299, abs=1e-12)
+        net.b_hidden[0, 0] = np.log(0.6 / 0.4) - 0.2
+        net.b_out[:] = -0.6  # w_out*y_i + b_out = 0 -> y_out = 0.5
+        before = net.w_hidden[0, 0, 0]
+        train(net, [1.0], 0.8)
+        assert net.w_hidden[0, 0, 0] - before == pytest.approx(0.299, abs=1e-12)
 
     def test_pure_l1_shrinkage_when_input_is_zero(self):
         critic = make_critic(seed=9)
-        critic.w_hidden[:, 0] = 0.3
+        critic.w_hidden[0, :, 0] = 0.3
         before = critic.w_hidden.copy()
-        critic.update(np.array([0.0, 0.0]), 1.0)
+        train(critic, [0.0, 0.0], 1.0)
         # column 0 weights see y_j = 0: pure L1 pull of exactly lr*l1
-        assert np.allclose(critic.w_hidden[:, 0], before[:, 0] - 0.001)
+        assert np.allclose(critic.w_hidden[0, :, 0], before[0, :, 0] - 0.001)
 
     def test_l1_moves_weights_strictly_toward_zero(self):
         critic = make_critic(seed=10)
-        critic.w_hidden[:, 1] = -0.25
-        before = critic.w_hidden[:, 1].copy()
-        critic.update(np.array([0.0, 0.0]), 0.3)
-        after = critic.w_hidden[:, 1]
+        critic.w_hidden[0, :, 1] = -0.25
+        before = critic.w_hidden[0, :, 1].copy()
+        train(critic, [0.0, 0.0], 0.3)
+        after = critic.w_hidden[0, :, 1]
         assert np.all(np.abs(after) < np.abs(before))
         assert np.allclose(after, before + 0.001)
 
@@ -124,16 +153,15 @@ class TestUpdate:
         critic.w_hidden[:] = 0.0
         critic.b_hidden[:] = 0.0
         # y_j = 0 on both inputs: data term vanishes, sign(0) = 0
-        critic.update(np.array([0.0, 0.0]), 1.0)
+        train(critic, [0.0, 0.0], 1.0)
         assert np.all(critic.w_hidden == 0.0)
 
     def test_zero_error_zero_weight_no_change(self):
         cfg = CriticConfig(n_in=2, n_hidden=4)
-        critic = CriticNetwork.initialize(cfg, np.random.default_rng(1))
+        critic = CriticNetwork.initialize(cfg, [np.random.default_rng(1)])
         critic.w_hidden[:] = 0.0
-        x = np.array([1.0, 1.0])
-        r = critic.forward(x)  # R = y_out exactly
-        critic.update(x, r)
+        r = critic.forward(np.array([[1.0, 1.0]]))  # R = y_out exactly
+        critic.update(r)
         assert np.all(critic.w_hidden == 0.0)
 
     def test_sign_alignment_with_finite_difference_gradient(self):
@@ -142,25 +170,25 @@ class TestUpdate:
         rng = np.random.default_rng(12)
         cfg = CriticConfig(l1_coeff=0.0)
         for _ in range(100):
-            critic = CriticNetwork.initialize(cfg, rng)
+            critic = CriticNetwork.initialize(cfg, [rng])
             critic.w_hidden[:] = rng.normal(scale=1.0, size=critic.w_hidden.shape)
             critic.b_hidden[:] = rng.normal(scale=1.0, size=critic.b_hidden.shape)
             x = rng.integers(0, 2, size=2).astype(float)
             r = float(rng.random())
             reference = copy.deepcopy(critic)
-            critic.update(x, r)
-            update = critic.w_hidden - reference.w_hidden
+            train(critic, x, r)
+            update = critic.w_hidden[0] - reference.w_hidden[0]
             h = 1e-6
             for i in range(cfg.n_hidden):
                 for j in range(cfg.n_in):
                     if abs(update[i, j]) <= 1e-9:
                         continue
-                    w0 = reference.w_hidden[i, j]
-                    reference.w_hidden[i, j] = w0 + h
-                    up = (r - reference.forward(x)) ** 2
-                    reference.w_hidden[i, j] = w0 - h
-                    down = (r - reference.forward(x)) ** 2
-                    reference.w_hidden[i, j] = w0
+                    w0 = reference.w_hidden[0, i, j]
+                    reference.w_hidden[0, i, j] = w0 + h
+                    up = (r - read(reference, x)) ** 2
+                    reference.w_hidden[0, i, j] = w0 - h
+                    down = (r - read(reference, x)) ** 2
+                    reference.w_hidden[0, i, j] = w0
                     fd = (up - down) / (2 * h)
                     if abs(fd) <= 1e-9:
                         continue
@@ -181,6 +209,6 @@ class TestFixedTableFit:
         critic = make_critic(seed=seed)
         for n in range(20_000):
             k = n % 4
-            critic.update(self.PATTERNS[k], self.TARGETS[k])
-        predicted = np.array([critic.forward(x) for x in self.PATTERNS])
+            train(critic, self.PATTERNS[k], self.TARGETS[k])
+        predicted = np.array([read(critic, x) for x in self.PATTERNS])
         assert np.all(np.abs(predicted - self.TARGETS) < 0.1)

@@ -46,6 +46,17 @@ def test_invalid_params_rejected(kwargs):
         SpinValveParams(**kwargs)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "field",
+    ["g_min", "g_max", "g_th", "mg_max", "mg_exponent", "pulse_threshold_v",
+     "pulse_time_constant_tau"],
+)
+def test_non_finite_params_rejected(field, value):
+    with pytest.raises(ValueError):
+        SpinValveParams(**{field: value})
+
+
 def test_negative_duration_rejected():
     with pytest.raises(ValueError):
         PulseSpec(voltage=2.5, duration=-1e-3)

@@ -7,7 +7,6 @@ from spinsyn.env import (
     Presentation,
     Sample,
     reward,
-    sample_input,
 )
 
 
@@ -23,16 +22,18 @@ class TestSample:
 class TestSampleInput:
     def test_invariant_holds_for_every_draw(self):
         rng = np.random.default_rng(0)
+        schedule = InputSchedule(Presentation.UNIFORM)
         for _ in range(1000):
-            s = sample_input(rng)
-            assert s.target == s.x[0] ^ s.x[1]
+            x, target = schedule.next(rng.random((1, 2)))
+            assert target[0] == int(x[0, 0]) ^ int(x[0, 1])
 
     def test_uniformity_monte_carlo(self):
         rng = np.random.default_rng(1)
         n = 100_000
+        x, _ = InputSchedule(Presentation.UNIFORM).next(rng.random((n, 2)))
         counts = {p.x: 0 for p in PATTERNS}
-        for _ in range(n):
-            counts[sample_input(rng).x] += 1
+        for row in x.astype(int):
+            counts[tuple(row)] += 1
         se = np.sqrt(0.25 * 0.75 / n)
         for c in counts.values():
             assert abs(c / n - 0.25) < 3.5 * se
@@ -50,21 +51,32 @@ class TestReward:
             for t in (0, 1):
                 assert reward(y, t) == reward(t, y)
 
+    def test_elementwise_over_lanes(self):
+        y = np.array([1.0, 0.0, 0.0, 1.0])
+        target = np.array([True, False, True, False])
+        assert np.array_equal(reward(y, target), [1.0, 1.0, 0.0, 0.0])
+
 
 class TestInputSchedule:
     def test_cyclic_never_consumes_randomness(self):
-        rng = np.random.default_rng(2)
-        state_before = rng.bit_generator.state
+        # cyclic inputs come from the presentation index; the uniforms go unused
         schedule = InputSchedule(Presentation.CYCLIC)
-        seen = [schedule.next(rng).x for _ in range(8)]
-        assert rng.bit_generator.state == state_before
-        assert seen == [p.x for p in PATTERNS] * 2
+        u = np.full((3, 2), np.nan)
+        seen = []
+        for _ in range(8):
+            x, target = schedule.next(u)
+            assert np.all(x == x[0]) and np.all(target == target[0])
+            seen.append((tuple(x[0].astype(int)), int(target[0])))
+        assert seen == [(p.x, p.target) for p in PATTERNS] * 2
 
     def test_uniform_draws_from_rng(self):
         rng = np.random.default_rng(3)
         schedule = InputSchedule(Presentation.UNIFORM)
-        samples = {schedule.next(rng).x for _ in range(100)}
-        assert samples == {p.x for p in PATTERNS}
+        u = rng.random((100, 2))
+        x, target = schedule.next(u)
+        assert np.array_equal(x, (u < 0.5).astype(float))
+        assert {tuple(row) for row in x.astype(int)} == {p.x for p in PATTERNS}
+        assert np.array_equal(target, x[:, 0] != x[:, 1])
 
 
 def test_single_threshold_unit_cannot_solve_xor():

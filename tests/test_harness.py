@@ -10,6 +10,8 @@ from spinsyn.env import InputSchedule, Presentation
 from spinsyn.harness import (
     ExperimentConfig,
     StatisticsUnavailableError,
+    SweepPoint,
+    SweepResult,
     compare_rules,
     epochs_to_goal,
     filter_reward,
@@ -64,11 +66,11 @@ class TestEpochsToGoal:
 
 
 def make_xor_actor(alpha_flip=0.0):
-    """Hand-built actor computing XOR exactly (verified by enumeration)."""
+    """Hand-built one-lane actor computing XOR exactly (verified by enumeration)."""
     config = ActorConfig(n_hidden=2, alpha_flip=alpha_flip)
-    net = ActorNetwork.initialize(config, np.random.default_rng(0))
-    net.w_hidden[:] = [[40.0, 40.0], [40.0, 40.0]]
-    net.b_hidden[:] = [-20.0, -60.0]  # unit 0: OR, unit 1: AND
+    net = ActorNetwork.initialize(config, [np.random.default_rng(0)])
+    net.w_hidden[:] = [[[40.0, 40.0], [40.0, 40.0]]]
+    net.b_hidden[:] = [[-20.0, -60.0]]  # unit 0: OR, unit 1: AND
     net.w_out[:] = [[40.0, -80.0]]
     net.b_out[:] = [-20.0]
     return net
@@ -78,8 +80,8 @@ def test_xor_actor_is_exact_on_all_patterns():
     net = make_xor_actor()
     rng = np.random.default_rng(1)
     for x0, x1 in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        y, _ = net.forward(np.array([float(x0), float(x1)]), 1.0, rng)
-        assert y == x0 ^ x1
+        y = net.forward(np.array([[float(x0), float(x1)]]), np.array([1.0]), rng.random((1, 6)))
+        assert y[0] == x0 ^ x1
 
 
 class CountingSchedule(InputSchedule):
@@ -87,36 +89,34 @@ class CountingSchedule(InputSchedule):
         super().__init__(Presentation.UNIFORM)
         self.count = 0
 
-    def next(self, rng):
+    def next(self, u):
         self.count += 1
-        return super().next(rng)
+        return super().next(u)
+
+
+def one_lane_epoch(actor, config, schedule, filter_state):
+    critic = CriticNetwork.initialize(config.critic, [np.random.default_rng(2)])
+    return run_epoch(
+        actor, critic, schedule, [np.random.default_rng(3)], np.array([filter_state]), config
+    )
 
 
 class TestRunEpoch:
     def test_perfect_actor_scores_full_batch(self):
         config = small_config()
-        actor = make_xor_actor()
-        critic = CriticNetwork.initialize(config.critic, np.random.default_rng(2))
-        mean, filt = run_epoch(
-            actor, critic, InputSchedule(), np.random.default_rng(3), 0.5, config
-        )
-        assert mean == 1.0
+        mean, filt = one_lane_epoch(make_xor_actor(), config, InputSchedule(), 0.5)
+        assert mean[0] == 1.0
 
     def test_filter_fixed_point_through_epoch(self):
         config = small_config()
-        actor = make_xor_actor()
-        critic = CriticNetwork.initialize(config.critic, np.random.default_rng(2))
-        _, filt = run_epoch(
-            actor, critic, InputSchedule(), np.random.default_rng(3), 1.0, config
-        )
-        assert filt == 1.0
+        _, filt = one_lane_epoch(make_xor_actor(), config, InputSchedule(), 1.0)
+        assert filt[0] == 1.0
 
     def test_exactly_batch_size_presentations_and_one_update(self):
         config = small_config()
-        actor = ActorNetwork.initialize(config.actor, np.random.default_rng(4))
-        critic = CriticNetwork.initialize(config.critic, np.random.default_rng(5))
+        actor = ActorNetwork.initialize(config.actor, [np.random.default_rng(4)])
         schedule = CountingSchedule()
-        run_epoch(actor, critic, schedule, np.random.default_rng(6), 0.5, config)
+        one_lane_epoch(actor, config, schedule, 0.5)
         assert schedule.count == config.actor.batch_size == 10
         # the single batch update zeroed every fired/linear accumulator;
         # under the default linear bias rule, bias accumulators are empty
@@ -126,9 +126,8 @@ class TestRunEpoch:
     def test_linear_rule_accumulators_zero_after_epoch(self):
         actor_cfg = ActorConfig(update_rule=UpdateRule.LINEAR)
         config = small_config(actor=actor_cfg)
-        actor = ActorNetwork.initialize(config.actor, np.random.default_rng(4))
-        critic = CriticNetwork.initialize(config.critic, np.random.default_rng(5))
-        run_epoch(actor, critic, InputSchedule(), np.random.default_rng(6), 0.5, config)
+        actor = ActorNetwork.initialize(config.actor, [np.random.default_rng(4)])
+        one_lane_epoch(actor, config, InputSchedule(), 0.5)
         for acc in (actor.acc_w_hidden, actor.acc_b_hidden, actor.acc_w_out, actor.acc_b_out):
             assert np.all(acc == 0.0)
 
@@ -174,8 +173,8 @@ class TestRunTrial:
 class TestRunTrialsParallel:
     def test_worker_count_does_not_change_results(self):
         config = small_config(n_trials=6)
-        serial = run_trials(config, UpdateRule.POWER_LAW, 1.1, parallelism=1)
-        parallel = run_trials(config, UpdateRule.POWER_LAW, 1.1, parallelism=3)
+        serial = run_trials(config, [(UpdateRule.POWER_LAW, 1.1)], parallelism=1)
+        parallel = run_trials(config, [(UpdateRule.POWER_LAW, 1.1)], parallelism=3)
         assert len(serial) == len(parallel) == 6
         for a, b in zip(serial, parallel):
             assert a.seed == b.seed
@@ -200,9 +199,82 @@ class TestRunTrialsParallel:
 
         monkeypatch.setattr(harness, "Pool", FakePool)
         config = small_config(n_trials=2, max_epochs=2)
-        results = run_trials(config, UpdateRule.LINEAR, 0.75, parallelism=64)
+        results = run_trials(config, [(UpdateRule.LINEAR, 0.75)], parallelism=64)
         assert started == [2]
         assert len(results) == 2
+
+
+def fingerprint(result):
+    return (
+        result.seed,
+        result.epochs_to_goal,
+        result.raw_curve.tobytes(),
+        result.filtered_curve.tobytes(),
+    )
+
+
+def uneven_config(**overrides):
+    # a fast filter and a low goal: lanes finish anywhere from a few epochs
+    # to the cap, so the batch is compacted many times
+    defaults = dict(
+        n_trials=50, max_epochs=60, goal=0.6, filter_keep=0.95, filter_gain=0.05,
+        master_seed=5,
+    )
+    defaults.update(overrides)
+    return ExperimentConfig(**defaults)
+
+
+class TestLaneInvariance:
+    """A lane gives the same TrialResult whatever batch or shard it runs in."""
+
+    def test_lane_in_a_50_lane_batch_equals_lane_alone(self):
+        config = uneven_config()
+        batch = run_trials(config, [(UpdateRule.POWER_LAW, 1.1)])
+        lengths = {len(r.raw_curve) for r in batch}
+        assert len(lengths) > 5 and max(lengths) == 60  # uneven, some lanes to the cap
+        for k in (0, 1, 17, 33, 49):
+            alone = run_trial(config, UpdateRule.POWER_LAW, 1.1, k)
+            assert fingerprint(batch[k]) == fingerprint(alone)
+
+    def test_lane_in_a_mixed_batch_equals_lane_alone(self):
+        config = uneven_config(n_trials=3)
+        arms = [
+            (UpdateRule.POWER_LAW, 1.1),
+            (UpdateRule.LINEAR, 0.75),
+            (UpdateRule.POWER_LAW, 0.6),
+            (UpdateRule.LINEAR, 1.2),
+        ]
+        batch = run_trials(config, arms)
+        assert len(batch) == 12
+        for a, (rule, lr) in enumerate(arms):
+            for i in range(3):
+                alone = run_trial(config, rule, lr, i)
+                assert fingerprint(batch[3 * a + i]) == fingerprint(alone)
+
+    @pytest.mark.parametrize("parallelism", [1, 2, 3])
+    def test_compare_and_sweep_lanes_equal_lanes_alone(self, monkeypatch, parallelism):
+        recorded = []
+        original = harness.run_trials
+
+        def recording(config, arms, parallelism=1):
+            results = original(config, arms, parallelism)
+            recorded.append((config, arms, results))
+            return results
+
+        monkeypatch.setattr(harness, "run_trials", recording)
+        # 10 lanes for compare and 9 for the sweep: 2 and 3 workers split
+        # one of them unevenly
+        compare_rules(uneven_config(n_trials=5), parallelism=parallelism)
+        lr_sweep(
+            uneven_config(n_trials=3, lr_sweep_from=0.7, lr_sweep_to=0.8),
+            UpdateRule.LINEAR,
+            parallelism=parallelism,
+        )
+        assert [len(results) for _, _, results in recorded] == [10, 9]
+        for config, arms, results in recorded:
+            lanes = [(rule, lr, i) for rule, lr in arms for i in range(config.n_trials)]
+            for (rule, lr, i), result in zip(lanes, results):
+                assert fingerprint(result) == fingerprint(run_trial(config, rule, lr, i))
 
 
 class TestWelch:
@@ -257,7 +329,7 @@ class TestWelch:
 class TestSummaries:
     def test_mean_std_match_two_pass_oracle(self):
         config = small_config(n_trials=5, max_epochs=30, goal=0.52)
-        results = run_trials(config, UpdateRule.LINEAR, 0.75)
+        results = run_trials(config, [(UpdateRule.LINEAR, 0.75)])
         summary = summarize_rule(UpdateRule.LINEAR, 0.75, results)
         converged = [r.epochs_to_goal for r in results if r.epochs_to_goal is not None]
         assert summary.n_converged == len(converged)
@@ -292,6 +364,13 @@ class TestSweep:
             p.lr_hidden for p in result.points if p.penalized_mean == min(penalized)
         ]
         assert result.best_lr == min(winners)  # ties break toward smaller lr
+
+    @pytest.mark.parametrize("best, on_edge", [(0.7, True), (0.75, False), (0.8, True)])
+    def test_best_on_edge(self, best, on_edge):
+        points = [
+            SweepPoint(UpdateRule.LINEAR, lr, 100.0, 10.0, 2, 100.0) for lr in (0.7, 0.75, 0.8)
+        ]
+        assert SweepResult(UpdateRule.LINEAR, points, best).best_on_edge is on_edge
 
 
 def test_lr_for_maps_each_rule_to_its_rate():
@@ -336,3 +415,12 @@ class TestExperimentConfigValidation:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ExperimentConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field",
+        ["lr_powerlaw", "lr_linear", "goal", "filter_keep", "filter_gain", "filter_init"],
+    )
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**{field: value})
