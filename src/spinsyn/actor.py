@@ -132,19 +132,25 @@ class ActorConfig:
 
 def sigmoid(z):
     """Logistic function 1/(1 + e^-z), elementwise."""
-    z = np.clip(z, -709.0, 709.0)  # exp overflow guard; saturates far earlier
+    # exp overflow guard, saturating far earlier; the same bits as np.clip
+    # without its Python-level wrapper
+    z = np.minimum(np.maximum(z, -709.0), 709.0)
     return 1.0 / (1.0 + np.exp(-z))
 
 
 def affine(w: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Every lane's w @ x + b for w (lanes, units, n_in), x (lanes, n_in).
+    """w @ x + b for w (..., units, n_in), x (..., n_in), b (..., units).
 
-    The inputs are summed one at a time, in order: for the two XOR inputs
-    this is several times faster than a reduction over a length-2 axis.
+    Leading axes broadcast: a lane's weights (lanes, units, n_in) meet one
+    input per lane (lanes, n_in), or, through a new axis, every input of
+    a batch (lanes, batch, n_in). The inputs are summed one at a time, in
+    order: for the two XOR inputs this is several times faster than a
+    reduction over a length-2 axis, and each element gets the same bits
+    whatever the leading axes.
     """
-    z = w[..., 0] * x[:, :1]
-    for j in range(1, x.shape[1]):
-        z += w[..., j] * x[:, j : j + 1]
+    z = w[..., 0] * x[..., :1]
+    for j in range(1, x.shape[-1]):
+        z += w[..., j] * x[..., j : j + 1]
     return z + b
 
 
@@ -159,6 +165,18 @@ def threshold_power_update(acc, dw_min: float, exponent: float):
     return np.where(np.abs(acc) > dw_min, transformed, 0.0)
 
 
+def add_in_order(acc: np.ndarray, terms: np.ndarray) -> None:
+    """acc += terms[:, 0], then terms[:, 1], and so on, in place.
+
+    terms has the shape of acc with a presentation axis after the lane
+    axis. np.add.accumulate adds one presentation at a time onto the
+    running sum, so acc gets the same bits as one += per presentation.
+    Summing the terms first and adding that to acc would round differently
+    whenever acc carries a value in, and np.sum may add pairwise.
+    """
+    acc[...] = np.add.accumulate(np.concatenate((acc[:, None], terms), axis=1), axis=1)[:, -1]
+
+
 class ActorNetwork:
     """A batch of independent two-layer stochastic binary actors.
 
@@ -169,8 +187,18 @@ class ActorNetwork:
     arithmetic is elementwise or reduces over the trailing axis, so a lane
     computes the same bits whatever batch it runs in.
 
-    forward keeps what the update rule needs (inputs, probabilities,
-    emitted bits, flip probability, r_bar) until accumulate reads it.
+    A batch of presentations runs in three stages. The weights change only
+    in apply_batch_update, so propose computes the hidden layer's firing
+    probabilities and proposals of every presentation at once. forward
+    then runs one presentation at a time, because its flip probability
+    comes from the critic's read, and the critic learns after every
+    presentation: it flips the hidden proposals, samples the output bit
+    and records what the update rule needs. accumulate takes the whole
+    batch's rewards and adds every presentation's proposed change in
+    presentation order. The per-batch arrays have a presentation axis
+    after the lane axis: x (lanes, batch, n_in), p_hidden and y_hidden
+    (lanes, batch, n_hidden), and r_bar, p_flip, p_out and y_out
+    (lanes, batch).
     """
 
     def __init__(
@@ -247,38 +275,52 @@ class ActorNetwork:
                      "acc_w_hidden", "acc_b_hidden", "acc_w_out", "acc_b_out"):
             setattr(self, name, getattr(self, name)[lanes])
 
-    def forward(self, x, r_bar, u) -> np.ndarray:
-        """Sample every lane's output bit for inputs x given predicted rewards r_bar.
+    def propose(self, x, u) -> None:
+        """Hidden-layer pass of a whole batch of presentations.
 
-        x has shape (lanes, n_in), r_bar (lanes,) and u (lanes,
-        2 * n_hidden + 2): uniforms for the hidden proposals, the hidden
-        flips, the output proposal and the output flip, in that order. A
-        unit proposes 1 when its uniform lies below its firing
-        probability and flips when its flip uniform lies below
-        alpha_flip * (1 - r_bar), with r_bar clamped into [0, 1].
+        x has shape (lanes, batch, n_in) and u (lanes, batch, 2 * n_hidden
+        + 2): each presentation's uniforms for the hidden proposals, the
+        hidden flips, the output proposal and the output flip, in that
+        order. A hidden unit proposes 1 when its uniform lies below its
+        firing probability. Starts a batch: forward then runs its
+        presentations, and accumulate reads all of them.
         """
         x = np.asarray(x, dtype=float)
         lanes, n_hidden = self.b_hidden.shape
-        if x.shape != (lanes, self.config.n_in):
+        if x.ndim != 3 or (x.shape[0], x.shape[2]) != (lanes, self.config.n_in):
             raise ValueError(
-                f"input shape {x.shape} does not match ({lanes}, n_in={self.config.n_in})"
+                f"input shape {x.shape} does not match ({lanes}, batch, "
+                f"n_in={self.config.n_in})"
             )
-        r_bar = np.clip(r_bar, 0.0, 1.0)
+        shape = x.shape[:2]
+        self.x, self.u = x, u
+        self.p_hidden = sigmoid(affine(self.w_hidden[:, None], x, self.b_hidden[:, None]))
+        self.proposed_hidden = u[..., :n_hidden] < self.p_hidden
+        self.y_hidden = np.empty(self.p_hidden.shape)
+        self.r_bar, self.p_flip = np.empty(shape), np.empty(shape)
+        self.p_out, self.y_out = np.empty(shape), np.empty(shape)
+
+    def forward(self, t: int, r_bar) -> np.ndarray:
+        """Sample every lane's output bit at presentation t of the batch,
+        given predicted rewards r_bar (lanes,).
+
+        A unit flips its proposal when its flip uniform lies below
+        alpha_flip * (1 - r_bar), with r_bar clamped into [0, 1]; the
+        output unit proposes 1 when its uniform lies below its firing
+        probability.
+        """
+        n_hidden = self.b_hidden.shape[1]
+        u = self.u[:, t]
+        r_bar = np.minimum(np.maximum(r_bar, 0.0), 1.0)
         p_flip = self.config.alpha_flip * (1.0 - r_bar)
-
-        p_hidden = sigmoid(affine(self.w_hidden, x, self.b_hidden))
-        proposed_hidden = u[:, :n_hidden] < p_hidden
         flips_hidden = u[:, n_hidden : 2 * n_hidden] < p_flip[:, None]
-        y_hidden = (proposed_hidden ^ flips_hidden).astype(float)
-
+        y_hidden = (self.proposed_hidden[:, t] ^ flips_hidden).astype(float)
         p_out = sigmoid((self.w_out * y_hidden).sum(axis=-1) + self.b_out)
         y_out = ((u[:, 2 * n_hidden] < p_out) ^ (u[:, 2 * n_hidden + 1] < p_flip)).astype(
             float
         )
-
-        self.x, self.r_bar, self.p_flip = x, r_bar, p_flip
-        self.p_hidden, self.y_hidden = p_hidden, y_hidden
-        self.p_out, self.y_out = p_out, y_out
+        self.r_bar[:, t], self.p_flip[:, t] = r_bar, p_flip
+        self.y_hidden[:, t], self.p_out[:, t], self.y_out[:, t] = y_hidden, p_out, y_out
         return y_out
 
     def _gradient_probs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -286,27 +328,29 @@ class ActorNetwork:
             return self.p_hidden, self.p_out
         f = self.p_flip
         return (
-            self.p_hidden * (1.0 - f[:, None]) + (1.0 - self.p_hidden) * f[:, None],
+            self.p_hidden * (1.0 - f[..., None]) + (1.0 - self.p_hidden) * f[..., None],
             self.p_out * (1.0 - f) + (1.0 - self.p_out) * f,
         )
 
     def accumulate(self, r) -> None:
-        """Add the last forward pass's proposed changes, given rewards r.
+        """Add the batch's proposed changes, given its rewards r (lanes, batch).
 
         Weights get eta * (R - r_bar) * (y_i - p_i) * y_j with the presynaptic
         value y_j; biases use the same rule with y_j = 1. eta is the lane's
         rate (half of it in the output layer) and p_i the configured
         gradient probability (emission by default, so the term is
-        mean-zero under the exploration flips).
+        mean-zero under the exploration flips). The presentations' terms
+        are added in presentation order onto what the accumulators hold.
         """
         p_hidden, p_out = self._gradient_probs()
         delta = r - self.r_bar
-        err_hidden = (self.lr_hidden * delta)[:, None] * (self.y_hidden - p_hidden)
-        self.acc_w_hidden += err_hidden[:, :, None] * self.x[:, None, :]
-        self.acc_b_hidden += err_hidden
-        err_out = self.lr_hidden * LR_OUT_RATIO * delta * (self.y_out - p_out)
-        self.acc_w_out += err_out[:, None] * self.y_hidden
-        self.acc_b_out += err_out
+        lr = self.lr_hidden[:, None]
+        err_hidden = (lr * delta)[..., None] * (self.y_hidden - p_hidden)
+        add_in_order(self.acc_w_hidden, err_hidden[..., None] * self.x[:, :, None, :])
+        add_in_order(self.acc_b_hidden, err_hidden)
+        err_out = lr * LR_OUT_RATIO * delta * (self.y_out - p_out)
+        add_in_order(self.acc_w_out, err_out[..., None] * self.y_hidden)
+        add_in_order(self.acc_b_out, err_out)
 
     def apply_batch_update(self) -> None:
         """Fold the accumulators into the parameters, each lane by its rule.

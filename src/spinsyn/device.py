@@ -106,8 +106,10 @@ class PulseSpec:
     duration: float
 
     def __post_init__(self) -> None:
-        if self.duration < 0.0:
-            raise ValueError(f"pulse duration must be >= 0, got {self.duration}")
+        if not math.isfinite(self.voltage):
+            raise ValueError(f"pulse voltage must be finite, got {self.voltage}")
+        if not 0.0 <= self.duration < math.inf:
+            raise ValueError(f"pulse duration must be finite and >= 0, got {self.duration}")
 
 
 def magnetoconductance(g: float, params: SpinValveParams) -> float:
@@ -221,12 +223,13 @@ def pulse_map_sweep(
         raise ValueError("voltage and duration axes must be non-empty")
     if n_pulses < 1:
         raise ValueError(f"n_pulses must be >= 1, got {n_pulses}")
+    # every cell's pulse is checked before the first one is applied
+    pulses = [[PulseSpec(voltage=v, duration=t) for t in durations] for v in voltages]
     ratios = np.empty((len(voltages), len(durations)))
     for i, v in enumerate(voltages):
         start = params.g_min if v >= 0.0 else params.g_max
-        for j, t in enumerate(durations):
+        for j, pulse in enumerate(pulses[i]):
             state = DeviceState(conductance=start)
-            pulse = PulseSpec(voltage=v, duration=t)
             for _ in range(n_pulses):
                 state = apply_pulse(state, pulse, params)
             ratios[i, j] = state.conductance / start

@@ -40,12 +40,16 @@ def reward(y, target):
     return np.where(np.equal(y, target), 1.0, 0.0)
 
 
-class InputSchedule:
-    """Supplies every lane's inputs and targets, one presentation per call.
+_PATTERN_BITS = np.array([sample.x for sample in PATTERNS], dtype=bool)
 
-    UNIFORM takes lane k's input bit j as u[k, j] < 0.5, so each lane
-    draws i.i.d. patterns from its own uniforms. CYCLIC ignores u and
-    shows every lane the truth-table row at the presentation index.
+
+class InputSchedule:
+    """Supplies every lane's inputs and targets, one batch of presentations per call.
+
+    UNIFORM takes input bit j of lane k's presentation t as u[k, t, j] < 0.5,
+    so each lane draws i.i.d. patterns from its own uniforms. CYCLIC
+    ignores u and shows every lane the truth-table row at the
+    presentation index, which runs on across calls.
     """
 
     def __init__(self, mode: Presentation = Presentation.UNIFORM):
@@ -53,12 +57,14 @@ class InputSchedule:
         self._index = 0
 
     def next(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(x, target) for uniforms u of shape (lanes, 2): x (lanes, 2) as
-        floats, target (lanes,) the XOR of each lane's bits."""
+        """(x, target) for uniforms u of shape (lanes, batch, 2): x (lanes,
+        batch, 2) as floats, target (lanes, batch) the XOR of each
+        presentation's bits."""
         if self.mode is Presentation.CYCLIC:
-            sample = PATTERNS[self._index % len(PATTERNS)]
-            self._index += 1
-            bits = np.broadcast_to(np.array(sample.x, dtype=bool), u.shape)
+            batch = u.shape[1]
+            rows = (self._index + np.arange(batch)) % len(PATTERNS)
+            self._index += batch
+            bits = np.broadcast_to(_PATTERN_BITS[rows], u.shape)
         else:
             bits = u < 0.5
-        return bits.astype(float), bits[:, 0] ^ bits[:, 1]
+        return bits.astype(float), bits[..., 0] ^ bits[..., 1]

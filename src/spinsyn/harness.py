@@ -3,14 +3,33 @@
 One engine runs every trial. The trials of one call are the lanes of one
 batch: every array of the actor and the critic has a leading lane axis,
 and each lane has its own update rule and learning rate, so both arms of
-a comparison or a rule's whole sweep grid train in one loop. One epoch is
-batch_size presentations followed by a single actor weight update. The
-per-presentation steps are fixed: inputs, critic read, actor forward,
-reward, actor accumulate, critic update, reward filter. A lane leaves the
-batch at the end of the epoch in which its filtered reward reaches the
-goal or it reaches max_epochs. Per-epoch filtered rewards define the
-epochs-to-goal statistic; the linear and power-law update rules are
-compared on it with Welch's t-test.
+a comparison or a rule's whole sweep grid train in one loop. A lane
+leaves the batch at the end of the epoch in which its filtered reward
+reaches the goal or it reaches max_epochs. Per-epoch filtered rewards
+define the epochs-to-goal statistic; the linear and power-law update
+rules are compared on it with Welch's t-test.
+
+One epoch is batch_size presentations followed by a single actor weight
+update. The actor's weights change only in that update, so whatever does
+not depend on the critic runs once per epoch, on arrays with a
+presentation axis (lanes, batch_size, ...):
+
+* before the presentations: every presentation's inputs and targets
+  (InputSchedule.next), and the actor's hidden firing probabilities and
+  proposals (ActorNetwork.propose);
+* per presentation, in order, because the critic learns online: critic
+  read, then the actor's flip probability, hidden flips and output unit
+  (ActorNetwork.forward), then the reward, then the critic update;
+* after the presentations: the actor's gradient probabilities and
+  accumulation (ActorNetwork.accumulate), the batch update, the reward
+  filter and the mean reward.
+
+Every result is bit-identical to running the whole stack once per
+presentation, because the order of every rounding step is kept: the
+accumulators add each presentation's term in presentation order onto what
+they carried in (never a pairwise sum), and the filter's recursion runs
+in presentation order. The mean reward is a plain sum, exact because
+each reward is 0 or 1.
 
 Random streams. Every lane has its own generator,
 default_rng(trial_seed(master_seed, rule, lr, trial index)). It first
@@ -39,7 +58,6 @@ from dataclasses import dataclass, field
 from multiprocessing import Pool
 
 import numpy as np
-from scipy.special import betainc
 
 from .actor import ActorConfig, ActorNetwork, UpdateRule
 from .critic import CriticConfig, CriticNetwork
@@ -193,18 +211,18 @@ def run_epoch(
     block = np.empty((len(rngs), batch_size, 2 + 2 * n_hidden + 2))
     for lane, rng in enumerate(rngs):
         rng.random(out=block[lane])
-    total = np.zeros(len(rngs))
+    x, target = schedule.next(block[:, :, :2])
+    actor.propose(x, block[:, :, 2:])
+    r = np.empty((len(rngs), batch_size))
     for t in range(batch_size):
-        u = block[:, t]
-        x, target = schedule.next(u[:, :2])
-        r_bar = critic.forward(x)
-        r = reward(actor.forward(x, r_bar, u[:, 2:]), target)
-        actor.accumulate(r)
-        critic.update(r)
-        filter_state = filter_reward(filter_state, r, config.filter_keep, config.filter_gain)
-        total += r
+        r_bar = critic.forward(x[:, t])
+        r[:, t] = reward(actor.forward(t, r_bar), target[:, t])
+        critic.update(r[:, t])
+    actor.accumulate(r)
     actor.apply_batch_update()
-    return total / batch_size, filter_state
+    for t in range(batch_size):
+        filter_state = filter_reward(filter_state, r[:, t], config.filter_keep, config.filter_gain)
+    return r.sum(axis=1) / batch_size, filter_state
 
 
 _RULE_IDS = {UpdateRule.LINEAR: 0, UpdateRule.POWER_LAW: 1}
@@ -351,6 +369,9 @@ def welch_t_test(a, b) -> WelchResult:
     p-value is half the two-sided one, i.e. the tail in the direction of
     the observed difference, so both p-values are symmetric in (a, b).
     """
+    # scipy costs a third of a second to import; only this test needs it
+    from scipy.special import betainc
+
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if len(a) < 2 or len(b) < 2:

@@ -2,7 +2,7 @@
 
 Each test prints one PASS/FAIL line (run with ``pytest -s`` to see them
 live). The first two criteria need the full 50-trial-per-rule comparison,
-which runs once as a module fixture (about 10 s on a two-core host).
+which runs once as a module fixture (about 6 s on a two-core host).
 """
 
 import math
@@ -166,22 +166,20 @@ def test_criterion_05_update_map_properties():
 
 
 def test_criterion_06_policy_gradient_monte_carlo():
-    # a batch of one lane, one hidden unit rewarded with its own bit
+    # one hidden unit rewarded with its own bit, one presentation in each of
+    # n lanes
     config = ActorConfig(n_in=1, n_hidden=1, alpha_flip=0.0, lr_hidden=1.0)
     net = ActorNetwork.initialize(config, [np.random.default_rng(0)])
     net.w_hidden[:] = 0.8
     net.b_hidden[:] = 0.0
     p = float(sigmoid(0.8))
     rng = np.random.default_rng(2024)
-    x = np.array([[1.0]])
-    r_bar = np.array([0.5])
     n = 100_000
-    increments = np.empty(n)
-    for i in range(n):
-        net.acc_w_hidden[0, 0, 0] = 0.0
-        net.forward(x, r_bar, rng.random((1, 2 * config.n_hidden + 2)))
-        net.accumulate(net.y_hidden[:, 0])
-        increments[i] = net.acc_w_hidden[0, 0, 0]
+    net.select(np.zeros(n, dtype=int))  # n copies of the lane
+    net.propose(np.ones((n, 1, 1)), rng.random((n, 1, 2 * config.n_hidden + 2)))
+    net.forward(0, np.full(n, 0.5))
+    net.accumulate(net.y_hidden[:, :, 0])
+    increments = net.acc_w_hidden[:, 0, 0]
     expected = p * (1 - p)
     se = increments.std(ddof=1) / math.sqrt(n)
     deviation = abs(increments.mean() - expected)

@@ -19,9 +19,23 @@ def make_net(config=None, **overrides):
     return ActorNetwork.initialize(config, [np.random.default_rng(0)])
 
 
-def step_uniforms(rng, net):
-    """One lane's forward uniforms: hidden proposals, hidden flips, output proposal and flip."""
-    return rng.random((1, 2 * net.config.n_hidden + 2))
+def step_uniforms(rng, net, batch=1):
+    """One lane's forward uniforms for a batch of presentations: per
+    presentation, hidden proposals, hidden flips, output proposal and flip."""
+    return rng.random((1, batch, 2 * net.config.n_hidden + 2))
+
+
+def present(net, x, r_bar, u):
+    """A batch of one presentation: inputs x (lanes, n_in), uniforms u
+    (lanes, 1, 2 * n_hidden + 2); returns the output bits."""
+    net.propose(np.asarray(x, dtype=float)[:, None], u)
+    return net.forward(0, np.asarray(r_bar, dtype=float))
+
+
+def copies(net, n):
+    """The one-lane network net repeated as n lanes of one batch."""
+    net.select(np.zeros(n, dtype=int))
+    return net
 
 
 class TestSigmoid:
@@ -131,7 +145,7 @@ class TestForward:
         net.w_hidden[:] = 0.0
         net.w_out[:] = 0.0
         rng = np.random.default_rng(1)
-        net.forward(np.array([[1.0, 0.0]]), np.array([0.5]), step_uniforms(rng, net))
+        present(net, [[1.0, 0.0]], [0.5], step_uniforms(rng, net))
         assert np.all(net.p_hidden == 0.5)
         assert np.all(net.p_out == 0.5)
 
@@ -140,30 +154,31 @@ class TestForward:
         net = make_net()
         rng = np.random.default_rng(2)
         n_hidden = net.config.n_hidden
-        for _ in range(200):
-            u = step_uniforms(rng, net)
-            net.forward(np.array([[1.0, 1.0]]), np.array([1.0]), u)
-            assert np.all(net.p_flip == 0.0)
-            proposed_hidden = u[:, :n_hidden] < net.p_hidden
-            proposed_out = u[:, 2 * n_hidden] < net.p_out
-            assert np.array_equal(proposed_hidden, net.y_hidden == 1.0)
-            assert np.array_equal(proposed_out, net.y_out == 1.0)
+        u = step_uniforms(rng, net, batch=200)
+        net.propose(np.ones((1, 200, 2)), u)
+        for t in range(200):
+            net.forward(t, np.array([1.0]))
+        assert np.all(net.p_flip == 0.0)
+        proposed_hidden = u[..., :n_hidden] < net.p_hidden
+        proposed_out = u[..., 2 * n_hidden] < net.p_out
+        assert np.array_equal(proposed_hidden, net.y_hidden == 1.0)
+        assert np.array_equal(proposed_out, net.y_out == 1.0)
 
     def test_rbar_clamped(self):
         net = make_net()
         u = step_uniforms(np.random.default_rng(3), net)
-        net.forward(np.array([[0.0, 1.0]]), np.array([7.5]), u)
+        present(net, [[0.0, 1.0]], [7.5], u)
         assert np.all(net.p_flip == 0.0)
-        net.forward(np.array([[0.0, 1.0]]), np.array([-3.0]), u)
-        assert net.p_flip[0] == pytest.approx(0.1)
+        net.forward(0, np.array([-3.0]))
+        assert net.p_flip[0, 0] == pytest.approx(0.1)
 
     def test_dimension_mismatch_rejected(self):
         net = make_net()
         u = step_uniforms(np.random.default_rng(0), net)
         with pytest.raises(ValueError):
-            net.forward(np.array([[1.0, 0.0, 1.0]]), np.array([0.5]), u)
+            net.propose(np.array([[[1.0, 0.0, 1.0]]]), u)
         with pytest.raises(ValueError):
-            net.forward(np.array([1.0, 0.0]), np.array([0.5]), u)
+            net.propose(np.array([[1.0, 0.0]]), u)
 
     def test_single_neuron_flip_arithmetic(self):
         # P(y=1) = p*(1-f) + (1-p)*f with p = 0.9, f = alpha*(1-0) = 0.1
@@ -174,10 +189,9 @@ class TestForward:
         net.b_hidden[:] = np.log(p / (1 - p))
         rng = np.random.default_rng(123)
         n = 100_000
-        ones = 0
-        for _ in range(n):
-            net.forward(np.array([[1.0]]), np.array([0.0]), step_uniforms(rng, net))
-            ones += net.y_hidden[0, 0]
+        net = copies(net, n)
+        present(net, np.ones((n, 1)), np.zeros(n), rng.random((n, 1, 4)))
+        ones = net.y_hidden.sum()
         expected = 0.9 * 0.9 + 0.1 * 0.1  # 0.82
         se = np.sqrt(expected * (1 - expected) / n)
         assert abs(ones / n - expected) < 3.5 * se
@@ -193,10 +207,8 @@ class TestForward:
         p = float(sigmoid(0.71))
         rng = np.random.default_rng(5)
         n = 100_000
-        ones = sum(
-            net.forward(np.array([[1.0]]), np.array([0.5]), step_uniforms(rng, net))[0]
-            for _ in range(n)
-        )
+        net = copies(net, n)
+        ones = present(net, np.ones((n, 1)), np.full(n, 0.5), rng.random((n, 1, 4))).sum()
         se = np.sqrt(p * (1 - p) / n)
         assert abs(ones / n - p) < 3.5 * se
 
@@ -207,29 +219,54 @@ class TestForward:
         batch = ActorNetwork.initialize(config, rngs)
         x = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [1.0, 0.0]])
         r_bar = np.linspace(0.1, 0.9, 5)
-        u = np.random.default_rng(9).random((5, 2 * config.n_hidden + 2))
-        y = batch.forward(x, r_bar, u)
+        u = np.random.default_rng(9).random((5, 1, 2 * config.n_hidden + 2))
+        y = present(batch, x, r_bar, u)
         for k in range(5):
             alone = ActorNetwork.initialize(config, [np.random.default_rng(k)])
-            assert alone.forward(x[k : k + 1], r_bar[k : k + 1], u[k : k + 1])[0] == y[k]
+            assert present(alone, x[k : k + 1], r_bar[k : k + 1], u[k : k + 1])[0] == y[k]
             assert alone.p_hidden[0].tobytes() == batch.p_hidden[k].tobytes()
             assert alone.p_out[0] == batch.p_out[k]
+
+    def test_batch_of_presentations_equals_one_at_a_time(self):
+        # a batch of 10 presentations gives the bits of 10 batches of one,
+        # accumulators included, on top of what they carry in
+        config = ActorConfig(carry_subthreshold=True)
+        rngs = [np.random.default_rng(s) for s in (6, 7)]
+        batched = ActorNetwork.initialize(config, rngs, lr_hidden=[1.1, 0.75])
+        single = ActorNetwork.initialize(
+            config, [np.random.default_rng(s) for s in (6, 7)], lr_hidden=[1.1, 0.75]
+        )
+        draws = np.random.default_rng(8)
+        carried = draws.normal(scale=0.2, size=batched.acc_w_hidden.shape)
+        batched.acc_w_hidden[:] = single.acc_w_hidden[:] = carried
+        x = (draws.random((2, 10, 2)) < 0.5).astype(float)
+        u = draws.random((2, 10, 2 * config.n_hidden + 2))
+        r_bar = draws.random((2, 10))
+        r = (draws.random((2, 10)) < 0.5).astype(float)
+        batched.propose(x, u)
+        for t in range(10):
+            y = batched.forward(t, r_bar[:, t])
+            assert np.array_equal(y, present(single, x[:, t], r_bar[:, t], u[:, t : t + 1]))
+            single.accumulate(r[:, t : t + 1])
+        batched.accumulate(r)
+        for name in ("acc_w_hidden", "acc_b_hidden", "acc_w_out", "acc_b_out"):
+            assert getattr(batched, name).tobytes() == getattr(single, name).tobytes()
 
 
 class TestAccumulate:
     def test_zero_prediction_error_gives_zero(self):
         net = make_net()
         u = step_uniforms(np.random.default_rng(4), net)
-        net.forward(np.array([[1.0, 1.0]]), np.array([0.5]), u)
-        net.accumulate(np.array([0.5]))
+        present(net, [[1.0, 1.0]], [0.5], u)
+        net.accumulate(np.array([[0.5]]))
         assert np.all(net.acc_w_hidden == 0.0)
         assert np.all(net.acc_w_out == 0.0)
 
     def test_zero_presynaptic_value_gives_zero_weight_increment(self):
         net = make_net()
         u = step_uniforms(np.random.default_rng(4), net)
-        net.forward(np.array([[0.0, 1.0]]), np.array([0.5]), u)
-        net.accumulate(np.array([1.0]))
+        present(net, [[0.0, 1.0]], [0.5], u)
+        net.accumulate(np.array([[1.0]]))
         assert np.all(net.acc_w_hidden[0, :, 0] == 0.0)  # x_0 = 0
         assert np.any(net.acc_w_hidden[0, :, 1] != 0.0)
 
@@ -242,10 +279,10 @@ class TestAccumulate:
         net.b_hidden[:] = np.log(0.8 / 0.2)
         rng = np.random.default_rng(9)
         while True:  # draw until the hidden proposal comes out 1
-            net.forward(np.array([[1.0]]), np.array([0.5]), step_uniforms(rng, net))
-            if net.y_hidden[0, 0] == 1.0:
+            present(net, [[1.0]], [0.5], step_uniforms(rng, net))
+            if net.y_hidden[0, 0, 0] == 1.0:
                 break
-        net.accumulate(np.array([1.0]))
+        net.accumulate(np.array([[1.0]]))
         assert net.acc_w_hidden[0, 0, 0] == pytest.approx(0.1, rel=1e-12)
 
     def test_emission_probability_is_flip_adjusted(self):
@@ -254,10 +291,10 @@ class TestAccumulate:
         net.w_hidden[:] = 0.0
         net.b_hidden[:] = np.log(0.8 / 0.2)
         u = step_uniforms(np.random.default_rng(1), net)
-        net.forward(np.array([[1.0]]), np.array([0.0]), u)
+        present(net, [[1.0]], [0.0], u)
         q = 0.8 * 0.9 + 0.2 * 0.1
-        net.accumulate(np.array([1.0]))
-        expected = (1.0 - 0.0) * (net.y_hidden[0, 0] - q) * 1.0
+        net.accumulate(np.array([[1.0]]))
+        expected = (1.0 - 0.0) * (net.y_hidden[0, 0, 0] - q) * 1.0
         assert net.acc_w_hidden[0, 0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_sigmoid_gradient_mode_uses_raw_probability(self):
@@ -269,9 +306,9 @@ class TestAccumulate:
         net.w_hidden[:] = 0.0
         net.b_hidden[:] = np.log(0.8 / 0.2)
         u = step_uniforms(np.random.default_rng(1), net)
-        net.forward(np.array([[1.0]]), np.array([0.0]), u)
-        net.accumulate(np.array([1.0]))
-        expected = (net.y_hidden[0, 0] - 0.8) * 1.0
+        present(net, [[1.0]], [0.0], u)
+        net.accumulate(np.array([[1.0]]))
+        expected = (net.y_hidden[0, 0, 0] - 0.8) * 1.0
         assert net.acc_w_hidden[0, 0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_per_lane_learning_rate(self):
@@ -279,9 +316,9 @@ class TestAccumulate:
         config = ActorConfig(alpha_flip=0.1)
         rngs = [np.random.default_rng(3), np.random.default_rng(3)]
         net = ActorNetwork.initialize(config, rngs, lr_hidden=[0.5, 1.0])
-        u = np.repeat(np.random.default_rng(4).random((1, 2 * config.n_hidden + 2)), 2, axis=0)
-        net.forward(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([0.3, 0.3]), u)
-        net.accumulate(np.array([1.0, 1.0]))
+        u = np.repeat(np.random.default_rng(4).random((1, 1, 2 * config.n_hidden + 2)), 2, axis=0)
+        present(net, [[1.0, 1.0], [1.0, 1.0]], [0.3, 0.3], u)
+        net.accumulate(np.array([[1.0], [1.0]]))
         for acc in (net.acc_w_hidden, net.acc_b_hidden, net.acc_w_out, net.acc_b_out):
             assert np.allclose(acc[1], 2.0 * acc[0], rtol=1e-15, atol=0.0)
 
@@ -295,14 +332,11 @@ class TestAccumulate:
         net.b_hidden[:] = 0.0
         p = float(sigmoid(w))
         rng = np.random.default_rng(77)
-        x = np.array([[1.0]])
         n = 100_000
-        increments = np.empty(n)
-        for i in range(n):
-            net.acc_w_hidden[0, 0, 0] = 0.0
-            net.forward(x, np.array([0.5]), step_uniforms(rng, net))
-            net.accumulate(net.y_hidden[:, 0])
-            increments[i] = net.acc_w_hidden[0, 0, 0]
+        net = copies(net, n)  # one presentation per lane
+        present(net, np.ones((n, 1)), np.full(n, 0.5), rng.random((n, 1, 4)))
+        net.accumulate(net.y_hidden[:, :, 0])
+        increments = net.acc_w_hidden[:, 0, 0]
         expected = p * (1 - p)
         se = increments.std(ddof=1) / np.sqrt(n)
         assert abs(increments.mean() - expected) < 3 * se

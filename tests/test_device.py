@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spinsyn import device
 from spinsyn.device import (
     DeviceState,
     Magnetization,
@@ -60,6 +61,13 @@ def test_non_finite_params_rejected(field, value):
 def test_negative_duration_rejected():
     with pytest.raises(ValueError):
         PulseSpec(voltage=2.5, duration=-1e-3)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["voltage", "duration"])
+def test_non_finite_pulse_rejected(field, value):
+    with pytest.raises(ValueError):
+        PulseSpec(**{"voltage": 2.5, "duration": 5e-3, field: value})
 
 
 class TestMagnetoconductance:
@@ -282,3 +290,14 @@ class TestPulseMapSweep:
             pulse_map_sweep([], [1e-3], 50, PARAMS)
         with pytest.raises(ValueError):
             pulse_map_sweep([2.5], [1e-3], 0, PARAMS)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", ["voltages", "durations"])
+    def test_non_finite_axis_rejected_before_any_pulse(self, monkeypatch, axis, value):
+        pulses = []
+        monkeypatch.setattr(device, "apply_pulse", lambda *args: pulses.append(args))
+        axes = {"voltages": [2.5, 3.0], "durations": [1e-3, 5e-3]}
+        axes[axis].append(value)  # the bad value comes after cells that would run
+        with pytest.raises(ValueError):
+            pulse_map_sweep(axes["voltages"], axes["durations"], 3, PARAMS)
+        assert pulses == []

@@ -22,17 +22,16 @@ class TestSample:
 class TestSampleInput:
     def test_invariant_holds_for_every_draw(self):
         rng = np.random.default_rng(0)
-        schedule = InputSchedule(Presentation.UNIFORM)
-        for _ in range(1000):
-            x, target = schedule.next(rng.random((1, 2)))
-            assert target[0] == int(x[0, 0]) ^ int(x[0, 1])
+        x, target = InputSchedule(Presentation.UNIFORM).next(rng.random((1, 1000, 2)))
+        for t in range(1000):
+            assert target[0, t] == int(x[0, t, 0]) ^ int(x[0, t, 1])
 
     def test_uniformity_monte_carlo(self):
         rng = np.random.default_rng(1)
         n = 100_000
-        x, _ = InputSchedule(Presentation.UNIFORM).next(rng.random((n, 2)))
+        x, _ = InputSchedule(Presentation.UNIFORM).next(rng.random((n, 1, 2)))
         counts = {p.x: 0 for p in PATTERNS}
-        for row in x.astype(int):
+        for row in x[:, 0].astype(int):
             counts[tuple(row)] += 1
         se = np.sqrt(0.25 * 0.75 / n)
         for c in counts.values():
@@ -59,24 +58,25 @@ class TestReward:
 
 class TestInputSchedule:
     def test_cyclic_never_consumes_randomness(self):
-        # cyclic inputs come from the presentation index; the uniforms go unused
+        # cyclic inputs come from the presentation index, which runs on
+        # across calls; the uniforms go unused
         schedule = InputSchedule(Presentation.CYCLIC)
-        u = np.full((3, 2), np.nan)
         seen = []
-        for _ in range(8):
-            x, target = schedule.next(u)
+        for batch in (5, 3):
+            x, target = schedule.next(np.full((3, batch, 2), np.nan))
+            assert x.shape == (3, batch, 2) and target.shape == (3, batch)
             assert np.all(x == x[0]) and np.all(target == target[0])
-            seen.append((tuple(x[0].astype(int)), int(target[0])))
+            seen += [(tuple(row.astype(int)), int(t)) for row, t in zip(x[0], target[0])]
         assert seen == [(p.x, p.target) for p in PATTERNS] * 2
 
     def test_uniform_draws_from_rng(self):
         rng = np.random.default_rng(3)
         schedule = InputSchedule(Presentation.UNIFORM)
-        u = rng.random((100, 2))
+        u = rng.random((10, 10, 2))
         x, target = schedule.next(u)
         assert np.array_equal(x, (u < 0.5).astype(float))
-        assert {tuple(row) for row in x.astype(int)} == {p.x for p in PATTERNS}
-        assert np.array_equal(target, x[:, 0] != x[:, 1])
+        assert {tuple(row) for row in x.reshape(-1, 2).astype(int)} == {p.x for p in PATTERNS}
+        assert np.array_equal(target, x[..., 0] != x[..., 1])
 
 
 def test_single_threshold_unit_cannot_solve_xor():
