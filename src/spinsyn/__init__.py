@@ -3,8 +3,6 @@
 from .actor import (
     ActorConfig,
     ActorNetwork,
-    BiasUpdate,
-    GradientProbability,
     UpdateRule,
     sigmoid,
     threshold_power_update,

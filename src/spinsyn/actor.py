@@ -9,29 +9,29 @@ presentations and are applied at the end of the batch, either verbatim
 suppresses small accumulated changes and emphasizes consistent ones
 (the spin-valve-style nonlinear rule).
 
-Three semantic details of the rules are configurable because they decide
-whether the XOR benchmark converges reliably (defaults in ActorConfig):
+Three semantic details of the rules are fixed, because they decide
+whether the XOR benchmark converges reliably:
 
-* gradient_probability: whether p_i in (y_i - p_i) is the raw sigmoid
-  value or the flip-adjusted emission probability. With the raw sigmoid,
-  a saturated neuron has E[y - p] = -p_flip * (2p - 1) != 0 under the
-  exploration flips, a bias that systematically deepens saturated local
-  optima; the emission probability makes the term mean-zero.
-* carry_subthreshold: whether power-law accumulators below the update
-  threshold persist into the next batch. The default resets them every
-  batch, the plain reading of "accumulated changes pass only when their
-  magnitude exceeds dw_min". Carrying lets weak but consistent gradients
-  integrate over batches until they fire; it only looked better while the
-  critic kept the hidden unit's y_i factor in its update and stalled many
-  trials. With the documented critic, 1000 trials per arm of a
-  trial-batched re-implementation of the training loop gave power-law
-  1200 +- 608 epochs to goal when carrying and 884 +- 215 (all converged)
-  when resetting, against linear 1428 +- 1068 (994/1000 converged).
-  compare_rules on the per-presentation engine, at master seeds 12345
-  and 1-4, gave power-law means of 1092-1313 when carrying and 840-913
-  when resetting.
-* bias_update: biases can follow the same thresholded power law as the
-  weights or apply their accumulated change linearly every batch.
+* p_i in (y_i - p_i) is the flip-adjusted emission probability
+  p * (1 - p_flip) + (1 - p) * p_flip, not the raw sigmoid value. With
+  the raw sigmoid, a saturated neuron has E[y - p] = -p_flip * (2p - 1)
+  != 0 under the exploration flips, a bias that systematically deepens
+  saturated local optima; the emission probability makes the term
+  mean-zero.
+* Power-law accumulators are zeroed every batch, whether or not they
+  fired: the plain reading of "accumulated changes pass only when their
+  magnitude exceeds dw_min". Carrying sub-threshold values into the next
+  batch lets weak but consistent gradients integrate until they fire; it
+  only looked better while the critic kept the hidden unit's y_i factor
+  in its update and stalled many trials. With the documented critic,
+  1000 trials per arm of a trial-batched re-implementation of the
+  training loop gave power-law 1200 +- 608 epochs to goal when carrying
+  and 884 +- 215 (all converged) when resetting, against linear
+  1428 +- 1068 (994/1000 converged). compare_rules on the
+  per-presentation engine, at master seeds 12345 and 1-4, gave power-law
+  means of 1092-1313 when carrying and 840-913 when resetting.
+* Biases apply their accumulated change linearly every batch under both
+  rules; only weights pass through the thresholded power law.
 
 Reproduction status (tests/test_acceptance.py, 50 trials per rule at the
 default config, 20 master seeds: 12345 and 1-19). Power-law beats linear
@@ -69,52 +69,33 @@ class UpdateRule(enum.Enum):
     POWER_LAW = "powerlaw"
 
 
-class GradientProbability(enum.Enum):
-    """Which probability enters the (y_i - p_i) factor of the update rule."""
-
-    EMISSION = "emission"  # flip-adjusted: p*(1-p_flip) + (1-p)*p_flip
-    SIGMOID = "sigmoid"  # raw Bernoulli parameter sigmoid(w.x + b)
-
-
-class BiasUpdate(enum.Enum):
-    """How accumulated bias changes are applied under the power-law rule."""
-
-    LINEAR = "linear"  # biases skip the threshold/power transform
-    THRESHOLDED = "thresholded"  # biases pass through the same map as weights
-
-
 # The output layer learns at this fraction of the hidden-layer rate.
 LR_OUT_RATIO = 0.5
 
 
 @dataclass
 class ActorConfig:
-    """Architecture and learning hyperparameters of the actor.
+    """Architecture and learning hyperparameters the actor's lanes share.
 
-    The network has a single output unit; the output-layer rate is
-    derived from lr_hidden (see lr_out). update_rule and lr_hidden are
-    what a lane of an ActorNetwork uses when it is not given its own.
+    The network has a single output unit. Each lane's hidden-layer rate is
+    given to ActorNetwork.initialize; the output layer learns at
+    LR_OUT_RATIO of it. update_rule is what a lane uses when it is not
+    given its own.
     """
 
     n_in: int = 2
     n_hidden: int = 10
     alpha_flip: float = 0.1
-    lr_hidden: float = 1.1
     batch_size: int = 10
     dw_min: float = 0.4
     update_rule: UpdateRule = UpdateRule.POWER_LAW
     power_exponent: float = 1.75
-    gradient_probability: GradientProbability = GradientProbability.EMISSION
-    bias_update: BiasUpdate = BiasUpdate.LINEAR
-    carry_subthreshold: bool = False
 
     def __post_init__(self) -> None:
         if min(self.n_in, self.n_hidden) < 1:
             raise ValueError("layer sizes must be >= 1")
         if not 0.0 <= self.alpha_flip <= 1.0:
             raise ValueError(f"alpha_flip must lie in [0, 1], got {self.alpha_flip}")
-        if not 0.0 < self.lr_hidden < math.inf:
-            raise ValueError(f"lr_hidden must be finite and > 0, got {self.lr_hidden}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 <= self.dw_min < math.inf:
@@ -123,11 +104,6 @@ class ActorConfig:
             raise ValueError(
                 f"power_exponent must be finite and > 0, got {self.power_exponent}"
             )
-
-    @property
-    def lr_out(self) -> float:
-        """Output-layer learning rate, lr_hidden * LR_OUT_RATIO."""
-        return self.lr_hidden * LR_OUT_RATIO
 
 
 def sigmoid(z):
@@ -240,15 +216,15 @@ class ActorNetwork:
         cls,
         config: ActorConfig,
         rngs: list[np.random.Generator],
+        lr_hidden,
         update_rules=None,
-        lr_hidden=None,
     ) -> "ActorNetwork":
         """One fresh lane per generator: weights uniform in
         [-1/sqrt(fan_in), 1/sqrt(fan_in)], biases 0.
 
         Each lane draws its hidden weights, then its output weights.
-        update_rules and lr_hidden give one value per lane and default to
-        config's.
+        lr_hidden and update_rules give one value per lane; update_rules
+        defaults to config's.
         """
         bound_h = 1.0 / np.sqrt(config.n_in)
         bound_o = 1.0 / np.sqrt(config.n_hidden)
@@ -266,7 +242,7 @@ class ActorNetwork:
             w_out=np.reshape(w_out, (lanes, config.n_hidden)),
             b_out=np.zeros(lanes),
             update_rules=[config.update_rule] * lanes if update_rules is None else update_rules,
-            lr_hidden=[config.lr_hidden] * lanes if lr_hidden is None else lr_hidden,
+            lr_hidden=lr_hidden,
         )
 
     def select(self, lanes: np.ndarray) -> None:
@@ -323,26 +299,20 @@ class ActorNetwork:
         self.y_hidden[:, t], self.p_out[:, t], self.y_out[:, t] = y_hidden, p_out, y_out
         return y_out
 
-    def _gradient_probs(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.config.gradient_probability is GradientProbability.SIGMOID:
-            return self.p_hidden, self.p_out
-        f = self.p_flip
-        return (
-            self.p_hidden * (1.0 - f[..., None]) + (1.0 - self.p_hidden) * f[..., None],
-            self.p_out * (1.0 - f) + (1.0 - self.p_out) * f,
-        )
-
     def accumulate(self, r) -> None:
         """Add the batch's proposed changes, given its rewards r (lanes, batch).
 
         Weights get eta * (R - r_bar) * (y_i - p_i) * y_j with the presynaptic
         value y_j; biases use the same rule with y_j = 1. eta is the lane's
-        rate (half of it in the output layer) and p_i the configured
-        gradient probability (emission by default, so the term is
-        mean-zero under the exploration flips). The presentations' terms
-        are added in presentation order onto what the accumulators hold.
+        rate (LR_OUT_RATIO of it in the output layer) and p_i the
+        emission probability p * (1 - p_flip) + (1 - p) * p_flip, so the
+        term is mean-zero under the exploration flips. The presentations'
+        terms are added in presentation order onto what the accumulators
+        hold.
         """
-        p_hidden, p_out = self._gradient_probs()
+        f = self.p_flip
+        p_hidden = self.p_hidden * (1.0 - f[..., None]) + (1.0 - self.p_hidden) * f[..., None]
+        p_out = self.p_out * (1.0 - f) + (1.0 - self.p_out) * f
         delta = r - self.r_bar
         lr = self.lr_hidden[:, None]
         err_hidden = (lr * delta)[..., None] * (self.y_hidden - p_hidden)
@@ -353,34 +323,19 @@ class ActorNetwork:
         add_in_order(self.acc_b_out, err_out)
 
     def apply_batch_update(self) -> None:
-        """Fold the accumulators into the parameters, each lane by its rule.
+        """Fold the accumulators into the parameters and zero them.
 
-        Linear lanes: parameter += accumulator, accumulator zeroed.
-        Power-law lanes: weight components strictly above dw_min in
-        magnitude are transformed by threshold_power_update, added, and
-        zeroed; components at or below the threshold contribute nothing
-        now and are zeroed too, unless carry_subthreshold keeps them
-        integrating. Biases follow bias_update: linear application every
-        batch, or the same thresholded map as the weights.
+        Biases, and every weight of a linear lane, take their accumulator
+        verbatim. A power-law lane's weights take threshold_power_update of
+        it: components at or below dw_min in magnitude contribute nothing.
         """
         cfg = self.config
-        bias_thresholded = cfg.bias_update is BiasUpdate.THRESHOLDED
-        for param, acc, is_bias in (
-            (self.w_hidden, self.acc_w_hidden, False),
-            (self.b_hidden, self.acc_b_hidden, True),
-            (self.w_out, self.acc_w_out, False),
-            (self.b_out, self.acc_b_out, True),
-        ):
-            if is_bias and not bias_thresholded:
-                param += acc
-                acc.fill(0.0)
-                continue
+        for param, acc in ((self.b_hidden, self.acc_b_hidden), (self.b_out, self.acc_b_out)):
+            param += acc
+            acc.fill(0.0)
+        for param, acc in ((self.w_hidden, self.acc_w_hidden), (self.w_out, self.acc_w_out)):
             powerlaw = self.powerlaw.reshape((-1,) + (1,) * (acc.ndim - 1))
-            fired = np.abs(acc) > cfg.dw_min
             param += np.where(
                 powerlaw, threshold_power_update(acc, cfg.dw_min, cfg.power_exponent), acc
             )
-            if cfg.carry_subthreshold:
-                acc[fired | ~powerlaw] = 0.0
-            else:
-                acc.fill(0.0)
+            acc.fill(0.0)

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .actor import ActorConfig, BiasUpdate, GradientProbability, UpdateRule
+from .actor import ActorConfig, UpdateRule
 from .critic import CriticConfig
 from .device import SpinValveParams, pulse_map_sweep
 from .env import Presentation
@@ -58,17 +58,11 @@ def _parse_float(raw: str) -> float:
     return value
 
 
-def _parse_bool(raw: str) -> bool:
-    try:
-        return {"true": True, "false": False}[raw.lower()]
-    except KeyError:
-        raise ValueError(raw) from None
-
-
 # section.key -> (target dataclass kwargs bucket, field name, parser kind).
 # The parser kind is called on the raw text and raises ValueError on bad
-# input, NaN and infinities included; enum classes parse their .value strings. Layer input and output
-# sizes have no key: XOR fixes them. Each arm's rate lives under harness.
+# input, NaN and infinities included; enum classes parse their .value
+# strings. Layer input and output sizes have no key: XOR fixes them. Each
+# arm's rate lives under harness.
 _SCHEMA = {
     "device.g_min": ("device", "g_min", _parse_float),
     "device.g_max": ("device", "g_max", _parse_float),
@@ -82,9 +76,6 @@ _SCHEMA = {
     "actor.batch_size": ("actor", "batch_size", int),
     "actor.dw_min": ("actor", "dw_min", _parse_float),
     "actor.power_exponent": ("actor", "power_exponent", _parse_float),
-    "actor.gradient_probability": ("actor", "gradient_probability", GradientProbability),
-    "actor.bias_update": ("actor", "bias_update", BiasUpdate),
-    "actor.carry_subthreshold": ("actor", "carry_subthreshold", _parse_bool),
     "critic.n_hidden": ("critic", "n_hidden", int),
     "critic.lr": ("critic", "lr", _parse_float),
     "critic.l1_coeff": ("critic", "l1_coeff", _parse_float),

@@ -68,6 +68,13 @@ class StatisticsUnavailableError(RuntimeError):
     """Raised when too few trials converged to form a test statistic."""
 
 
+# sweep_grid rounds each rate to 10 decimals and keeps rates up to this far
+# past lr_sweep_to. A smaller step could round distinct grid points to the
+# same rate (equal rates derive equal trial seeds) and would add several
+# points past the range's end, so ExperimentConfig rejects it.
+SWEEP_SLACK = 1e-9
+
+
 @dataclass
 class ExperimentConfig:
     """All hyperparameters of one learning experiment."""
@@ -105,7 +112,11 @@ class ExperimentConfig:
             )
         if not 0.0 <= self.filter_init <= 1.0:
             raise ValueError(f"filter_init must lie in [0, 1], got {self.filter_init}")
-        if self.lr_sweep_step <= 0.0 or self.lr_sweep_from > self.lr_sweep_to:
+        if self.lr_sweep_step < SWEEP_SLACK:
+            raise ValueError(
+                f"lr_sweep_step must be >= {SWEEP_SLACK:g}, got {self.lr_sweep_step}"
+            )
+        if self.lr_sweep_from > self.lr_sweep_to:
             raise ValueError("lr sweep bounds are inconsistent")
         if min(self.lr_sweep_from, self.lr_powerlaw, self.lr_linear) <= 0.0:
             raise ValueError("learning rates must be > 0")
@@ -179,7 +190,7 @@ class SweepResult:
         return self.best_lr in (self.points[0].lr_hidden, self.points[-1].lr_hidden)
 
 
-def filter_reward(prev: float, r: float, keep: float = 0.999, gain: float = 0.001) -> float:
+def filter_reward(prev: float, r: float, keep: float, gain: float) -> float:
     """One step of the online exponential reward filter keep*prev + gain*R."""
     return keep * prev + gain * r
 
@@ -251,7 +262,7 @@ def _run_batch(
     seeds = [trial_seed(config.master_seed, rule, lr, i) for rule, lr, i in lanes]
     rngs = [np.random.default_rng(seed) for seed in seeds]
     actor = ActorNetwork.initialize(
-        config.actor, rngs, [rule for rule, _, _ in lanes], [lr for _, lr, _ in lanes]
+        config.actor, rngs, [lr for _, lr, _ in lanes], [rule for rule, _, _ in lanes]
     )
     critic = CriticNetwork.initialize(config.critic, rngs)
     schedule = InputSchedule(config.presentation)
@@ -296,11 +307,7 @@ def run_trial(
     trial_index: int,
 ) -> TrialResult:
     """One trial, as a batch of one lane."""
-    return _run_batch(config, [(update_rule, lr_hidden, trial_index)])[0]
-
-
-def _run_batch_args(args) -> list[TrialResult]:
-    return _run_batch(*args)
+    return _run_lanes(config, [(update_rule, lr_hidden, trial_index)])[0]
 
 
 def run_trials(
@@ -316,6 +323,17 @@ def run_trials(
     any worker count.
     """
     lanes = [(rule, lr, i) for rule, lr in arms for i in range(config.n_trials)]
+    return _run_lanes(config, lanes, parallelism)
+
+
+def _run_lanes(
+    config: ExperimentConfig, lanes: list[tuple[UpdateRule, float, int]], parallelism: int = 1
+) -> list[TrialResult]:
+    """Reject a rate that is not finite and > 0, then train the lanes on
+    up to parallelism workers; results in lane order."""
+    for _, lr, _ in lanes:
+        if not 0.0 < lr < math.inf:
+            raise ValueError(f"learning rates must be finite and > 0, got {lr}")
     workers = min(parallelism, len(lanes))
     if workers <= 1:
         return _run_batch(config, lanes)
@@ -323,7 +341,7 @@ def run_trials(
     bounds = np.cumsum([0] + [size + (w < extra) for w in range(workers)])
     chunks = [(config, lanes[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
     with Pool(processes=workers) as pool:
-        parts = pool.map(_run_batch_args, chunks)
+        parts = pool.starmap(_run_batch, chunks)
     return [result for part in parts for result in part]
 
 
@@ -428,7 +446,7 @@ def sweep_grid(config: ExperimentConfig) -> list[float]:
     k = 0
     while True:
         lr = round(config.lr_sweep_from + k * config.lr_sweep_step, 10)
-        if lr > config.lr_sweep_to + 1e-9:
+        if lr > config.lr_sweep_to + SWEEP_SLACK:
             break
         values.append(lr)
         k += 1

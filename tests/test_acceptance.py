@@ -168,8 +168,8 @@ def test_criterion_05_update_map_properties():
 def test_criterion_06_policy_gradient_monte_carlo():
     # one hidden unit rewarded with its own bit, one presentation in each of
     # n lanes
-    config = ActorConfig(n_in=1, n_hidden=1, alpha_flip=0.0, lr_hidden=1.0)
-    net = ActorNetwork.initialize(config, [np.random.default_rng(0)])
+    config = ActorConfig(n_in=1, n_hidden=1, alpha_flip=0.0)
+    net = ActorNetwork.initialize(config, [np.random.default_rng(0)], [1.0])
     net.w_hidden[:] = 0.8
     net.b_hidden[:] = 0.0
     p = float(sigmoid(0.8))
@@ -268,14 +268,16 @@ def test_criterion_08_welch_oracle_equivalence():
 
 
 def test_criterion_09_filter_floor():
+    config = ExperimentConfig()
+    keep, gain = config.filter_keep, config.filter_gain
     value, presentations = 0.5, 0
     while value < 0.975:
-        value = filter_reward(value, 1.0)
+        value = filter_reward(value, 1.0, keep, gain)
         presentations += 1
     value, curve = 0.5, []
     for _ in range(400):
         for _ in range(10):
-            value = filter_reward(value, 1.0)
+            value = filter_reward(value, 1.0, keep, gain)
         curve.append(value)
     epoch = epochs_to_goal(curve, 0.975)
     ok = presentations == 2995 and epoch == 300

@@ -6,17 +6,19 @@ import pytest
 from spinsyn.actor import (
     ActorConfig,
     ActorNetwork,
-    BiasUpdate,
-    GradientProbability,
     UpdateRule,
     sigmoid,
     threshold_power_update,
 )
 
 
+# the power-law arm's default hidden-layer rate
+LR = 1.1
+
+
 def make_net(config=None, **overrides):
     config = config or ActorConfig(**overrides)
-    return ActorNetwork.initialize(config, [np.random.default_rng(0)])
+    return ActorNetwork.initialize(config, [np.random.default_rng(0)], [LR])
 
 
 def step_uniforms(rng, net, batch=1):
@@ -93,15 +95,11 @@ class TestThresholdPowerUpdate:
 
 
 class TestConfig:
-    def test_lr_out_defaults_to_half(self):
-        assert ActorConfig(lr_hidden=0.8).lr_out == 0.4
-
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"alpha_flip": -0.1},
             {"alpha_flip": 1.5},
-            {"lr_hidden": 0.0},
             {"batch_size": 0},
             {"dw_min": -0.2},
             {"power_exponent": 0.0},
@@ -113,7 +111,7 @@ class TestConfig:
             ActorConfig(**kwargs)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("field", ["lr_hidden", "dw_min", "power_exponent", "alpha_flip"])
+    @pytest.mark.parametrize("field", ["dw_min", "power_exponent", "alpha_flip"])
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(ValueError):
             ActorConfig(**{field: value})
@@ -132,7 +130,7 @@ class TestInitialize:
     def test_uniform_symmetry_monte_carlo(self):
         # 1e5 hidden weights in one network; mean should vanish within 3 SE
         config = ActorConfig(n_hidden=50_000)
-        net = ActorNetwork.initialize(config, [np.random.default_rng(42)])
+        net = ActorNetwork.initialize(config, [np.random.default_rng(42)], [LR])
         samples = net.w_hidden.ravel()
         bound = 1 / np.sqrt(2)
         se = bound / np.sqrt(3) / np.sqrt(samples.size)
@@ -183,7 +181,7 @@ class TestForward:
     def test_single_neuron_flip_arithmetic(self):
         # P(y=1) = p*(1-f) + (1-p)*f with p = 0.9, f = alpha*(1-0) = 0.1
         config = ActorConfig(n_in=1, n_hidden=1, alpha_flip=0.1)
-        net = ActorNetwork.initialize(config, [np.random.default_rng(0)])
+        net = ActorNetwork.initialize(config, [np.random.default_rng(0)], [LR])
         p = 0.9
         net.w_hidden[:] = 0.0
         net.b_hidden[:] = np.log(p / (1 - p))
@@ -199,7 +197,7 @@ class TestForward:
     def test_no_flip_distribution_matches_bernoulli(self):
         # alpha_flip = 0: output bit is Bernoulli(p_out) exactly
         config = ActorConfig(n_in=1, n_hidden=1, alpha_flip=0.0)
-        net = ActorNetwork.initialize(config, [np.random.default_rng(0)])
+        net = ActorNetwork.initialize(config, [np.random.default_rng(0)], [LR])
         net.w_hidden[:] = 0.0
         net.b_hidden[:] = 50.0  # hidden always fires
         net.w_out[:] = 0.31
@@ -216,13 +214,13 @@ class TestForward:
         # lane k of a batch emits what the same lane emits alone
         config = ActorConfig()
         rngs = [np.random.default_rng(s) for s in range(5)]
-        batch = ActorNetwork.initialize(config, rngs)
+        batch = ActorNetwork.initialize(config, rngs, [LR] * 5)
         x = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [1.0, 0.0]])
         r_bar = np.linspace(0.1, 0.9, 5)
         u = np.random.default_rng(9).random((5, 1, 2 * config.n_hidden + 2))
         y = present(batch, x, r_bar, u)
         for k in range(5):
-            alone = ActorNetwork.initialize(config, [np.random.default_rng(k)])
+            alone = ActorNetwork.initialize(config, [np.random.default_rng(k)], [LR])
             assert present(alone, x[k : k + 1], r_bar[k : k + 1], u[k : k + 1])[0] == y[k]
             assert alone.p_hidden[0].tobytes() == batch.p_hidden[k].tobytes()
             assert alone.p_out[0] == batch.p_out[k]
@@ -230,7 +228,7 @@ class TestForward:
     def test_batch_of_presentations_equals_one_at_a_time(self):
         # a batch of 10 presentations gives the bits of 10 batches of one,
         # accumulators included, on top of what they carry in
-        config = ActorConfig(carry_subthreshold=True)
+        config = ActorConfig()
         rngs = [np.random.default_rng(s) for s in (6, 7)]
         batched = ActorNetwork.initialize(config, rngs, lr_hidden=[1.1, 0.75])
         single = ActorNetwork.initialize(
@@ -273,8 +271,8 @@ class TestAccumulate:
     def test_reference_increment(self):
         # eta=1, R=1, r_bar=0.5, y=1, p=0.8, y_j=1 -> +0.1 (no flips, so the
         # emission probability equals the sigmoid value)
-        config = ActorConfig(n_in=1, n_hidden=1, alpha_flip=0.0, lr_hidden=1.0)
-        net = ActorNetwork.initialize(config, [np.random.default_rng(0)])
+        config = ActorConfig(n_in=1, n_hidden=1, alpha_flip=0.0)
+        net = ActorNetwork.initialize(config, [np.random.default_rng(0)], [1.0])
         net.w_hidden[:] = 0.0
         net.b_hidden[:] = np.log(0.8 / 0.2)
         rng = np.random.default_rng(9)
@@ -286,8 +284,8 @@ class TestAccumulate:
         assert net.acc_w_hidden[0, 0, 0] == pytest.approx(0.1, rel=1e-12)
 
     def test_emission_probability_is_flip_adjusted(self):
-        config = ActorConfig(n_in=1, n_hidden=1, alpha_flip=0.1, lr_hidden=1.0)
-        net = ActorNetwork.initialize(config, [np.random.default_rng(0)])
+        config = ActorConfig(n_in=1, n_hidden=1, alpha_flip=0.1)
+        net = ActorNetwork.initialize(config, [np.random.default_rng(0)], [1.0])
         net.w_hidden[:] = 0.0
         net.b_hidden[:] = np.log(0.8 / 0.2)
         u = step_uniforms(np.random.default_rng(1), net)
@@ -295,20 +293,6 @@ class TestAccumulate:
         q = 0.8 * 0.9 + 0.2 * 0.1
         net.accumulate(np.array([[1.0]]))
         expected = (1.0 - 0.0) * (net.y_hidden[0, 0, 0] - q) * 1.0
-        assert net.acc_w_hidden[0, 0, 0] == pytest.approx(expected, rel=1e-12)
-
-    def test_sigmoid_gradient_mode_uses_raw_probability(self):
-        config = ActorConfig(
-            n_in=1, n_hidden=1, alpha_flip=0.1, lr_hidden=1.0,
-            gradient_probability=GradientProbability.SIGMOID,
-        )
-        net = ActorNetwork.initialize(config, [np.random.default_rng(0)])
-        net.w_hidden[:] = 0.0
-        net.b_hidden[:] = np.log(0.8 / 0.2)
-        u = step_uniforms(np.random.default_rng(1), net)
-        present(net, [[1.0]], [0.0], u)
-        net.accumulate(np.array([[1.0]]))
-        expected = (net.y_hidden[0, 0, 0] - 0.8) * 1.0
         assert net.acc_w_hidden[0, 0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_per_lane_learning_rate(self):
@@ -325,8 +309,8 @@ class TestAccumulate:
     def test_policy_gradient_expectation(self):
         # single Bernoulli neuron, x=1, no flips, R=y, baseline 0.5, eta=1:
         # E[increment] = p(1-p); Monte-Carlo mean within 3 SE
-        config = ActorConfig(n_in=1, n_hidden=1, alpha_flip=0.0, lr_hidden=1.0)
-        net = ActorNetwork.initialize(config, [np.random.default_rng(0)])
+        config = ActorConfig(n_in=1, n_hidden=1, alpha_flip=0.0)
+        net = ActorNetwork.initialize(config, [np.random.default_rng(0)], [1.0])
         w = 0.8
         net.w_hidden[:] = w
         net.b_hidden[:] = 0.0
@@ -375,18 +359,8 @@ class TestApplyBatchUpdate:
         for acc in (net.acc_w_hidden, net.acc_b_hidden, net.acc_w_out, net.acc_b_out):
             assert np.all(acc == 0.0)
 
-    def test_subthreshold_accumulator_carries_over(self):
-        net = self._loaded_net(0.3, carry_subthreshold=True)
-        net.apply_batch_update()
-        assert net.w_hidden[0, 0, 0] == 0.0
-        assert net.acc_w_hidden[0, 0, 0] == 0.3  # keeps integrating
-        net.acc_w_hidden[0, 0, 0] += 0.3
-        net.apply_batch_update()
-        assert net.w_hidden[0, 0, 0] == pytest.approx(0.6**1.75)
-        assert net.acc_w_hidden[0, 0, 0] == 0.0
-
     def test_subthreshold_reset_mode_zeroes_everything(self):
-        net = self._loaded_net(0.3, carry_subthreshold=False)
+        net = self._loaded_net(0.3)
         net.apply_batch_update()
         assert net.w_hidden[0, 0, 0] == 0.0
         assert np.all(net.acc_w_hidden == 0.0)
@@ -399,19 +373,11 @@ class TestApplyBatchUpdate:
         assert net.b_hidden[0, 0] == pytest.approx(0.3)
         assert net.acc_b_hidden[0, 0] == 0.0
 
-    def test_bias_update_thresholded_mode(self):
-        net = make_net(bias_update=BiasUpdate.THRESHOLDED, carry_subthreshold=True)
-        net.b_hidden[:] = 0.0
-        net.acc_b_hidden[0, 0] = 0.3
-        net.apply_batch_update()
-        assert net.b_hidden[0, 0] == 0.0
-        assert net.acc_b_hidden[0, 0] == 0.3
-
     def test_mixed_rules_follow_each_lane(self):
         # one linear and one power-law lane with the same sub-threshold accumulator
         rngs = [np.random.default_rng(0), np.random.default_rng(0)]
         net = ActorNetwork.initialize(
-            ActorConfig(), rngs, update_rules=[UpdateRule.LINEAR, UpdateRule.POWER_LAW]
+            ActorConfig(), rngs, [LR, LR], update_rules=[UpdateRule.LINEAR, UpdateRule.POWER_LAW]
         )
         net.w_hidden[:] = 0.0
         net.acc_w_hidden[:, 0, 0] = [0.3, 0.3]
@@ -422,14 +388,3 @@ class TestApplyBatchUpdate:
         assert net.w_hidden[0, 1, 0] == pytest.approx(0.5)
         assert net.w_hidden[1, 1, 0] == pytest.approx(0.29730177875068026, abs=1e-10)
         assert np.all(net.acc_w_hidden == 0.0)
-
-    def test_carry_mode_zeroes_linear_lanes(self):
-        rngs = [np.random.default_rng(0), np.random.default_rng(0)]
-        net = ActorNetwork.initialize(
-            ActorConfig(carry_subthreshold=True), rngs,
-            update_rules=[UpdateRule.LINEAR, UpdateRule.POWER_LAW],
-        )
-        net.acc_w_hidden[:, 0, 0] = 0.3
-        net.apply_batch_update()
-        assert net.acc_w_hidden[0, 0, 0] == 0.0
-        assert net.acc_w_hidden[1, 0, 0] == 0.3

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spinsyn.actor import ActorConfig, BiasUpdate, GradientProbability
+from spinsyn.actor import ActorConfig
 from spinsyn.cli import (
     _SCHEMA,
     ConfigError,
@@ -59,9 +59,6 @@ class TestParseConfig:
                 """
 # comment line
 actor.alpha_flip = 0.2   # inline comment
-actor.gradient_probability = sigmoid
-actor.bias_update = thresholded
-actor.carry_subthreshold = false
 env.presentation = cyclic
 harness.master_seed = 31
 device.g_th = 2e-6
@@ -70,9 +67,6 @@ device.g_th = 2e-6
         )
         cfg = loaded.experiment
         assert cfg.actor.alpha_flip == 0.2
-        assert cfg.actor.gradient_probability is GradientProbability.SIGMOID
-        assert cfg.actor.bias_update is BiasUpdate.THRESHOLDED
-        assert cfg.actor.carry_subthreshold is False
         assert cfg.presentation is Presentation.CYCLIC
         assert cfg.master_seed == 31
         assert loaded.device.g_th == 2e-6
@@ -126,8 +120,9 @@ device.g_th = 2e-6
         with pytest.raises(ConfigError, match="cannot read"):
             parse_config(tmp_path / "absent.cfg")
 
-    # XOR fixes these sizes and the run derives or takes elsewhere these
-    # values (harness.lr_*, --rule), so each key fails at load time
+    # XOR fixes these sizes, the run derives or takes elsewhere these values
+    # (harness.lr_*, --rule), and the actor's update semantics are fixed, so
+    # each key fails at load time
     @pytest.mark.parametrize(
         "line",
         [
@@ -138,6 +133,9 @@ device.g_th = 2e-6
             "actor.n_in = 3",
             "critic.n_in = 3",
             "actor.n_out = 2",
+            "actor.gradient_probability = sigmoid",
+            "actor.bias_update = thresholded",
+            "actor.carry_subthreshold = true",
         ],
     )
     def test_removed_key_rejected(self, tmp_path, line):
@@ -168,11 +166,7 @@ class TestSchema:
             for key, (_, _, kind) in _SCHEMA.items()
             if isinstance(kind, type) and issubclass(kind, enum.Enum)
         ]
-        assert {kind for _, kind in enum_keys} == {
-            GradientProbability,
-            BiasUpdate,
-            Presentation,
-        }
+        assert {kind for _, kind in enum_keys} == {Presentation}
         for key, kind in enum_keys:
             bucket, field, _ = _SCHEMA[key]
             for member in kind:
@@ -353,10 +347,14 @@ class TestExitCodes:
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
 
     @pytest.mark.parametrize(
-        "argv", [["train", "--lr", "-1"]], ids=["train-negative-lr"]
+        "argv, config",
+        [(["train", "--lr", "-1"], None), (["sweep"], "harness.lr_sweep_step = 1e-11\n")],
+        ids=["train-negative-lr", "sweep-sub-resolution-step"],
     )
-    def test_rejected_arguments_leave_no_output_dir(self, tmp_path, argv):
+    def test_rejected_arguments_leave_no_output_dir(self, tmp_path, argv, config):
         out = tmp_path / "o"
+        if config is not None:
+            argv = argv + ["--config", str(write_config(tmp_path, config))]
         assert main(argv + ["--out", str(out)]) == 2
         assert not out.exists()
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from spinsyn import harness
-from spinsyn.actor import ActorConfig, ActorNetwork, BiasUpdate, GradientProbability, UpdateRule
+from spinsyn.actor import ActorConfig, ActorNetwork, UpdateRule
 from spinsyn.critic import CriticConfig, CriticNetwork
 from spinsyn.env import InputSchedule, Presentation
 from spinsyn.harness import (
@@ -37,18 +37,22 @@ def small_config(**overrides):
     return ExperimentConfig(**defaults)
 
 
+DEFAULTS = ExperimentConfig()
+KEEP, GAIN = DEFAULTS.filter_keep, DEFAULTS.filter_gain
+
+
 class TestFilterReward:
     def test_fixed_point(self):
-        assert filter_reward(1.0, 1.0) == 1.0
-        assert filter_reward(0.0, 0.0) == 0.0
+        assert filter_reward(1.0, 1.0, KEEP, GAIN) == 1.0
+        assert filter_reward(0.0, 0.0, KEEP, GAIN) == 0.0
 
     def test_reference_step(self):
-        assert filter_reward(0.5, 1.0) == pytest.approx(0.5005, abs=1e-15)
+        assert filter_reward(0.5, 1.0, KEEP, GAIN) == pytest.approx(0.5005, abs=1e-15)
 
     def test_first_crossing_at_presentation_2995(self):
         value, n = 0.5, 0
         while value < 0.975:
-            value = filter_reward(value, 1.0)
+            value = filter_reward(value, 1.0, KEEP, GAIN)
             n += 1
         assert n == 2995
 
@@ -65,7 +69,7 @@ class TestEpochsToGoal:
         curve = []
         for _ in range(400):
             for _ in range(10):
-                value = filter_reward(value, 1.0)
+                value = filter_reward(value, 1.0, KEEP, GAIN)
             curve.append(value)
         assert epochs_to_goal(curve, 0.975) == 300
 
@@ -73,7 +77,7 @@ class TestEpochsToGoal:
 def make_xor_actor(alpha_flip=0.0):
     """Hand-built one-lane actor computing XOR exactly (verified by enumeration)."""
     config = ActorConfig(n_hidden=2, alpha_flip=alpha_flip)
-    net = ActorNetwork.initialize(config, [np.random.default_rng(0)])
+    net = ActorNetwork.initialize(config, [np.random.default_rng(0)], [1.1])
     net.w_hidden[:] = [[[40.0, 40.0], [40.0, 40.0]]]
     net.b_hidden[:] = [[-20.0, -60.0]]  # unit 0: OR, unit 1: AND
     net.w_out[:] = [[40.0, -80.0]]
@@ -120,7 +124,7 @@ class TestRunEpoch:
 
     def test_exactly_batch_size_presentations_and_one_update(self):
         config = small_config()
-        actor = ActorNetwork.initialize(config.actor, [np.random.default_rng(4)])
+        actor = ActorNetwork.initialize(config.actor, [np.random.default_rng(4)], [1.1])
         schedule = CountingSchedule()
         one_lane_epoch(actor, config, schedule, 0.5)
         assert schedule.count == config.actor.batch_size == 10
@@ -132,7 +136,7 @@ class TestRunEpoch:
     def test_linear_rule_accumulators_zero_after_epoch(self):
         actor_cfg = ActorConfig(update_rule=UpdateRule.LINEAR)
         config = small_config(actor=actor_cfg)
-        actor = ActorNetwork.initialize(config.actor, [np.random.default_rng(4)])
+        actor = ActorNetwork.initialize(config.actor, [np.random.default_rng(4)], [1.1])
         one_lane_epoch(actor, config, InputSchedule(), 0.5)
         for acc in (actor.acc_w_hidden, actor.acc_b_hidden, actor.acc_w_out, actor.acc_b_out):
             assert np.all(acc == 0.0)
@@ -200,14 +204,40 @@ class TestRunTrialsParallel:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, iterable):
-                return [fn(args) for args in iterable]
+            def starmap(self, fn, iterable):
+                return [fn(*args) for args in iterable]
 
         monkeypatch.setattr(harness, "Pool", FakePool)
         config = small_config(n_trials=2, max_epochs=2)
         results = run_trials(config, [(UpdateRule.LINEAR, 0.75)], parallelism=64)
         assert started == [2]
         assert len(results) == 2
+
+
+BAD_RATES = [math.nan, math.inf, -math.inf, 0.0, -1.0]
+
+
+class TestRateValidation:
+    """A rate that is not finite and > 0 fails before any lane or Pool starts."""
+
+    @pytest.fixture(autouse=True)
+    def nothing_starts(self, monkeypatch):
+        def started(*args, **kwargs):
+            pytest.fail("a lane or Pool started")
+
+        monkeypatch.setattr(harness, "_run_batch", started)
+        monkeypatch.setattr(harness, "Pool", started)
+
+    @pytest.mark.parametrize("lr", BAD_RATES)
+    def test_run_trials_rejects_bad_rate(self, lr):
+        arms = [(UpdateRule.LINEAR, 0.75), (UpdateRule.POWER_LAW, lr)]
+        with pytest.raises(ValueError, match="finite and > 0"):
+            run_trials(small_config(n_trials=2, max_epochs=5), arms, parallelism=2)
+
+    @pytest.mark.parametrize("lr", BAD_RATES)
+    def test_run_trial_rejects_bad_rate(self, lr):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            run_trial(small_config(max_epochs=5), UpdateRule.LINEAR, lr, 0)
 
 
 def fingerprint(result):
@@ -299,19 +329,6 @@ def trials_digest(results):
 # so a platform whose exp rounds differently gives other digests.
 PINNED_DIGESTS = {
     "default": ({}, "29ab59a9a4ef81b08c72320a42c834f55e026b666abfc574016ed439db9f0f67"),
-    "carry_subthreshold": (
-        {"actor": ActorConfig(carry_subthreshold=True)},
-        "4d5a45cb8d0fcd2b97762c03963e270c3e66c745de898baae069f281b6aa06da",
-    ),
-    "sigmoid_thresholded": (
-        {
-            "actor": ActorConfig(
-                gradient_probability=GradientProbability.SIGMOID,
-                bias_update=BiasUpdate.THRESHOLDED,
-            )
-        },
-        "b2ad36e9027dd8d5f94d9f08ac7ba392eb92190e546311de64c0464feef4c68f",
-    ),
     "cyclic": (
         {"presentation": Presentation.CYCLIC},
         "4b6498012bf5ea32fd52cd22bfea89fde064ca33e0c128f5905798d9f0971bfa",
@@ -430,6 +447,15 @@ class TestSweep:
         ]
         assert result.best_lr == min(winners)  # ties break toward smaller lr
 
+    def test_smallest_step_gives_distinct_rates(self):
+        # a start off the 10-decimal grid is where rounding can merge rates
+        start = 0.40000000005
+        config = ExperimentConfig(
+            lr_sweep_from=start, lr_sweep_to=start + 1e-6, lr_sweep_step=harness.SWEEP_SLACK
+        )
+        grid = sweep_grid(config)
+        assert len(grid) == len(set(grid)) == 1001
+
     @pytest.mark.parametrize("best, on_edge", [(0.7, True), (0.75, False), (0.8, True)])
     def test_best_on_edge(self, best, on_edge):
         points = [
@@ -469,6 +495,7 @@ class TestExperimentConfigValidation:
             {"filter_keep": 0.9, "filter_gain": 0.0011},
             {"filter_init": 1.5},
             {"lr_sweep_step": 0.0},
+            {"lr_sweep_step": 1e-11},  # below the sweep grid's resolution
             {"lr_sweep_from": 2.0, "lr_sweep_to": 1.0},
             {"lr_sweep_from": math.nan},
             {"lr_sweep_to": math.inf},
