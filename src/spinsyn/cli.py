@@ -197,9 +197,12 @@ def write_pulse_map_csv(
     path: Path, voltages: list[float], durations: list[float], ratios: np.ndarray
 ) -> None:
     lines = ["voltage_v,duration_s,onoff_ratio"]
-    for i, v in enumerate(voltages):
-        for j, t in enumerate(durations):
-            lines.append(f"{fmt(v)},{fmt(t)},{fmt(ratios[i, j])}")
+    t_texts = [fmt(t) for t in durations]
+    for v, row in zip(voltages, ratios.tolist(), strict=True):
+        v_text = fmt(v)
+        lines.extend(
+            f"{v_text},{t_text},{fmt(r)}" for t_text, r in zip(t_texts, row, strict=True)
+        )
     _write_text(path, lines)
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -207,30 +208,29 @@ def calibrate_pulse_tau(
 
 
 def pulse_map_sweep(
-    voltages: list[float],
-    durations: list[float],
-    n_pulses: int,
-    params: SpinValveParams,
+    voltages: list[float], durations: list[float], n_pulses: int, params: SpinValveParams
 ) -> np.ndarray:
     """On/off ratio grid over a (voltage, duration) pulse-train protocol.
 
-    For each cell the device is reset to g_min (non-negative voltages) or
-    g_max (negative voltages, emulating the +/-4 V / 1 s reset), then
-    n_pulses identical pulses are applied and final/initial conductance
-    is recorded. Returns an array of shape (len(voltages), len(durations)).
+    Each cell starts at g_0 = g_min (non-negative voltages) or g_max (negative
+    voltages, emulating the +/-4 V / 1 s reset) and takes n_pulses identical
+    pulses of lambda = step_fraction(V, t). The closed form
+    g_n = target + (g_0 - target)(1 - lambda)^n, clipped to [g_min, g_max],
+    equals n apply_pulse steps up to rounding. Returns final/initial
+    conductance, shape (len(voltages), len(durations)); inactive cells are 1.
     """
-    if len(voltages) == 0 or len(durations) == 0:
+    v = np.asarray(voltages, dtype=float)[:, None]
+    t = np.asarray(durations, dtype=float)
+    if v.size == 0 or t.size == 0:
         raise ValueError("voltage and duration axes must be non-empty")
-    if n_pulses < 1:
+    if operator.index(n_pulses) < 1:
         raise ValueError(f"n_pulses must be >= 1, got {n_pulses}")
-    # every cell's pulse is checked before the first one is applied
-    pulses = [[PulseSpec(voltage=v, duration=t) for t in durations] for v in voltages]
-    ratios = np.empty((len(voltages), len(durations)))
-    for i, v in enumerate(voltages):
-        start = params.g_min if v >= 0.0 else params.g_max
-        for j, pulse in enumerate(pulses[i]):
-            state = DeviceState(conductance=start)
-            for _ in range(n_pulses):
-                state = apply_pulse(state, pulse, params)
-            ratios[i, j] = state.conductance / start
-    return ratios
+    if not np.isfinite(v).all() or not (np.isfinite(t) & (t >= 0.0)).all():
+        raise ValueError("pulse voltages must be finite, durations finite and >= 0")
+    excess = np.abs(v) - params.pulse_threshold_v
+    # inactive cells get lambda = 0, so (1 - lambda)^n cannot overflow there
+    lam = 1.0 - np.exp(-np.maximum(excess, 0.0) * t / params.pulse_time_constant_tau)
+    start = np.where(v >= 0.0, params.g_min, params.g_max)
+    target = np.where(v > 0.0, params.g_max, params.g_min)
+    g = np.clip(target + (start - target) * (1.0 - lam) ** n_pulses, params.g_min, params.g_max)
+    return np.where((excess > 0.0) & (t != 0.0), g / start, 1.0)

@@ -73,6 +73,9 @@ class StatisticsUnavailableError(RuntimeError):
 # same rate (equal rates derive equal trial seeds) and would add several
 # points past the range's end, so ExperimentConfig rejects it.
 SWEEP_SLACK = 1e-9
+# ExperimentConfig rejects a sweep grid of more rates than this, so a tiny
+# step fails at config time instead of building a huge list of rates.
+SWEEP_MAX_POINTS = 10_000
 
 
 @dataclass
@@ -118,6 +121,13 @@ class ExperimentConfig:
             )
         if self.lr_sweep_from > self.lr_sweep_to:
             raise ValueError("lr sweep bounds are inconsistent")
+        # sweep_grid has floor(span / step) + 1 points: more than the bound iff this holds
+        span = self.lr_sweep_to + SWEEP_SLACK - self.lr_sweep_from
+        if span / self.lr_sweep_step >= SWEEP_MAX_POINTS:
+            raise ValueError(
+                f"lr sweep grid {self.lr_sweep_from:g}..{self.lr_sweep_to:g} step "
+                f"{self.lr_sweep_step:g} has more than {SWEEP_MAX_POINTS} points"
+            )
         if min(self.lr_sweep_from, self.lr_powerlaw, self.lr_linear) <= 0.0:
             raise ValueError("learning rates must be > 0")
         if self.master_seed < 0:

@@ -13,6 +13,7 @@ from spinsyn.cli import (
     main,
     parse_config,
     write_learning_curve_csv,
+    write_pulse_map_csv,
 )
 from spinsyn.critic import CriticConfig
 from spinsyn.device import SpinValveParams
@@ -217,6 +218,21 @@ class TestCsvWriters:
             assert float(raw) == res.raw_curve[int(epoch) - 1]
             assert float(filt) == res.filtered_curve[int(epoch) - 1]
 
+    def test_pulse_map_bytes_match_per_cell_rendering(self, tmp_path):
+        rng = np.random.default_rng(3)
+        voltages = [0.0] + list(rng.uniform(-4.0, 4.0, 12))
+        durations = [0.0] + list(10.0 ** rng.uniform(-4.0, -1.0, 10))
+        ratios = rng.uniform(0.0, 140.0, (13, 11))
+        ratios[0] = 1.0
+        # per-cell rendering of the writer before it formatted row by row
+        lines = ["voltage_v,duration_s,onoff_ratio"]
+        for i, v in enumerate(voltages):
+            for j, t in enumerate(durations):
+                lines.append(f"{fmt(v)},{fmt(t)},{fmt(ratios[i, j])}")
+        path = tmp_path / "pulse_map.csv"
+        write_pulse_map_csv(path, voltages, durations, ratios)
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
 
 class TestCliCommands:
     def test_train_writes_learning_curve(self, tmp_path):
@@ -348,8 +364,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "argv, config",
-        [(["train", "--lr", "-1"], None), (["sweep"], "harness.lr_sweep_step = 1e-11\n")],
-        ids=["train-negative-lr", "sweep-sub-resolution-step"],
+        [
+            (["train", "--lr", "-1"], None),
+            (["sweep"], "harness.lr_sweep_step = 1e-11\n"),
+            (["sweep"], "harness.lr_sweep_step = 1e-9\n"),  # 8.5e8 rates
+        ],
+        ids=["train-negative-lr", "sweep-sub-resolution-step", "sweep-oversized-grid"],
     )
     def test_rejected_arguments_leave_no_output_dir(self, tmp_path, argv, config):
         out = tmp_path / "o"

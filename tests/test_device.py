@@ -1,9 +1,9 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
-from spinsyn import device
 from spinsyn.device import (
     DeviceState,
     Magnetization,
@@ -261,6 +261,12 @@ class TestPulseMapSweep:
         ratios = pulse_map_sweep([0.0, 0.5, -1.2, 1.2], [1e-3, 5e-3], 50, PARAMS)
         assert np.all(ratios == 1.0)
 
+    def test_inactive_cells_exact_when_bounds_do_not_round_trip(self):
+        params = SpinValveParams(g_min=6.732655185893088e-07, g_max=3.428080423874833e-05)
+        assert params.g_max + (params.g_min - params.g_max) != params.g_min
+        ratios = pulse_map_sweep([0.5, 1.2, 2.5], [0.0, 5e-3], 50, params)
+        assert np.all(ratios[:2] == 1.0) and ratios[2, 0] == 1.0
+
     def test_calibrated_cell(self):
         ratios = pulse_map_sweep([2.5], [5e-3], 50, PARAMS)
         assert ratios[0, 0] == pytest.approx(47.0, abs=0.5)
@@ -293,11 +299,51 @@ class TestPulseMapSweep:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("axis", ["voltages", "durations"])
-    def test_non_finite_axis_rejected_before_any_pulse(self, monkeypatch, axis, value):
-        pulses = []
-        monkeypatch.setattr(device, "apply_pulse", lambda *args: pulses.append(args))
+    def test_non_finite_axis_rejected_before_any_pulse(self, axis, value):
         axes = {"voltages": [2.5, 3.0], "durations": [1e-3, 5e-3]}
         axes[axis].append(value)  # the bad value comes after cells that would run
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="finite"):
             pulse_map_sweep(axes["voltages"], axes["durations"], 3, PARAMS)
-        assert pulses == []
+
+    def test_negative_duration_rejected(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            pulse_map_sweep([2.5], [1e-3, -1e-3], 3, PARAMS)
+
+    def test_non_integer_pulse_count_rejected(self):
+        with pytest.raises(TypeError):
+            pulse_map_sweep([2.5], [5e-3], 2.5, PARAMS)
+
+    def test_numpy_integer_pulse_count_accepted(self):
+        ratios = pulse_map_sweep([2.5], [5e-3], np.int64(50), PARAMS)
+        assert ratios[0, 0] == pulse_map_sweep([2.5], [5e-3], 50, PARAMS)[0, 0]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_iterated_apply_pulse(self, seed):
+        rng = np.random.default_rng(seed)
+        v_th = PARAMS.pulse_threshold_v
+        voltages = [0.0, v_th, -v_th] + list(rng.uniform(-4.0, 4.0, 9))
+        # zero, ordinary and saturating (lambda close to 1) durations
+        durations = [0.0] + list(10.0 ** rng.uniform(-4.0, -1.0, 5)) + [5.0, 50.0]
+        n_pulses = int(rng.integers(1, 60))
+        ratios = pulse_map_sweep(voltages, durations, n_pulses, PARAMS)
+        assert ratios.shape == (len(voltages), len(durations))
+        for i, v in enumerate(voltages):
+            start = PARAMS.g_min if v >= 0.0 else PARAMS.g_max
+            for j, t in enumerate(durations):
+                state = DeviceState(conductance=start)
+                for _ in range(n_pulses):
+                    state = apply_pulse(state, PulseSpec(voltage=v, duration=t), PARAMS)
+                expected = state.conductance / start
+                if step_fraction(v, t, PARAMS) == 0.0:
+                    assert ratios[i, j] == 1.0
+                else:
+                    assert abs(ratios[i, j] - expected) <= 1e-11 * expected
+                assert PARAMS.g_min / start <= ratios[i, j] <= PARAMS.g_max / start
+
+    def test_million_pulses_saturate_in_closed_form(self):
+        start = time.perf_counter()
+        ratios = pulse_map_sweep([-3.0, 0.0, 2.5], [1e-4, 5e-3, 0.0], 10**6, PARAMS)
+        assert time.perf_counter() - start < 1.0  # the iterated train takes minutes
+        assert np.all(ratios[0, :2] == PARAMS.g_min / PARAMS.g_max)
+        assert np.all(ratios[2, :2] == PARAMS.g_max / PARAMS.g_min)
+        assert np.all(ratios[1] == 1.0) and np.all(ratios[:, 2] == 1.0)

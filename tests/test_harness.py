@@ -456,6 +456,16 @@ class TestSweep:
         grid = sweep_grid(config)
         assert len(grid) == len(set(grid)) == 1001
 
+    def test_grid_size_bound(self):
+        # a binary step keeps every grid point exact, so the count is unambiguous
+        step, n = 2.0**-10, harness.SWEEP_MAX_POINTS
+        largest = ExperimentConfig(
+            lr_sweep_from=1.0, lr_sweep_to=1.0 + (n - 1) * step, lr_sweep_step=step
+        )
+        assert len(sweep_grid(largest)) == n
+        with pytest.raises(ValueError, match="more than"):
+            ExperimentConfig(lr_sweep_from=1.0, lr_sweep_to=1.0 + n * step, lr_sweep_step=step)
+
     @pytest.mark.parametrize("best, on_edge", [(0.7, True), (0.75, False), (0.8, True)])
     def test_best_on_edge(self, best, on_edge):
         points = [
@@ -502,6 +512,8 @@ class TestExperimentConfigValidation:
             {"lr_sweep_step": math.nan},
             {"master_seed": -1},
             {"n_trials": 0},
+            {"lr_sweep_step": 1e-9},  # a sweep grid of 8.5e8 rates
+            {"lr_sweep_to": 1e308},
         ],
     )
     def test_invalid_rejected(self, kwargs):
