@@ -3,8 +3,8 @@
 Each neuron fires 1 with probability sigmoid(w.x + b); the sampled bit is
 then flipped with probability alpha_flip * (1 - expected_reward), so
 exploration grows where the critic predicts poor reward. Proposed weight
-changes eta * (R - r_bar) * (y_i - p_i) * y_j accumulate over a batch of
-presentations and are applied at the end of the batch, either verbatim
+changes eta * (R - r_bar) * (y_i - p_i) * y_j are summed from zero over a
+batch of presentations and applied at the end of the batch, either verbatim
 (linear rule) or through a thresholded sign-preserving power law that
 suppresses small accumulated changes and emphasizes consistent ones
 (the spin-valve-style nonlinear rule).
@@ -18,14 +18,15 @@ whether the XOR benchmark converges reliably:
   != 0 under the exploration flips, a bias that systematically deepens
   saturated local optima; the emission probability makes the term
   mean-zero.
-* Power-law accumulators are zeroed every batch, whether or not they
-  fired: the plain reading of "accumulated changes pass only when their
-  magnitude exceeds dw_min". Carrying sub-threshold values into the next
-  batch lets weak but consistent gradients integrate until they fire; it
-  only looked better while the critic kept the hidden unit's y_i factor
-  in its update and stalled many trials. With the documented critic,
-  1000 trials per arm of a trial-batched re-implementation of the
-  training loop gave power-law 1200 +- 608 epochs to goal when carrying
+* The actor keeps nothing but its parameters between batches, so a
+  power-law weight's batch change either fires or is dropped: the plain
+  reading of "accumulated changes pass only when their magnitude exceeds
+  dw_min". Carrying sub-threshold values into the next batch lets weak
+  but consistent gradients integrate until they fire; it only looked
+  better while the critic kept the hidden unit's y_i factor in its
+  update and stalled many trials. With the documented critic, 1000
+  trials per arm of a trial-batched re-implementation of the training
+  loop gave power-law 1200 +- 608 epochs to goal when carrying
   and 884 +- 215 (all converged) when resetting, against linear
   1428 +- 1068 (994/1000 converged). compare_rules on the
   per-presentation engine, at master seeds 12345 and 1-4, gave power-law
@@ -61,6 +62,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .env import N_INPUTS
+
 
 class UpdateRule(enum.Enum):
     """Batch application rule for the accumulated weight changes."""
@@ -83,7 +86,6 @@ class ActorConfig:
     given its own.
     """
 
-    n_in: int = 2
     n_hidden: int = 10
     alpha_flip: float = 0.1
     batch_size: int = 10
@@ -92,8 +94,8 @@ class ActorConfig:
     power_exponent: float = 1.75
 
     def __post_init__(self) -> None:
-        if min(self.n_in, self.n_hidden) < 1:
-            raise ValueError("layer sizes must be >= 1")
+        if self.n_hidden < 1:
+            raise ValueError(f"n_hidden must be >= 1, got {self.n_hidden}")
         if not 0.0 <= self.alpha_flip <= 1.0:
             raise ValueError(f"alpha_flip must lie in [0, 1], got {self.alpha_flip}")
         if self.batch_size < 1:
@@ -141,27 +143,17 @@ def threshold_power_update(acc, dw_min: float, exponent: float):
     return np.where(np.abs(acc) > dw_min, transformed, 0.0)
 
 
-def add_in_order(acc: np.ndarray, terms: np.ndarray) -> None:
-    """acc += terms[:, 0], then terms[:, 1], and so on, in place.
-
-    terms has the shape of acc with a presentation axis after the lane
-    axis. np.add.accumulate adds one presentation at a time onto the
-    running sum, so acc gets the same bits as one += per presentation.
-    Summing the terms first and adding that to acc would round differently
-    whenever acc carries a value in, and np.sum may add pairwise.
-    """
-    acc[...] = np.add.accumulate(np.concatenate((acc[:, None], terms), axis=1), axis=1)[:, -1]
-
-
 class ActorNetwork:
     """A batch of independent two-layer stochastic binary actors.
 
     Every array has a leading lane axis: w_hidden (lanes, n_hidden, n_in),
     b_hidden (lanes, n_hidden), w_out (lanes, n_hidden), b_out (lanes,).
-    Each lane has its own update rule (the powerlaw mask) and hidden-layer
-    rate (lr_hidden); config holds everything the lanes share. All
-    arithmetic is elementwise or reduces over the trailing axis, so a lane
-    computes the same bits whatever batch it runs in.
+    The input width is w_hidden's last axis. Each lane has its own update
+    rule (the powerlaw mask) and hidden-layer rate (lr_hidden); config
+    holds everything the lanes share. These parameters are all the actor
+    keeps between batches. All arithmetic is elementwise or reduces over
+    the trailing axis, so a lane computes the same bits whatever batch it
+    runs in.
 
     A batch of presentations runs in three stages. The weights change only
     in apply_batch_update, so propose computes the hidden layer's firing
@@ -170,8 +162,9 @@ class ActorNetwork:
     comes from the critic's read, and the critic learns after every
     presentation: it flips the hidden proposals, samples the output bit
     and records what the update rule needs. accumulate takes the whole
-    batch's rewards and adds every presentation's proposed change in
-    presentation order. The per-batch arrays have a presentation axis
+    batch's rewards and sums every presentation's proposed change from
+    zero, in presentation order, and apply_batch_update adds the sums to
+    the parameters. The per-batch arrays have a presentation axis
     after the lane axis: x (lanes, batch, n_in), p_hidden and y_hidden
     (lanes, batch, n_hidden), and r_bar, p_flip, p_out and y_out
     (lanes, batch).
@@ -196,7 +189,7 @@ class ActorNetwork:
         self.powerlaw = np.array([r is UpdateRule.POWER_LAW for r in update_rules])
         self.lr_hidden = np.asarray(lr_hidden, dtype=float)
         expected = {
-            "w_hidden": (lanes, config.n_hidden, config.n_in),
+            "w_hidden": (lanes, config.n_hidden, self.w_hidden.shape[-1]),
             "b_hidden": (lanes, config.n_hidden),
             "w_out": (lanes, config.n_hidden),
             "b_out": (lanes,),
@@ -206,10 +199,6 @@ class ActorNetwork:
         for name, shape in expected.items():
             if getattr(self, name).shape != shape:
                 raise ValueError(f"{name} shape {getattr(self, name).shape} != {shape}")
-        self.acc_w_hidden = np.zeros_like(self.w_hidden)
-        self.acc_b_hidden = np.zeros_like(self.b_hidden)
-        self.acc_w_out = np.zeros_like(self.w_out)
-        self.acc_b_out = np.zeros_like(self.b_out)
 
     @classmethod
     def initialize(
@@ -219,25 +208,25 @@ class ActorNetwork:
         lr_hidden,
         update_rules=None,
     ) -> "ActorNetwork":
-        """One fresh lane per generator: weights uniform in
-        [-1/sqrt(fan_in), 1/sqrt(fan_in)], biases 0.
+        """One fresh lane per generator on the N_INPUTS inputs: weights
+        uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)], biases 0.
 
         Each lane draws its hidden weights, then its output weights.
         lr_hidden and update_rules give one value per lane; update_rules
         defaults to config's.
         """
-        bound_h = 1.0 / np.sqrt(config.n_in)
+        bound_h = 1.0 / np.sqrt(N_INPUTS)
         bound_o = 1.0 / np.sqrt(config.n_hidden)
         w_hidden, w_out = [], []
         for rng in rngs:
             w_hidden.append(
-                rng.uniform(-bound_h, bound_h, size=(config.n_hidden, config.n_in))
+                rng.uniform(-bound_h, bound_h, size=(config.n_hidden, N_INPUTS))
             )
             w_out.append(rng.uniform(-bound_o, bound_o, size=config.n_hidden))
         lanes = len(rngs)
         return cls(
             config,
-            w_hidden=np.reshape(w_hidden, (lanes, config.n_hidden, config.n_in)),
+            w_hidden=np.reshape(w_hidden, (lanes, config.n_hidden, N_INPUTS)),
             b_hidden=np.zeros((lanes, config.n_hidden)),
             w_out=np.reshape(w_out, (lanes, config.n_hidden)),
             b_out=np.zeros(lanes),
@@ -247,8 +236,7 @@ class ActorNetwork:
 
     def select(self, lanes: np.ndarray) -> None:
         """Keep only the given lanes, in the given order."""
-        for name in ("w_hidden", "b_hidden", "w_out", "b_out", "powerlaw", "lr_hidden",
-                     "acc_w_hidden", "acc_b_hidden", "acc_w_out", "acc_b_out"):
+        for name in ("w_hidden", "b_hidden", "w_out", "b_out", "powerlaw", "lr_hidden"):
             setattr(self, name, getattr(self, name)[lanes])
 
     def propose(self, x, u) -> None:
@@ -262,11 +250,10 @@ class ActorNetwork:
         presentations, and accumulate reads all of them.
         """
         x = np.asarray(x, dtype=float)
-        lanes, n_hidden = self.b_hidden.shape
-        if x.ndim != 3 or (x.shape[0], x.shape[2]) != (lanes, self.config.n_in):
+        lanes, n_hidden, n_in = self.w_hidden.shape
+        if x.ndim != 3 or (x.shape[0], x.shape[2]) != (lanes, n_in):
             raise ValueError(
-                f"input shape {x.shape} does not match ({lanes}, batch, "
-                f"n_in={self.config.n_in})"
+                f"input shape {x.shape} does not match ({lanes}, batch, n_in={n_in})"
             )
         shape = x.shape[:2]
         self.x, self.u = x, u
@@ -300,15 +287,16 @@ class ActorNetwork:
         return y_out
 
     def accumulate(self, r) -> None:
-        """Add the batch's proposed changes, given its rewards r (lanes, batch).
+        """Sum the batch's proposed changes, given its rewards r (lanes, batch).
 
         Weights get eta * (R - r_bar) * (y_i - p_i) * y_j with the presynaptic
         value y_j; biases use the same rule with y_j = 1. eta is the lane's
         rate (LR_OUT_RATIO of it in the output layer) and p_i the
         emission probability p * (1 - p_flip) + (1 - p) * p_flip, so the
-        term is mean-zero under the exploration flips. The presentations'
-        terms are added in presentation order onto what the accumulators
-        hold.
+        term is mean-zero under the exploration flips. Each sum starts from
+        zero and adds one presentation's term at a time, in order (np.sum
+        may add pairwise). The sums, acc_w_hidden, acc_b_hidden, acc_w_out
+        and acc_b_out, are per-batch arrays like p_hidden.
         """
         f = self.p_flip
         p_hidden = self.p_hidden * (1.0 - f[..., None]) + (1.0 - self.p_hidden) * f[..., None]
@@ -316,26 +304,28 @@ class ActorNetwork:
         delta = r - self.r_bar
         lr = self.lr_hidden[:, None]
         err_hidden = (lr * delta)[..., None] * (self.y_hidden - p_hidden)
-        add_in_order(self.acc_w_hidden, err_hidden[..., None] * self.x[:, :, None, :])
-        add_in_order(self.acc_b_hidden, err_hidden)
         err_out = lr * LR_OUT_RATIO * delta * (self.y_out - p_out)
-        add_in_order(self.acc_w_out, err_out[..., None] * self.y_hidden)
-        add_in_order(self.acc_b_out, err_out)
+        terms = (err_hidden[..., None] * self.x[:, :, None, :], err_hidden,
+                 err_out[..., None] * self.y_hidden, err_out)
+        sums = [np.zeros(term[:, 0].shape) for term in terms]
+        for t in range(delta.shape[1]):
+            for acc, term in zip(sums, terms):
+                acc += term[:, t]
+        self.acc_w_hidden, self.acc_b_hidden, self.acc_w_out, self.acc_b_out = sums
 
     def apply_batch_update(self) -> None:
-        """Fold the accumulators into the parameters and zero them.
+        """Add the last accumulate's sums to the parameters.
 
-        Biases, and every weight of a linear lane, take their accumulator
-        verbatim. A power-law lane's weights take threshold_power_update of
-        it: components at or below dw_min in magnitude contribute nothing.
+        Biases, and every weight of a linear lane, take their sum verbatim.
+        A power-law lane's weights take threshold_power_update of it:
+        components at or below dw_min in magnitude are dropped. The next
+        batch sums from zero again.
         """
         cfg = self.config
-        for param, acc in ((self.b_hidden, self.acc_b_hidden), (self.b_out, self.acc_b_out)):
-            param += acc
-            acc.fill(0.0)
+        self.b_hidden += self.acc_b_hidden
+        self.b_out += self.acc_b_out
         for param, acc in ((self.w_hidden, self.acc_w_hidden), (self.w_out, self.acc_w_out)):
             powerlaw = self.powerlaw.reshape((-1,) + (1,) * (acc.ndim - 1))
             param += np.where(
                 powerlaw, threshold_power_update(acc, cfg.dw_min, cfg.power_exponent), acc
             )
-            acc.fill(0.0)

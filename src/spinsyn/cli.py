@@ -223,6 +223,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="config file path")
         p.add_argument("--out", required=True, help="output directory")
+        if name == "device-map":  # runs no trials: no seed, one process
+            p.set_defaults(seed=None, parallelism=1)
+            continue
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument(
             "--parallelism", type=int, default=1, help="trial worker count"
@@ -251,6 +254,8 @@ def run_cli(args: argparse.Namespace) -> int:
     if args.parallelism < 1:
         raise ConfigError(f"--parallelism must be >= 1, got {args.parallelism}")
 
+    if args.subcommand == "compare" and config.n_trials < 2:
+        raise ConfigError(f"compare needs harness.n_trials >= 2, got {config.n_trials}")
     if args.subcommand == "train":
         rule = UpdateRule(args.rule)
         lr = args.lr if args.lr is not None else config.lr_for(rule)

@@ -21,20 +21,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .actor import affine, sigmoid
+from .env import N_INPUTS
 
 
 @dataclass
 class CriticConfig:
     """Critic architecture and training hyperparameters."""
 
-    n_in: int = 2
     n_hidden: int = 20
     lr: float = 1.0
     l1_coeff: float = 0.001
 
     def __post_init__(self) -> None:
-        if min(self.n_in, self.n_hidden) < 1:
-            raise ValueError("layer sizes must be >= 1")
+        if self.n_hidden < 1:
+            raise ValueError(f"n_hidden must be >= 1, got {self.n_hidden}")
         if not 0.0 < self.lr < math.inf:
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if not 0.0 <= self.l1_coeff < math.inf:
@@ -45,10 +45,11 @@ class CriticNetwork:
     """A batch of independent one-hidden-layer sigmoid critics.
 
     Every array has a leading lane axis: w_hidden (lanes, n_hidden, n_in),
-    b_hidden (lanes, n_hidden), w_out (lanes, n_hidden), b_out (lanes,).
-    The output layer never changes. forward keeps its input and its
-    prediction, and update reuses them: the weights do not change between
-    the two, so the read and the update share one forward pass exactly.
+    b_hidden (lanes, n_hidden), w_out (lanes, n_hidden), b_out (lanes,),
+    with the input width n_in taken from w_hidden's last axis. The output
+    layer never changes. forward keeps its input and its prediction, and
+    update reuses them: the weights do not change between the two, so the
+    read and the update share one forward pass exactly.
     """
 
     def __init__(
@@ -66,7 +67,7 @@ class CriticNetwork:
         self.b_out = np.asarray(b_out, dtype=float)
         lanes = self.w_hidden.shape[0]
         expected = {
-            "w_hidden": (lanes, config.n_hidden, config.n_in),
+            "w_hidden": (lanes, config.n_hidden, self.w_hidden.shape[-1]),
             "b_hidden": (lanes, config.n_hidden),
             "w_out": (lanes, config.n_hidden),
             "b_out": (lanes,),
@@ -79,19 +80,19 @@ class CriticNetwork:
     def initialize(
         cls, config: CriticConfig, rngs: list[np.random.Generator]
     ) -> "CriticNetwork":
-        """One fresh lane per generator: hidden weights uniform in
-        [-1/sqrt(n_in), 1/sqrt(n_in)] with zero biases, output weights
-        uniform in [-1.25, 1.25] with bias 0.5. Each lane draws its hidden
-        weights, then its output weights."""
-        bound = 1.0 / np.sqrt(config.n_in)
+        """One fresh lane per generator on the N_INPUTS inputs: hidden
+        weights uniform in [-1/sqrt(n_in), 1/sqrt(n_in)] with zero biases,
+        output weights uniform in [-1.25, 1.25] with bias 0.5. Each lane
+        draws its hidden weights, then its output weights."""
+        bound = 1.0 / np.sqrt(N_INPUTS)
         w_hidden, w_out = [], []
         for rng in rngs:
-            w_hidden.append(rng.uniform(-bound, bound, size=(config.n_hidden, config.n_in)))
+            w_hidden.append(rng.uniform(-bound, bound, size=(config.n_hidden, N_INPUTS)))
             w_out.append(rng.uniform(-1.25, 1.25, size=config.n_hidden))
         lanes = len(rngs)
         return cls(
             config,
-            w_hidden=np.reshape(w_hidden, (lanes, config.n_hidden, config.n_in)),
+            w_hidden=np.reshape(w_hidden, (lanes, config.n_hidden, N_INPUTS)),
             b_hidden=np.zeros((lanes, config.n_hidden)),
             w_out=np.reshape(w_out, (lanes, config.n_hidden)),
             b_out=np.full(lanes, 0.5),
@@ -105,11 +106,9 @@ class CriticNetwork:
     def forward(self, x) -> np.ndarray:
         """Predicted reward of every lane for inputs x (lanes, n_in), inside [0, 1]."""
         x = np.asarray(x, dtype=float)
-        lanes = self.b_out.shape[0]
-        if x.shape != (lanes, self.config.n_in):
-            raise ValueError(
-                f"input shape {x.shape} does not match ({lanes}, n_in={self.config.n_in})"
-            )
+        lanes, _, n_in = self.w_hidden.shape
+        if x.shape != (lanes, n_in):
+            raise ValueError(f"input shape {x.shape} does not match ({lanes}, n_in={n_in})")
         y_hidden = sigmoid(affine(self.w_hidden, x, self.b_hidden))
         self.x = x
         self.prediction = sigmoid((self.w_out * y_hidden).sum(axis=-1) + self.b_out)

@@ -26,6 +26,7 @@ PATTERNS = (
     Sample(x=(1, 0), target=1),
     Sample(x=(1, 1), target=0),
 )
+N_INPUTS = 2  # every network reads a pattern's two bits
 
 
 class Presentation(enum.Enum):

@@ -26,10 +26,11 @@ presentation axis (lanes, batch_size, ...):
 
 Every result is bit-identical to running the whole stack once per
 presentation, because the order of every rounding step is kept: the
-accumulators add each presentation's term in presentation order onto what
-they carried in (never a pairwise sum), and the filter's recursion runs
-in presentation order. The mean reward is a plain sum, exact because
-each reward is 0 or 1.
+actor sums each batch's changes from zero, adding each presentation's
+term in presentation order (never a pairwise sum), and keeps nothing but
+its parameters between batches; the filter's recursion runs in
+presentation order. The mean reward is a plain sum, exact because each
+reward is 0 or 1.
 
 Random streams. Every lane has its own generator,
 default_rng(trial_seed(master_seed, rule, lr, trial index)). It first
@@ -421,8 +422,11 @@ def compare_rules(config: ExperimentConfig, parallelism: int = 1) -> ComparisonR
 
     The Welch test compares epochs_to_goal of the power-law arm (sample a)
     against the linear arm (sample b) over converged trials only;
-    non-converged counts are visible in the per-rule summaries.
+    non-converged counts are visible in the per-rule summaries. Raises
+    ValueError before training if n_trials < 2.
     """
+    if config.n_trials < 2:
+        raise ValueError(f"compare needs n_trials >= 2, got {config.n_trials}")
     rules = (UpdateRule.POWER_LAW, UpdateRule.LINEAR)
     results = run_trials(
         config, [(rule, config.lr_for(rule)) for rule in rules], parallelism=parallelism

@@ -14,6 +14,7 @@ import pytest
 from spinsyn.actor import (
     ActorConfig,
     ActorNetwork,
+    UpdateRule,
     sigmoid,
     threshold_power_update,
 )
@@ -168,10 +169,16 @@ def test_criterion_05_update_map_properties():
 def test_criterion_06_policy_gradient_monte_carlo():
     # one hidden unit rewarded with its own bit, one presentation in each of
     # n lanes
-    config = ActorConfig(n_in=1, n_hidden=1, alpha_flip=0.0)
-    net = ActorNetwork.initialize(config, [np.random.default_rng(0)], [1.0])
-    net.w_hidden[:] = 0.8
-    net.b_hidden[:] = 0.0
+    config = ActorConfig(n_hidden=1, alpha_flip=0.0)
+    net = ActorNetwork(
+        config,
+        w_hidden=np.full((1, 1, 1), 0.8),
+        b_hidden=np.zeros((1, 1)),
+        w_out=np.zeros((1, 1)),
+        b_out=np.zeros(1),
+        update_rules=[UpdateRule.POWER_LAW],
+        lr_hidden=[1.0],
+    )
     p = float(sigmoid(0.8))
     rng = np.random.default_rng(2024)
     n = 100_000
@@ -214,7 +221,7 @@ def test_criterion_07_critic_sign_alignment():
         critic.w_hidden[:] = w_before
         critic.b_hidden[:] = b_before
         for i in range(cfg.n_hidden):
-            for j in range(cfg.n_in):
+            for j in range(x.shape[1]):
                 if abs(update[i, j]) <= 1e-9:
                     continue
                 w0 = critic.w_hidden[0, i, j]

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -21,6 +22,23 @@ def make_net(config=None, **overrides):
     return ActorNetwork.initialize(config, [np.random.default_rng(0)], [LR])
 
 
+def one_input_net(alpha_flip, lr):
+    """One lane of a single hidden unit on a single input, all parameters 0.
+
+    initialize builds XOR's two inputs; the constructor takes the input
+    width from w_hidden.
+    """
+    return ActorNetwork(
+        ActorConfig(n_hidden=1, alpha_flip=alpha_flip),
+        w_hidden=np.zeros((1, 1, 1)),
+        b_hidden=np.zeros((1, 1)),
+        w_out=np.zeros((1, 1)),
+        b_out=np.zeros(1),
+        update_rules=[UpdateRule.POWER_LAW],
+        lr_hidden=[lr],
+    )
+
+
 def step_uniforms(rng, net, batch=1):
     """One lane's forward uniforms for a batch of presentations: per
     presentation, hidden proposals, hidden flips, output proposal and flip."""
@@ -32,6 +50,12 @@ def present(net, x, r_bar, u):
     (lanes, 1, 2 * n_hidden + 2); returns the output bits."""
     net.propose(np.asarray(x, dtype=float)[:, None], u)
     return net.forward(0, np.asarray(r_bar, dtype=float))
+
+
+def load_sums(net):
+    """Zero batch sums in place of an accumulate call, for apply_batch_update."""
+    for name in ("w_hidden", "b_hidden", "w_out", "b_out"):
+        setattr(net, "acc_" + name, np.zeros_like(getattr(net, name)))
 
 
 def copies(net, n):
@@ -124,8 +148,9 @@ class TestInitialize:
         assert np.all(np.abs(net.w_out) <= 1 / np.sqrt(10))
         assert np.all(net.b_hidden == 0.0)
         assert np.all(net.b_out == 0.0)
-        for acc in (net.acc_w_hidden, net.acc_b_hidden, net.acc_w_out, net.acc_b_out):
-            assert np.all(acc == 0.0)
+        # a fresh network holds its parameters and no batch sums
+        for name in ("acc_w_hidden", "acc_b_hidden", "acc_w_out", "acc_b_out"):
+            assert not hasattr(net, name)
 
     def test_uniform_symmetry_monte_carlo(self):
         # 1e5 hidden weights in one network; mean should vanish within 3 SE
@@ -180,10 +205,8 @@ class TestForward:
 
     def test_single_neuron_flip_arithmetic(self):
         # P(y=1) = p*(1-f) + (1-p)*f with p = 0.9, f = alpha*(1-0) = 0.1
-        config = ActorConfig(n_in=1, n_hidden=1, alpha_flip=0.1)
-        net = ActorNetwork.initialize(config, [np.random.default_rng(0)], [LR])
+        net = one_input_net(alpha_flip=0.1, lr=LR)
         p = 0.9
-        net.w_hidden[:] = 0.0
         net.b_hidden[:] = np.log(p / (1 - p))
         rng = np.random.default_rng(123)
         n = 100_000
@@ -196,9 +219,7 @@ class TestForward:
 
     def test_no_flip_distribution_matches_bernoulli(self):
         # alpha_flip = 0: output bit is Bernoulli(p_out) exactly
-        config = ActorConfig(n_in=1, n_hidden=1, alpha_flip=0.0)
-        net = ActorNetwork.initialize(config, [np.random.default_rng(0)], [LR])
-        net.w_hidden[:] = 0.0
+        net = one_input_net(alpha_flip=0.0, lr=LR)
         net.b_hidden[:] = 50.0  # hidden always fires
         net.w_out[:] = 0.31
         net.b_out[:] = 0.4
@@ -226,8 +247,8 @@ class TestForward:
             assert alone.p_out[0] == batch.p_out[k]
 
     def test_batch_of_presentations_equals_one_at_a_time(self):
-        # a batch of 10 presentations gives the bits of 10 batches of one,
-        # accumulators included, on top of what they carry in
+        # a batch of 10 presentations gives the bits of 10 batches of one;
+        # its sums are the per-presentation terms added from zero, in order
         config = ActorConfig()
         rngs = [np.random.default_rng(s) for s in (6, 7)]
         batched = ActorNetwork.initialize(config, rngs, lr_hidden=[1.1, 0.75])
@@ -235,20 +256,22 @@ class TestForward:
             config, [np.random.default_rng(s) for s in (6, 7)], lr_hidden=[1.1, 0.75]
         )
         draws = np.random.default_rng(8)
-        carried = draws.normal(scale=0.2, size=batched.acc_w_hidden.shape)
-        batched.acc_w_hidden[:] = single.acc_w_hidden[:] = carried
         x = (draws.random((2, 10, 2)) < 0.5).astype(float)
         u = draws.random((2, 10, 2 * config.n_hidden + 2))
         r_bar = draws.random((2, 10))
         r = (draws.random((2, 10)) < 0.5).astype(float)
+        names = ("w_hidden", "b_hidden", "w_out", "b_out")
+        expected = {name: np.zeros_like(getattr(single, name)) for name in names}
         batched.propose(x, u)
         for t in range(10):
             y = batched.forward(t, r_bar[:, t])
             assert np.array_equal(y, present(single, x[:, t], r_bar[:, t], u[:, t : t + 1]))
             single.accumulate(r[:, t : t + 1])
+            for name in names:
+                expected[name] += getattr(single, "acc_" + name)
         batched.accumulate(r)
-        for name in ("acc_w_hidden", "acc_b_hidden", "acc_w_out", "acc_b_out"):
-            assert getattr(batched, name).tobytes() == getattr(single, name).tobytes()
+        for name in names:
+            assert getattr(batched, "acc_" + name).tobytes() == expected[name].tobytes()
 
 
 class TestAccumulate:
@@ -271,9 +294,7 @@ class TestAccumulate:
     def test_reference_increment(self):
         # eta=1, R=1, r_bar=0.5, y=1, p=0.8, y_j=1 -> +0.1 (no flips, so the
         # emission probability equals the sigmoid value)
-        config = ActorConfig(n_in=1, n_hidden=1, alpha_flip=0.0)
-        net = ActorNetwork.initialize(config, [np.random.default_rng(0)], [1.0])
-        net.w_hidden[:] = 0.0
+        net = one_input_net(alpha_flip=0.0, lr=1.0)
         net.b_hidden[:] = np.log(0.8 / 0.2)
         rng = np.random.default_rng(9)
         while True:  # draw until the hidden proposal comes out 1
@@ -284,9 +305,7 @@ class TestAccumulate:
         assert net.acc_w_hidden[0, 0, 0] == pytest.approx(0.1, rel=1e-12)
 
     def test_emission_probability_is_flip_adjusted(self):
-        config = ActorConfig(n_in=1, n_hidden=1, alpha_flip=0.1)
-        net = ActorNetwork.initialize(config, [np.random.default_rng(0)], [1.0])
-        net.w_hidden[:] = 0.0
+        net = one_input_net(alpha_flip=0.1, lr=1.0)
         net.b_hidden[:] = np.log(0.8 / 0.2)
         u = step_uniforms(np.random.default_rng(1), net)
         present(net, [[1.0]], [0.0], u)
@@ -294,6 +313,29 @@ class TestAccumulate:
         net.accumulate(np.array([[1.0]]))
         expected = (1.0 - 0.0) * (net.y_hidden[0, 0, 0] - q) * 1.0
         assert net.acc_w_hidden[0, 0, 0] == pytest.approx(expected, rel=1e-12)
+
+    def test_no_carry_in_between_batches(self):
+        # a second batch without apply_batch_update sums from zero: it gives
+        # the bits of a fresh copy that sees only that batch
+        config = ActorConfig()
+        net = ActorNetwork.initialize(config, [np.random.default_rng(5)], [LR])
+        fresh = copy.deepcopy(net)
+        draws = np.random.default_rng(6)
+        for r_value in (1.0, 0.0):
+            x = (draws.random((1, 10, 2)) < 0.5).astype(float)
+            u = draws.random((1, 10, 2 * config.n_hidden + 2))
+            r_bar = draws.random((1, 10))
+            r = np.full((1, 10), r_value)
+            net.propose(x, u)
+            for t in range(10):
+                net.forward(t, r_bar[:, t])
+            net.accumulate(r)
+        fresh.propose(x, u)
+        for t in range(10):
+            fresh.forward(t, r_bar[:, t])
+        fresh.accumulate(r)
+        for name in ("acc_w_hidden", "acc_b_hidden", "acc_w_out", "acc_b_out"):
+            assert getattr(net, name).tobytes() == getattr(fresh, name).tobytes()
 
     def test_per_lane_learning_rate(self):
         # the same draws at two rates: every accumulator scales with the lane's rate
@@ -309,11 +351,9 @@ class TestAccumulate:
     def test_policy_gradient_expectation(self):
         # single Bernoulli neuron, x=1, no flips, R=y, baseline 0.5, eta=1:
         # E[increment] = p(1-p); Monte-Carlo mean within 3 SE
-        config = ActorConfig(n_in=1, n_hidden=1, alpha_flip=0.0)
-        net = ActorNetwork.initialize(config, [np.random.default_rng(0)], [1.0])
+        net = one_input_net(alpha_flip=0.0, lr=1.0)
         w = 0.8
         net.w_hidden[:] = w
-        net.b_hidden[:] = 0.0
         p = float(sigmoid(w))
         rng = np.random.default_rng(77)
         n = 100_000
@@ -328,8 +368,11 @@ class TestAccumulate:
 
 class TestApplyBatchUpdate:
     def _loaded_net(self, acc_value, **overrides):
+        """A one-lane network with zero hidden weights whose batch sums are
+        zero except acc_value in hidden weight (0, 0)."""
         net = make_net(**overrides)
         net.w_hidden[:] = 0.0
+        load_sums(net)
         net.acc_w_hidden[0, 0, 0] = acc_value
         return net
 
@@ -350,36 +393,39 @@ class TestApplyBatchUpdate:
         net = self._loaded_net(0.5)
         net.apply_batch_update()
         assert net.w_hidden[0, 0, 0] == pytest.approx(0.29730177875068026, abs=1e-10)
-        assert net.acc_w_hidden[0, 0, 0] == 0.0  # fired component resets
+        assert np.all(net.w_hidden.ravel()[1:] == 0.0)  # only the fired weight moves
 
     def test_linear_applies_verbatim(self):
         net = self._loaded_net(0.3, update_rule=UpdateRule.LINEAR)
+        before = copy.deepcopy(net)
         net.apply_batch_update()
         assert net.w_hidden[0, 0, 0] == pytest.approx(0.3)
-        for acc in (net.acc_w_hidden, net.acc_b_hidden, net.acc_w_out, net.acc_b_out):
-            assert np.all(acc == 0.0)
+        assert np.all(net.w_hidden.ravel()[1:] == 0.0)
+        for name in ("b_hidden", "w_out", "b_out"):
+            assert np.array_equal(getattr(net, name), getattr(before, name))
 
-    def test_subthreshold_reset_mode_zeroes_everything(self):
+    def test_subthreshold_change_is_dropped(self):
         net = self._loaded_net(0.3)
         net.apply_batch_update()
-        assert net.w_hidden[0, 0, 0] == 0.0
-        assert np.all(net.acc_w_hidden == 0.0)
+        assert np.all(net.w_hidden == 0.0)
 
     def test_bias_update_linear_by_default(self):
         net = make_net()
         net.b_hidden[:] = 0.0
+        load_sums(net)
         net.acc_b_hidden[0, 0] = 0.3  # below dw_min, applied anyway
         net.apply_batch_update()
         assert net.b_hidden[0, 0] == pytest.approx(0.3)
-        assert net.acc_b_hidden[0, 0] == 0.0
+        assert np.all(net.b_hidden[0, 1:] == 0.0)
 
     def test_mixed_rules_follow_each_lane(self):
-        # one linear and one power-law lane with the same sub-threshold accumulator
+        # one linear and one power-law lane with the same sub-threshold sum
         rngs = [np.random.default_rng(0), np.random.default_rng(0)]
         net = ActorNetwork.initialize(
             ActorConfig(), rngs, [LR, LR], update_rules=[UpdateRule.LINEAR, UpdateRule.POWER_LAW]
         )
         net.w_hidden[:] = 0.0
+        load_sums(net)
         net.acc_w_hidden[:, 0, 0] = [0.3, 0.3]
         net.acc_w_hidden[:, 1, 0] = [0.5, 0.5]
         net.apply_batch_update()
@@ -387,4 +433,4 @@ class TestApplyBatchUpdate:
         assert net.w_hidden[1, 0, 0] == 0.0
         assert net.w_hidden[0, 1, 0] == pytest.approx(0.5)
         assert net.w_hidden[1, 1, 0] == pytest.approx(0.29730177875068026, abs=1e-10)
-        assert np.all(net.acc_w_hidden == 0.0)
+        assert np.all(net.w_hidden[:, 2:] == 0.0)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from spinsyn import cli
 from spinsyn.actor import ActorConfig
 from spinsyn.cli import (
     _SCHEMA,
@@ -384,6 +385,23 @@ class TestExitCodes:
         out = tmp_path / "o"
         argv = ["train", "--config", str(cfg), "--out", str(out), "--lr", lr]
         assert main(argv) == 2
+        assert not out.exists()
+
+    def test_compare_with_one_trial_exits_2_before_training(self, tmp_path, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("compare trained")
+
+        monkeypatch.setattr(cli, "compare_rules", no_training)
+        cfg = write_config(tmp_path, "harness.n_trials = 1\n")
+        out = tmp_path / "o"
+        assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", [["--seed", "3"], ["--parallelism", "2"]])
+    def test_device_map_rejects_trial_flags(self, tmp_path, flag):
+        # device-map runs no trials, so it takes neither flag
+        out = tmp_path / "o"
+        assert main(["device-map", "--out", str(out)] + flag) == 2
         assert not out.exists()
 
     def test_bad_parallelism_exits_2(self, tmp_path):

@@ -28,7 +28,7 @@ def train(critic, x, r):
 class TestConfig:
     def test_defaults(self):
         cfg = CriticConfig()
-        assert (cfg.n_in, cfg.n_hidden, cfg.lr, cfg.l1_coeff) == (2, 20, 1.0, 0.001)
+        assert (cfg.n_hidden, cfg.lr, cfg.l1_coeff) == (20, 1.0, 0.001)
 
     @pytest.mark.parametrize(
         "kwargs", [{"lr": 0.0}, {"l1_coeff": -1e-4}, {"n_hidden": 0}]
@@ -120,13 +120,16 @@ class TestUpdate:
         delta = (0.8 - y_out) * 1.0 * 1.0 - 0.001 * np.sign(0.2)
         assert delta == pytest.approx(0.299, abs=1e-12)
         # the implementation produces the same number through its own path
-        cfg = CriticConfig(n_in=1, n_hidden=1)
-        net = CriticNetwork.initialize(cfg, [np.random.default_rng(0)])
-        net.w_out[:] = 1.0
-        net.w_hidden[0, 0, 0] = 0.2
-        # choose bias so hidden output is 0.6 at x=1, and output 0.5
-        net.b_hidden[0, 0] = np.log(0.6 / 0.4) - 0.2
-        net.b_out[:] = -0.6  # w_out*y_i + b_out = 0 -> y_out = 0.5
+        # one input, so built by the constructor (initialize builds XOR's two);
+        # the hidden bias makes the hidden output 0.6 at x=1, and
+        # w_out*y_i + b_out = 0 makes y_out = 0.5
+        net = CriticNetwork(
+            CriticConfig(n_hidden=1),
+            w_hidden=[[[0.2]]],
+            b_hidden=[[np.log(0.6 / 0.4) - 0.2]],
+            w_out=[[1.0]],
+            b_out=[-0.6],
+        )
         before = net.w_hidden[0, 0, 0]
         train(net, [1.0], 0.8)
         assert net.w_hidden[0, 0, 0] - before == pytest.approx(0.299, abs=1e-12)
@@ -157,7 +160,7 @@ class TestUpdate:
         assert np.all(critic.w_hidden == 0.0)
 
     def test_zero_error_zero_weight_no_change(self):
-        cfg = CriticConfig(n_in=2, n_hidden=4)
+        cfg = CriticConfig(n_hidden=4)
         critic = CriticNetwork.initialize(cfg, [np.random.default_rng(1)])
         critic.w_hidden[:] = 0.0
         r = critic.forward(np.array([[1.0, 1.0]]))  # R = y_out exactly
@@ -180,7 +183,7 @@ class TestUpdate:
             update = critic.w_hidden[0] - reference.w_hidden[0]
             h = 1e-6
             for i in range(cfg.n_hidden):
-                for j in range(cfg.n_in):
+                for j in range(len(x)):
                     if abs(update[i, j]) <= 1e-9:
                         continue
                     w0 = reference.w_hidden[0, i, j]

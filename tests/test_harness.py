@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import math
 import os
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from spinsyn import harness
-from spinsyn.actor import ActorConfig, ActorNetwork, UpdateRule
+from spinsyn.actor import ActorConfig, ActorNetwork, UpdateRule, threshold_power_update
 from spinsyn.critic import CriticConfig, CriticNetwork
 from spinsyn.env import InputSchedule, Presentation
 from spinsyn.harness import (
@@ -125,21 +126,33 @@ class TestRunEpoch:
     def test_exactly_batch_size_presentations_and_one_update(self):
         config = small_config()
         actor = ActorNetwork.initialize(config.actor, [np.random.default_rng(4)], [1.1])
+        before = copy.deepcopy(actor)
         schedule = CountingSchedule()
         one_lane_epoch(actor, config, schedule, 0.5)
         assert schedule.count == config.actor.batch_size == 10
-        # the single batch update zeroed every fired/linear accumulator;
-        # under the default linear bias rule, bias accumulators are empty
-        assert np.all(actor.acc_b_hidden == 0.0)
-        assert np.all(actor.acc_b_out == 0.0)
+        # the parameters moved by the epoch's batch sums, applied once:
+        # power-law weights through the threshold, biases verbatim
+        cfg = config.actor
+        for name in ("w_hidden", "w_out"):
+            step = threshold_power_update(
+                getattr(actor, "acc_" + name), cfg.dw_min, cfg.power_exponent
+            )
+            assert np.array_equal(getattr(actor, name), getattr(before, name) + step)
+        for name in ("b_hidden", "b_out"):
+            expected = getattr(before, name) + getattr(actor, "acc_" + name)
+            assert np.array_equal(getattr(actor, name), expected)
+        assert not np.array_equal(actor.b_hidden, before.b_hidden)
 
-    def test_linear_rule_accumulators_zero_after_epoch(self):
+    def test_linear_rule_applies_batch_sums_after_epoch(self):
         actor_cfg = ActorConfig(update_rule=UpdateRule.LINEAR)
         config = small_config(actor=actor_cfg)
         actor = ActorNetwork.initialize(config.actor, [np.random.default_rng(4)], [1.1])
+        before = copy.deepcopy(actor)
         one_lane_epoch(actor, config, InputSchedule(), 0.5)
-        for acc in (actor.acc_w_hidden, actor.acc_b_hidden, actor.acc_w_out, actor.acc_b_out):
-            assert np.all(acc == 0.0)
+        for name in ("w_hidden", "b_hidden", "w_out", "b_out"):
+            expected = getattr(before, name) + getattr(actor, "acc_" + name)
+            assert np.array_equal(getattr(actor, name), expected)
+        assert not np.array_equal(actor.w_hidden, before.w_hidden)
 
 
 class TestTrialSeed:
@@ -494,6 +507,14 @@ class TestCompareRules:
         config = small_config(n_trials=3, max_epochs=5, goal=0.99)
         with pytest.raises(StatisticsUnavailableError):
             compare_rules(config)
+
+    def test_single_trial_rejected_before_any_lane_starts(self, monkeypatch):
+        def no_training(*args):
+            raise AssertionError("a lane started")
+
+        monkeypatch.setattr(harness, "_run_batch", no_training)
+        with pytest.raises(ValueError, match="n_trials >= 2"):
+            compare_rules(small_config(n_trials=1))
 
 
 class TestExperimentConfigValidation:
