@@ -117,18 +117,19 @@ def sigmoid(z):
 
 
 def affine(w: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """w @ x + b for w (..., units, n_in), x (..., n_in), b (..., units).
+    """x @ w + b for input-major w (..., n_in, units), x (..., n_in), b (..., units).
 
-    Leading axes broadcast: a lane's weights (lanes, units, n_in) meet one
+    Leading axes broadcast: a lane's weights (lanes, n_in, units) meet one
     input per lane (lanes, n_in), or, through a new axis, every input of
     a batch (lanes, batch, n_in). The inputs are summed one at a time, in
-    order: for the two XOR inputs this is several times faster than a
-    reduction over a length-2 axis, and each element gets the same bits
-    whatever the leading axes.
+    order, each as the contiguous row w[..., j, :] times x[..., j]: for
+    the two XOR inputs this is several times faster than a reduction over
+    a length-2 axis, and each element gets the same bits whatever the
+    leading axes.
     """
-    z = w[..., 0] * x[..., :1]
+    z = w[..., 0, :] * x[..., :1]
     for j in range(1, x.shape[-1]):
-        z += w[..., j] * x[..., j : j + 1]
+        z += w[..., j, :] * x[..., j : j + 1]
     return z + b
 
 
@@ -146,14 +147,14 @@ def threshold_power_update(acc, dw_min: float, exponent: float):
 class ActorNetwork:
     """A batch of independent two-layer stochastic binary actors.
 
-    Every array has a leading lane axis: w_hidden (lanes, n_hidden, n_in),
-    b_hidden (lanes, n_hidden), w_out (lanes, n_hidden), b_out (lanes,).
-    The input width is w_hidden's last axis. Each lane has its own update
-    rule (the powerlaw mask) and hidden-layer rate (lr_hidden); config
-    holds everything the lanes share. These parameters are all the actor
-    keeps between batches. All arithmetic is elementwise or reduces over
-    the trailing axis, so a lane computes the same bits whatever batch it
-    runs in.
+    Every array has a leading lane axis: w_hidden (lanes, n_in, n_hidden),
+    input-major and C-contiguous, b_hidden (lanes, n_hidden), w_out
+    (lanes, n_hidden), b_out (lanes,); the input width is w_hidden's
+    axis 1. Each lane has its own update rule (the powerlaw mask) and
+    hidden-layer rate (lr_hidden); config holds everything the lanes
+    share. These parameters are all the actor keeps between batches. All
+    arithmetic is elementwise or reduces over the trailing axis, so a lane
+    computes the same bits whatever batch it runs in.
 
     A batch of presentations runs in three stages. The weights change only
     in apply_batch_update, so propose computes the hidden layer's firing
@@ -185,11 +186,11 @@ class ActorNetwork:
         self.b_hidden = np.asarray(b_hidden, dtype=float)
         self.w_out = np.asarray(w_out, dtype=float)
         self.b_out = np.asarray(b_out, dtype=float)
-        lanes = self.w_hidden.shape[0]
+        lanes, n_in = self.w_hidden.shape[:2]
         self.powerlaw = np.array([r is UpdateRule.POWER_LAW for r in update_rules])
         self.lr_hidden = np.asarray(lr_hidden, dtype=float)
         expected = {
-            "w_hidden": (lanes, config.n_hidden, self.w_hidden.shape[-1]),
+            "w_hidden": (lanes, n_in, config.n_hidden),
             "b_hidden": (lanes, config.n_hidden),
             "w_out": (lanes, config.n_hidden),
             "b_out": (lanes,),
@@ -211,24 +212,24 @@ class ActorNetwork:
         """One fresh lane per generator on the N_INPUTS inputs: weights
         uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)], biases 0.
 
-        Each lane draws its hidden weights, then its output weights.
-        lr_hidden and update_rules give one value per lane; update_rules
-        defaults to config's.
+        Each lane draws its hidden weights as an (n_hidden, N_INPUTS)
+        block, stored transposed, then its output weights. lr_hidden and
+        update_rules give one value per lane; update_rules defaults to
+        config's.
         """
         bound_h = 1.0 / np.sqrt(N_INPUTS)
         bound_o = 1.0 / np.sqrt(config.n_hidden)
-        w_hidden, w_out = [], []
-        for rng in rngs:
-            w_hidden.append(
-                rng.uniform(-bound_h, bound_h, size=(config.n_hidden, N_INPUTS))
-            )
-            w_out.append(rng.uniform(-bound_o, bound_o, size=config.n_hidden))
         lanes = len(rngs)
+        w_hidden = np.empty((lanes, N_INPUTS, config.n_hidden))
+        w_out = np.empty((lanes, config.n_hidden))
+        for lane, rng in enumerate(rngs):
+            w_hidden[lane] = rng.uniform(-bound_h, bound_h, size=(config.n_hidden, N_INPUTS)).T
+            w_out[lane] = rng.uniform(-bound_o, bound_o, size=config.n_hidden)
         return cls(
             config,
-            w_hidden=np.reshape(w_hidden, (lanes, config.n_hidden, N_INPUTS)),
+            w_hidden=w_hidden,
             b_hidden=np.zeros((lanes, config.n_hidden)),
-            w_out=np.reshape(w_out, (lanes, config.n_hidden)),
+            w_out=w_out,
             b_out=np.zeros(lanes),
             update_rules=[config.update_rule] * lanes if update_rules is None else update_rules,
             lr_hidden=lr_hidden,
@@ -250,7 +251,7 @@ class ActorNetwork:
         presentations, and accumulate reads all of them.
         """
         x = np.asarray(x, dtype=float)
-        lanes, n_hidden, n_in = self.w_hidden.shape
+        lanes, n_in, n_hidden = self.w_hidden.shape
         if x.ndim != 3 or (x.shape[0], x.shape[2]) != (lanes, n_in):
             raise ValueError(
                 f"input shape {x.shape} does not match ({lanes}, batch, n_in={n_in})"
@@ -295,8 +296,10 @@ class ActorNetwork:
         emission probability p * (1 - p_flip) + (1 - p) * p_flip, so the
         term is mean-zero under the exploration flips. Each sum starts from
         zero and adds one presentation's term at a time, in order (np.sum
-        may add pairwise). The sums, acc_w_hidden, acc_b_hidden, acc_w_out
-        and acc_b_out, are per-batch arrays like p_hidden.
+        may add pairwise). The sums have the parameters' shapes:
+        acc_w_hidden (lanes, n_in, n_hidden) is input-major like w_hidden,
+        and acc_b_hidden, acc_w_out and acc_b_out are per-batch arrays like
+        p_hidden.
         """
         f = self.p_flip
         p_hidden = self.p_hidden * (1.0 - f[..., None]) + (1.0 - self.p_hidden) * f[..., None]
@@ -305,7 +308,7 @@ class ActorNetwork:
         lr = self.lr_hidden[:, None]
         err_hidden = (lr * delta)[..., None] * (self.y_hidden - p_hidden)
         err_out = lr * LR_OUT_RATIO * delta * (self.y_out - p_out)
-        terms = (err_hidden[..., None] * self.x[:, :, None, :], err_hidden,
+        terms = (err_hidden[:, :, None, :] * self.x[..., None], err_hidden,
                  err_out[..., None] * self.y_hidden, err_out)
         sums = [np.zeros(term[:, 0].shape) for term in terms]
         for t in range(delta.shape[1]):

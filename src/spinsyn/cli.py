@@ -270,9 +270,7 @@ def run_cli(args: argparse.Namespace) -> int:
         write_learning_curve_csv(out / "learning_curve.csv", results)
     elif args.subcommand == "sweep":
         rules = [UpdateRule(args.rule)] if args.rule else list(UpdateRule)
-        sweeps = [
-            lr_sweep(config, rule, parallelism=args.parallelism) for rule in rules
-        ]
+        sweeps = lr_sweep(config, rules, parallelism=args.parallelism)
         write_sweep_csv(out / "sweep.csv", sweeps)
         for sweep in sweeps:
             if sweep.best_on_edge:

@@ -44,12 +44,13 @@ class CriticConfig:
 class CriticNetwork:
     """A batch of independent one-hidden-layer sigmoid critics.
 
-    Every array has a leading lane axis: w_hidden (lanes, n_hidden, n_in),
-    b_hidden (lanes, n_hidden), w_out (lanes, n_hidden), b_out (lanes,),
-    with the input width n_in taken from w_hidden's last axis. The output
-    layer never changes. forward keeps its input and its prediction, and
-    update reuses them: the weights do not change between the two, so the
-    read and the update share one forward pass exactly.
+    Every array has a leading lane axis: w_hidden (lanes, n_in, n_hidden),
+    input-major and C-contiguous, b_hidden (lanes, n_hidden), w_out
+    (lanes, n_hidden), b_out (lanes,), with the input width n_in taken from
+    w_hidden's axis 1. The output layer never changes. forward keeps its
+    input and its prediction, and update reuses them: the weights do not
+    change between the two, so the read and the update share one forward
+    pass exactly.
     """
 
     def __init__(
@@ -65,9 +66,9 @@ class CriticNetwork:
         self.b_hidden = np.asarray(b_hidden, dtype=float)
         self.w_out = np.asarray(w_out, dtype=float)
         self.b_out = np.asarray(b_out, dtype=float)
-        lanes = self.w_hidden.shape[0]
+        lanes, n_in = self.w_hidden.shape[:2]
         expected = {
-            "w_hidden": (lanes, config.n_hidden, self.w_hidden.shape[-1]),
+            "w_hidden": (lanes, n_in, config.n_hidden),
             "b_hidden": (lanes, config.n_hidden),
             "w_out": (lanes, config.n_hidden),
             "b_out": (lanes,),
@@ -83,18 +84,20 @@ class CriticNetwork:
         """One fresh lane per generator on the N_INPUTS inputs: hidden
         weights uniform in [-1/sqrt(n_in), 1/sqrt(n_in)] with zero biases,
         output weights uniform in [-1.25, 1.25] with bias 0.5. Each lane
-        draws its hidden weights, then its output weights."""
+        draws its hidden weights as an (n_hidden, N_INPUTS) block, stored
+        transposed, then its output weights."""
         bound = 1.0 / np.sqrt(N_INPUTS)
-        w_hidden, w_out = [], []
-        for rng in rngs:
-            w_hidden.append(rng.uniform(-bound, bound, size=(config.n_hidden, N_INPUTS)))
-            w_out.append(rng.uniform(-1.25, 1.25, size=config.n_hidden))
         lanes = len(rngs)
+        w_hidden = np.empty((lanes, N_INPUTS, config.n_hidden))
+        w_out = np.empty((lanes, config.n_hidden))
+        for lane, rng in enumerate(rngs):
+            w_hidden[lane] = rng.uniform(-bound, bound, size=(config.n_hidden, N_INPUTS)).T
+            w_out[lane] = rng.uniform(-1.25, 1.25, size=config.n_hidden)
         return cls(
             config,
-            w_hidden=np.reshape(w_hidden, (lanes, config.n_hidden, N_INPUTS)),
+            w_hidden=w_hidden,
             b_hidden=np.zeros((lanes, config.n_hidden)),
-            w_out=np.reshape(w_out, (lanes, config.n_hidden)),
+            w_out=w_out,
             b_out=np.full(lanes, 0.5),
         )
 
@@ -106,7 +109,7 @@ class CriticNetwork:
     def forward(self, x) -> np.ndarray:
         """Predicted reward of every lane for inputs x (lanes, n_in), inside [0, 1]."""
         x = np.asarray(x, dtype=float)
-        lanes, _, n_in = self.w_hidden.shape
+        lanes, n_in, _ = self.w_hidden.shape
         if x.shape != (lanes, n_in):
             raise ValueError(f"input shape {x.shape} does not match ({lanes}, n_in={n_in})")
         y_hidden = sigmoid(affine(self.w_hidden, x, self.b_hidden))
@@ -124,7 +127,7 @@ class CriticNetwork:
         """
         gain = (r - self.prediction)[:, None] * self.w_out
         self.w_hidden += self.config.lr * (
-            gain[:, :, None] * self.x[:, None, :]
+            gain[:, None, :] * self.x[:, :, None]
             - self.config.l1_coeff * np.sign(self.w_hidden)
         )
         self.b_hidden += self.config.lr * gain

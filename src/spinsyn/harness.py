@@ -3,7 +3,8 @@
 One engine runs every trial. The trials of one call are the lanes of one
 batch: every array of the actor and the critic has a leading lane axis,
 and each lane has its own update rule and learning rate, so both arms of
-a comparison or a rule's whole sweep grid train in one loop. A lane
+a comparison, or every requested rule's whole sweep grid, train in one
+loop: a sweep is one batch whatever the number of rules. A lane
 leaves the batch at the end of the epoch in which its filtered reward
 reaches the goal or it reaches max_epochs. Per-epoch filtered rewards
 define the epochs-to-goal statistic; the linear and power-law update
@@ -48,7 +49,9 @@ serves presentation t, and its columns are, in order:
 All arithmetic on lanes is elementwise or reduces over the trailing axis,
 so a lane's results are bit-identical alone, in any batch, and in any
 worker's shard. With parallelism N the lane list is split into
-contiguous chunks, one per worker, each run as one batch.
+contiguous chunks, one per worker, each run as one batch, all in one
+Pool. A sweep's lanes come rule by rule, so at parallelism 2 a sweep of
+both rules puts each rule in its own worker.
 """
 
 from __future__ import annotations
@@ -468,34 +471,40 @@ def sweep_grid(config: ExperimentConfig) -> list[float]:
 
 
 def lr_sweep(
-    config: ExperimentConfig, update_rule: UpdateRule, parallelism: int = 1
-) -> SweepResult:
-    """n_trials trials at every grid learning rate, as one batch; pick the fastest.
+    config: ExperimentConfig, rules: list[UpdateRule], parallelism: int = 1
+) -> list[SweepResult]:
+    """n_trials trials at every grid learning rate of every rule, all as
+    one batch; pick each rule's fastest rate.
 
-    Ranking uses the mean with non-converged trials penalized as
-    max_epochs; ties break toward the smaller learning rate. The reported
-    per-point mean/std cover converged trials only.
+    Returns one SweepResult per rule, in the order given. Ranking uses the
+    mean with non-converged trials penalized as max_epochs; ties break
+    toward the smaller learning rate. The reported per-point mean/std
+    cover converged trials only.
     """
     grid = sweep_grid(config)
     if not grid:
         raise ValueError("learning-rate sweep grid is empty")
-    results = run_trials(config, [(update_rule, lr) for lr in grid], parallelism=parallelism)
-    n = config.n_trials
-    points = []
-    for k, lr in enumerate(grid):
-        summary = summarize_rule(update_rule, lr, results[k * n : (k + 1) * n])
-        penalized = float(
-            np.mean([e if e is not None else config.max_epochs for e in summary.epochs])
-        )
-        points.append(
-            SweepPoint(
-                rule=update_rule,
-                lr_hidden=lr,
-                mean_epochs=summary.mean,
-                std_epochs=summary.std,
-                n_converged=summary.n_converged,
-                penalized_mean=penalized,
+    results = iter(
+        run_trials(config, [(rule, lr) for rule in rules for lr in grid], parallelism=parallelism)
+    )
+    sweeps = []
+    for rule in rules:
+        points = []
+        for lr in grid:
+            summary = summarize_rule(rule, lr, [next(results) for _ in range(config.n_trials)])
+            penalized = float(
+                np.mean([e if e is not None else config.max_epochs for e in summary.epochs])
             )
-        )
-    best = min(points, key=lambda p: (p.penalized_mean, p.lr_hidden))
-    return SweepResult(rule=update_rule, points=points, best_lr=best.lr_hidden)
+            points.append(
+                SweepPoint(
+                    rule=rule,
+                    lr_hidden=lr,
+                    mean_epochs=summary.mean,
+                    std_epochs=summary.std,
+                    n_converged=summary.n_converged,
+                    penalized_mean=penalized,
+                )
+            )
+        best = min(points, key=lambda p: (p.penalized_mean, p.lr_hidden))
+        sweeps.append(SweepResult(rule=rule, points=points, best_lr=best.lr_hidden))
+    return sweeps

@@ -222,19 +222,19 @@ def test_criterion_07_critic_sign_alignment():
         critic.b_hidden[:] = b_before
         for i in range(cfg.n_hidden):
             for j in range(x.shape[1]):
-                if abs(update[i, j]) <= 1e-9:
+                if abs(update[j, i]) <= 1e-9:
                     continue
-                w0 = critic.w_hidden[0, i, j]
-                critic.w_hidden[0, i, j] = w0 + h
+                w0 = critic.w_hidden[0, j, i]
+                critic.w_hidden[0, j, i] = w0 + h
                 up = (r - critic.forward(x)[0]) ** 2
-                critic.w_hidden[0, i, j] = w0 - h
+                critic.w_hidden[0, j, i] = w0 - h
                 down = (r - critic.forward(x)[0]) ** 2
-                critic.w_hidden[0, i, j] = w0
+                critic.w_hidden[0, j, i] = w0
                 fd = (up - down) / (2 * h)
                 if abs(fd) <= 1e-9:
                     continue
                 checked += 1
-                if np.sign(update[i, j]) != np.sign(-fd):
+                if np.sign(update[j, i]) != np.sign(-fd):
                     mismatches += 1
     ok = mismatches == 0 and checked > 0
     report(

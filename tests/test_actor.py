@@ -152,6 +152,25 @@ class TestInitialize:
         for name in ("acc_w_hidden", "acc_b_hidden", "acc_w_out", "acc_b_out"):
             assert not hasattr(net, name)
 
+    def test_hidden_weights_are_each_draw_transposed_and_contiguous(self):
+        # each lane draws (n_hidden, 2) hidden weights, then its output
+        # weights, and stores the hidden draw input-major
+        config = ActorConfig()
+        net = ActorNetwork.initialize(
+            config, [np.random.default_rng(s) for s in (3, 4, 5)], [LR] * 3
+        )
+        for lane, seed in enumerate((3, 4, 5)):
+            rng = np.random.default_rng(seed)
+            bound = 1 / np.sqrt(2)
+            expected = rng.uniform(-bound, bound, (config.n_hidden, 2)).T
+            assert np.array_equal(net.w_hidden[lane], expected)
+            bound = 1 / np.sqrt(config.n_hidden)
+            assert np.array_equal(net.w_out[lane], rng.uniform(-bound, bound, config.n_hidden))
+        assert net.w_hidden.shape == (3, 2, config.n_hidden)
+        assert net.w_hidden.flags.c_contiguous
+        net.select(np.array([2, 0]))
+        assert net.w_hidden.flags.c_contiguous
+
     def test_uniform_symmetry_monte_carlo(self):
         # 1e5 hidden weights in one network; mean should vanish within 3 SE
         config = ActorConfig(n_hidden=50_000)
@@ -288,8 +307,8 @@ class TestAccumulate:
         u = step_uniforms(np.random.default_rng(4), net)
         present(net, [[0.0, 1.0]], [0.5], u)
         net.accumulate(np.array([[1.0]]))
-        assert np.all(net.acc_w_hidden[0, :, 0] == 0.0)  # x_0 = 0
-        assert np.any(net.acc_w_hidden[0, :, 1] != 0.0)
+        assert np.all(net.acc_w_hidden[0, 0] == 0.0)  # x_0 = 0
+        assert np.any(net.acc_w_hidden[0, 1] != 0.0)
 
     def test_reference_increment(self):
         # eta=1, R=1, r_bar=0.5, y=1, p=0.8, y_j=1 -> +0.1 (no flips, so the
@@ -427,10 +446,11 @@ class TestApplyBatchUpdate:
         net.w_hidden[:] = 0.0
         load_sums(net)
         net.acc_w_hidden[:, 0, 0] = [0.3, 0.3]
-        net.acc_w_hidden[:, 1, 0] = [0.5, 0.5]
+        net.acc_w_hidden[:, 0, 1] = [0.5, 0.5]
         net.apply_batch_update()
         assert net.w_hidden[0, 0, 0] == pytest.approx(0.3)
         assert net.w_hidden[1, 0, 0] == 0.0
-        assert net.w_hidden[0, 1, 0] == pytest.approx(0.5)
-        assert net.w_hidden[1, 1, 0] == pytest.approx(0.29730177875068026, abs=1e-10)
-        assert np.all(net.w_hidden[:, 2:] == 0.0)
+        assert net.w_hidden[0, 0, 1] == pytest.approx(0.5)
+        assert net.w_hidden[1, 0, 1] == pytest.approx(0.29730177875068026, abs=1e-10)
+        assert np.all(net.w_hidden[:, 0, 2:] == 0.0)
+        assert np.all(net.w_hidden[:, 1] == 0.0)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spinsyn import cli
+from spinsyn import cli, harness
 from spinsyn.actor import ActorConfig
 from spinsyn.cli import (
     _SCHEMA,
@@ -279,6 +279,42 @@ class TestCliCommands:
         rules = {l.split(",")[0] for l in lines[1:]}
         assert rules == {"powerlaw", "linear"}
         assert len(lines) == 1 + 2 * 2
+
+    def test_sweep_of_both_rules_is_one_batch_in_one_pool(self, tmp_path, monkeypatch):
+        # a fast filter and a low goal let some trials converge, so the rows
+        # carry per-rule numbers
+        cfg = write_config(
+            tmp_path,
+            SMALL_EXPERIMENT
+            + "harness.goal = 0.6\nharness.filter_keep = 0.95\nharness.filter_gain = 0.05\n"
+            + "harness.lr_sweep_from = 0.7\nharness.lr_sweep_to = 0.75\n",
+        )
+        calls, pools = [], []
+        run_trials, pool = harness.run_trials, harness.Pool
+
+        def recording_run_trials(*args, **kwargs):
+            calls.append(args)
+            return run_trials(*args, **kwargs)
+
+        def recording_pool(processes):
+            pools.append(processes)
+            return pool(processes=processes)
+
+        monkeypatch.setattr(harness, "run_trials", recording_run_trials)
+        monkeypatch.setattr(cli, "run_trials", recording_run_trials)
+        monkeypatch.setattr(harness, "Pool", recording_pool)
+        both = tmp_path / "both"
+        argv = ["sweep", "--config", str(cfg), "--out", str(both), "--parallelism", "2"]
+        assert main(argv) == 0
+        assert len(calls) == 1 and pools == [2]
+        rows = []
+        for rule in ("linear", "powerlaw"):
+            out = tmp_path / rule
+            assert main(["sweep", "--config", str(cfg), "--out", str(out), "--rule", rule]) == 0
+            header, *lines = (out / "sweep.csv").read_bytes().splitlines(keepends=True)
+            rows += lines
+        assert (both / "sweep.csv").read_bytes() == b"".join([header, *rows])
+        assert any(int(line.split(b",")[4]) for line in rows)
 
     def test_sweep_warns_when_best_lr_is_on_a_grid_edge(self, tmp_path, capsys):
         # no trial reaches the goal in 30 epochs, so every point ties and the

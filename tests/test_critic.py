@@ -52,6 +52,22 @@ class TestInitialize:
         assert np.all(np.abs(critic.w_out) <= 1.25)
         assert np.all(critic.b_out == 0.5)
 
+    def test_hidden_weights_are_each_draw_transposed_and_contiguous(self):
+        # each lane draws (n_hidden, 2) hidden weights, then its output
+        # weights, and stores the hidden draw input-major
+        cfg = CriticConfig()
+        critic = CriticNetwork.initialize(cfg, [np.random.default_rng(s) for s in (3, 4, 5)])
+        for lane, seed in enumerate((3, 4, 5)):
+            rng = np.random.default_rng(seed)
+            bound = 1 / np.sqrt(2)
+            expected = rng.uniform(-bound, bound, (cfg.n_hidden, 2)).T
+            assert np.array_equal(critic.w_hidden[lane], expected)
+            assert np.array_equal(critic.w_out[lane], rng.uniform(-1.25, 1.25, cfg.n_hidden))
+        assert critic.w_hidden.shape == (3, 2, cfg.n_hidden)
+        assert critic.w_hidden.flags.c_contiguous
+        critic.select(np.array([2, 0]))
+        assert critic.w_hidden.flags.c_contiguous
+
     def test_output_weight_symmetry_monte_carlo(self):
         cfg = CriticConfig(n_hidden=100_000)
         critic = CriticNetwork.initialize(cfg, [np.random.default_rng(21)])
@@ -136,18 +152,18 @@ class TestUpdate:
 
     def test_pure_l1_shrinkage_when_input_is_zero(self):
         critic = make_critic(seed=9)
-        critic.w_hidden[0, :, 0] = 0.3
+        critic.w_hidden[0, 0] = 0.3
         before = critic.w_hidden.copy()
         train(critic, [0.0, 0.0], 1.0)
-        # column 0 weights see y_j = 0: pure L1 pull of exactly lr*l1
-        assert np.allclose(critic.w_hidden[0, :, 0], before[0, :, 0] - 0.001)
+        # input 0's weights see y_j = 0: pure L1 pull of exactly lr*l1
+        assert np.allclose(critic.w_hidden[0, 0], before[0, 0] - 0.001)
 
     def test_l1_moves_weights_strictly_toward_zero(self):
         critic = make_critic(seed=10)
-        critic.w_hidden[0, :, 1] = -0.25
-        before = critic.w_hidden[0, :, 1].copy()
+        critic.w_hidden[0, 1] = -0.25
+        before = critic.w_hidden[0, 1].copy()
         train(critic, [0.0, 0.0], 0.3)
-        after = critic.w_hidden[0, :, 1]
+        after = critic.w_hidden[0, 1]
         assert np.all(np.abs(after) < np.abs(before))
         assert np.allclose(after, before + 0.001)
 
@@ -184,18 +200,18 @@ class TestUpdate:
             h = 1e-6
             for i in range(cfg.n_hidden):
                 for j in range(len(x)):
-                    if abs(update[i, j]) <= 1e-9:
+                    if abs(update[j, i]) <= 1e-9:
                         continue
-                    w0 = reference.w_hidden[0, i, j]
-                    reference.w_hidden[0, i, j] = w0 + h
+                    w0 = reference.w_hidden[0, j, i]
+                    reference.w_hidden[0, j, i] = w0 + h
                     up = (r - read(reference, x)) ** 2
-                    reference.w_hidden[0, i, j] = w0 - h
+                    reference.w_hidden[0, j, i] = w0 - h
                     down = (r - read(reference, x)) ** 2
-                    reference.w_hidden[0, i, j] = w0
+                    reference.w_hidden[0, j, i] = w0
                     fd = (up - down) / (2 * h)
                     if abs(fd) <= 1e-9:
                         continue
-                    assert np.sign(update[i, j]) == np.sign(-fd)
+                    assert np.sign(update[j, i]) == np.sign(-fd)
 
 
 class TestFixedTableFit:

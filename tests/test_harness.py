@@ -311,15 +311,18 @@ class TestLaneInvariance:
             return results
 
         monkeypatch.setattr(harness, "run_trials", recording)
-        # 10 lanes for compare and 9 for the sweep: 2 and 3 workers split
-        # one of them unevenly
+        # 10 lanes for compare, and one call of 2 rules x 3 rates x 3 trials
+        # = 18 lanes for the sweep: 3 workers split the compare lanes unevenly
         compare_rules(uneven_config(n_trials=5), parallelism=parallelism)
-        lr_sweep(
+        rules = [UpdateRule.LINEAR, UpdateRule.POWER_LAW]
+        sweeps = lr_sweep(
             uneven_config(n_trials=3, lr_sweep_from=0.7, lr_sweep_to=0.8),
-            UpdateRule.LINEAR,
+            rules,
             parallelism=parallelism,
         )
-        assert [len(results) for _, _, results in recorded] == [10, 9]
+        assert [sweep.rule for sweep in sweeps] == rules
+        assert [len(results) for _, _, results in recorded] == [10, 18]
+        assert recorded[1][1] == [(rule, lr) for rule in rules for lr in (0.7, 0.75, 0.8)]
         for config, arms, results in recorded:
             lanes = [(rule, lr, i) for rule, lr in arms for i in range(config.n_trials)]
             for (rule, lr, i), result in zip(lanes, results):
@@ -451,7 +454,8 @@ class TestSweep:
             lr_sweep_to=0.8,
             lr_sweep_step=0.05,
         )
-        result = lr_sweep(config, UpdateRule.LINEAR)
+        (result,) = lr_sweep(config, [UpdateRule.LINEAR])
+        assert result.rule is UpdateRule.LINEAR
         assert [p.lr_hidden for p in result.points] == [0.7, 0.75, 0.8]
         assert result.best_lr in (0.7, 0.75, 0.8)
         penalized = [p.penalized_mean for p in result.points]
