@@ -108,28 +108,47 @@ class ActorConfig:
             )
 
 
-def sigmoid(z):
-    """Logistic function 1/(1 + e^-z), elementwise."""
-    # exp overflow guard, saturating far earlier; the same bits as np.clip
-    # without its Python-level wrapper
-    z = np.minimum(np.maximum(z, -709.0), 709.0)
-    return 1.0 / (1.0 + np.exp(-z))
+# 0-d float64 operands for the per-presentation ufuncs: numpy converts a
+# Python float operand anew on every call, a quarter of the cost of a
+# ufunc on a few lanes. The bits are the same.
+_ZERO, _ONE, _NEG_EXP_LIMIT = np.array(0.0), np.array(1.0), np.array(-709.0)
+
+
+def sigmoid(z, out=None):
+    """Logistic function 1/(1 + e^-z), elementwise, into out.
+
+    out may be z itself; without it the result is a fresh float array (a
+    numpy scalar for a scalar z). The steps max, negate, exp, +1, divide
+    all run in place on out, with the bits of one fresh array per step.
+    """
+    if out is None:
+        return sigmoid(z, np.array(z, dtype=float))[()]
+    # exp overflow guard: e^-z stays finite for z >= -709, so the result
+    # stays > 0. No upper guard is needed: for z >= 709, 1 + e^-z rounds to
+    # 1 whether or not z is clipped, so a clip at 709 changes no bit.
+    np.maximum(z, _NEG_EXP_LIMIT, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.add(out, _ONE, out=out)
+    return np.divide(_ONE, out, out=out)
 
 
 def affine(w: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x @ w + b for input-major w (..., n_in, units), x (..., n_in), b (..., units).
 
     Leading axes broadcast: a lane's weights (lanes, n_in, units) meet one
-    input per lane (lanes, n_in), or, through a new axis, every input of
-    a batch (lanes, batch, n_in). The inputs are summed one at a time, in
-    order, each as the contiguous row w[..., j, :] times x[..., j]: for
-    the two XOR inputs this is several times faster than a reduction over
-    a length-2 axis, and each element gets the same bits whatever the
+    input per lane (lanes, n_in), or every input of a batch in
+    presentation-major order (batch, lanes, n_in). One broadcast product
+    gives every input's row w[..., j, :] * x[..., j], and the rows are
+    summed one at a time, in input order, then b is added: for the two
+    XOR inputs this is several times faster than a reduction over a
+    length-2 axis, and each element gets the same bits whatever the
     leading axes.
     """
-    z = w[..., 0, :] * x[..., :1]
+    products = w * x[..., None]
+    z = products[..., 0, :]
     for j in range(1, x.shape[-1]):
-        z += w[..., j, :] * x[..., j : j + 1]
+        z = z + products[..., j, :]
     return z + b
 
 
@@ -165,10 +184,15 @@ class ActorNetwork:
     and records what the update rule needs. accumulate takes the whole
     batch's rewards and sums every presentation's proposed change from
     zero, in presentation order, and apply_batch_update adds the sums to
-    the parameters. The per-batch arrays have a presentation axis
-    after the lane axis: x (lanes, batch, n_in), p_hidden and y_hidden
-    (lanes, batch, n_hidden), and r_bar, p_flip, p_out and y_out
-    (lanes, batch).
+    the parameters.
+
+    The per-batch arrays have a presentation axis after the lane axis:
+    x (lanes, batch, n_in), p_hidden and y_hidden (lanes, batch, n_hidden),
+    and r_bar, p_flip, p_out and y_out (lanes, batch). propose allocates
+    them afresh for every batch, presentation-major: each is a transposed
+    view of a (batch, lanes, ...) array, so each presentation's slice
+    [:, t] is one contiguous row that forward reads and fills in place.
+    An array forward returns therefore keeps its values for good.
     """
 
     def __init__(
@@ -248,7 +272,9 @@ class ActorNetwork:
         hidden flips, the output proposal and the output flip, in that
         order. A hidden unit proposes 1 when its uniform lies below its
         firing probability. Starts a batch: forward then runs its
-        presentations, and accumulate reads all of them.
+        presentations, and accumulate reads all of them. Any layout of x
+        and u gives the same bits; presentation-major ones (x[:, t] and
+        u[:, t] contiguous, as run_epoch passes them) are the fastest.
         """
         x = np.asarray(x, dtype=float)
         lanes, n_in, n_hidden = self.w_hidden.shape
@@ -256,13 +282,20 @@ class ActorNetwork:
             raise ValueError(
                 f"input shape {x.shape} does not match ({lanes}, batch, n_in={n_in})"
             )
-        shape = x.shape[:2]
-        self.x, self.u = x, u
-        self.p_hidden = sigmoid(affine(self.w_hidden[:, None], x, self.b_hidden[:, None]))
-        self.proposed_hidden = u[..., :n_hidden] < self.p_hidden
-        self.y_hidden = np.empty(self.p_hidden.shape)
-        self.r_bar, self.p_flip = np.empty(shape), np.empty(shape)
-        self.p_out, self.y_out = np.empty(shape), np.empty(shape)
+        batch = x.shape[1]
+        x_rows = np.ascontiguousarray(x.transpose(1, 0, 2))  # a no-op for presentation-major x
+        self.x, self.u = x_rows.transpose(1, 0, 2), u
+        p_hidden = affine(self.w_hidden, x_rows, self.b_hidden)
+        sigmoid(p_hidden, out=p_hidden)
+        proposed = np.empty(p_hidden.shape, dtype=bool)
+        np.less(u.transpose(1, 0, 2)[..., :n_hidden], p_hidden, out=proposed)
+        self.p_hidden = p_hidden.transpose(1, 0, 2)
+        self.proposed_hidden = proposed.transpose(1, 0, 2)
+        self.y_hidden = np.empty(p_hidden.shape).transpose(1, 0, 2)
+        # four (lanes, batch) views of one presentation-major buffer
+        self.r_bar, self.p_flip, self.p_out, self.y_out = np.empty((4, batch, lanes)).transpose(
+            0, 2, 1
+        )
 
     def forward(self, t: int, r_bar) -> np.ndarray:
         """Sample every lane's output bit at presentation t of the batch,
@@ -271,20 +304,22 @@ class ActorNetwork:
         A unit flips its proposal when its flip uniform lies below
         alpha_flip * (1 - r_bar), with r_bar clamped into [0, 1]; the
         output unit proposes 1 when its uniform lies below its firing
-        probability.
+        probability. Every step writes into row t of the batch's arrays;
+        the returned bits are y_out[:, t].
         """
         n_hidden = self.b_hidden.shape[1]
         u = self.u[:, t]
-        r_bar = np.minimum(np.maximum(r_bar, 0.0), 1.0)
-        p_flip = self.config.alpha_flip * (1.0 - r_bar)
-        flips_hidden = u[:, n_hidden : 2 * n_hidden] < p_flip[:, None]
-        y_hidden = (self.proposed_hidden[:, t] ^ flips_hidden).astype(float)
-        p_out = sigmoid((self.w_out * y_hidden).sum(axis=-1) + self.b_out)
-        y_out = ((u[:, 2 * n_hidden] < p_out) ^ (u[:, 2 * n_hidden + 1] < p_flip)).astype(
-            float
+        rb, p_flip, p_out, y_out = (
+            self.r_bar[:, t], self.p_flip[:, t], self.p_out[:, t], self.y_out[:, t]
         )
-        self.r_bar[:, t], self.p_flip[:, t] = r_bar, p_flip
-        self.y_hidden[:, t], self.p_out[:, t], self.y_out[:, t] = y_hidden, p_out, y_out
+        np.minimum(np.maximum(r_bar, _ZERO, out=rb), _ONE, out=rb)
+        np.multiply(self.config.alpha_flip, np.subtract(_ONE, rb, out=p_flip), out=p_flip)
+        flips = np.less(u[:, n_hidden : 2 * n_hidden], p_flip[:, None])
+        y_hidden = self.y_hidden[:, t]
+        y_hidden[...] = np.not_equal(self.proposed_hidden[:, t], flips, out=flips)
+        np.add.reduce(self.w_out * y_hidden, axis=-1, out=p_out)
+        sigmoid(np.add(p_out, self.b_out, out=p_out), out=p_out)
+        y_out[...] = (u[:, 2 * n_hidden] < p_out) ^ (u[:, 2 * n_hidden + 1] < p_flip)
         return y_out
 
     def accumulate(self, r) -> None:
@@ -294,27 +329,44 @@ class ActorNetwork:
         value y_j; biases use the same rule with y_j = 1. eta is the lane's
         rate (LR_OUT_RATIO of it in the output layer) and p_i the
         emission probability p * (1 - p_flip) + (1 - p) * p_flip, so the
-        term is mean-zero under the exploration flips. Each sum starts from
-        zero and adds one presentation's term at a time, in order (np.sum
-        may add pairwise). The sums have the parameters' shapes:
-        acc_w_hidden (lanes, n_in, n_hidden) is input-major like w_hidden,
-        and acc_b_hidden, acc_w_out and acc_b_out are per-batch arrays like
-        p_hidden.
+        term is mean-zero under the exploration flips.
+
+        Every presentation's four terms go into one row of a contiguous
+        (batch, lanes, (n_in + 2) * n_hidden + 1) buffer, and the rows are
+        summed from zero, one at a time, in presentation order (np.sum may
+        add pairwise). The sums are views of that one (lanes, ...) result
+        with the parameters' shapes: acc_w_hidden (lanes, n_in, n_hidden),
+        input-major like w_hidden, acc_b_hidden, acc_w_out and acc_b_out.
         """
-        f = self.p_flip
-        p_hidden = self.p_hidden * (1.0 - f[..., None]) + (1.0 - self.p_hidden) * f[..., None]
-        p_out = self.p_out * (1.0 - f) + (1.0 - self.p_out) * f
-        delta = r - self.r_bar
-        lr = self.lr_hidden[:, None]
-        err_hidden = (lr * delta)[..., None] * (self.y_hidden - p_hidden)
-        err_out = lr * LR_OUT_RATIO * delta * (self.y_out - p_out)
-        terms = (err_hidden[:, :, None, :] * self.x[..., None], err_hidden,
-                 err_out[..., None] * self.y_hidden, err_out)
-        sums = [np.zeros(term[:, 0].shape) for term in terms]
-        for t in range(delta.shape[1]):
-            for acc, term in zip(sums, terms):
-                acc += term[:, t]
-        self.acc_w_hidden, self.acc_b_hidden, self.acc_w_out, self.acc_b_out = sums
+        lanes, n_in, n_hidden = self.w_hidden.shape
+        # presentation-major views (batch, lanes, ...) of the batch's arrays
+        x, p, y = (a.transpose(1, 0, 2) for a in (self.x, self.p_hidden, self.y_hidden))
+        f, r_bar, p_out, y_out = self.p_flip.T, self.r_bar.T, self.p_out.T, self.y_out.T
+        delta = np.asarray(r).T - r_bar
+        batch = len(delta)
+        p_emit = p * (1.0 - f[..., None]) + (1.0 - p) * f[..., None]
+        p_out_emit = p_out * (1.0 - f) + (1.0 - p_out) * f
+        n_w = n_in * n_hidden
+        terms = np.empty((batch, lanes, n_w + 2 * n_hidden + 1))
+        err_hidden = np.multiply(
+            (self.lr_hidden * delta)[..., None], y - p_emit, out=terms[..., n_w : n_w + n_hidden]
+        )
+        np.multiply(
+            err_hidden[:, :, None, :],
+            x[..., None],
+            out=terms[..., :n_w].reshape(batch, lanes, n_in, n_hidden),  # a view
+        )
+        err_out = np.multiply(
+            self.lr_hidden * LR_OUT_RATIO * delta, y_out - p_out_emit, out=terms[..., -1]
+        )
+        np.multiply(err_out[..., None], y, out=terms[..., n_w + n_hidden : -1])
+        sums = np.zeros(terms.shape[1:])
+        for row in terms:
+            sums += row
+        self.acc_w_hidden = sums[:, :n_w].reshape(lanes, n_in, n_hidden)
+        self.acc_b_hidden = sums[:, n_w : n_w + n_hidden]
+        self.acc_w_out = sums[:, n_w + n_hidden : -1]
+        self.acc_b_out = sums[:, -1]
 
     def apply_batch_update(self) -> None:
         """Add the last accumulate's sums to the parameters.

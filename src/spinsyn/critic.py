@@ -51,6 +51,11 @@ class CriticNetwork:
     input and its prediction, and update reuses them: the weights do not
     change between the two, so the read and the update share one forward
     pass exactly.
+
+    forward runs once per presentation, so it chains its ufuncs in place
+    on two fresh arrays, the hidden layer's and the prediction's, instead
+    of allocating a result per step. Each call allocates its own, so the
+    prediction it returns keeps its values for good.
     """
 
     def __init__(
@@ -112,10 +117,12 @@ class CriticNetwork:
         lanes, n_in, _ = self.w_hidden.shape
         if x.shape != (lanes, n_in):
             raise ValueError(f"input shape {x.shape} does not match ({lanes}, n_in={n_in})")
-        y_hidden = sigmoid(affine(self.w_hidden, x, self.b_hidden))
+        y_hidden = affine(self.w_hidden, x, self.b_hidden)
+        sigmoid(y_hidden, out=y_hidden)
+        prediction = np.add.reduce(np.multiply(self.w_out, y_hidden, out=y_hidden), axis=-1)
         self.x = x
-        self.prediction = sigmoid((self.w_out * y_hidden).sum(axis=-1) + self.b_out)
-        return self.prediction
+        self.prediction = sigmoid(np.add(prediction, self.b_out, out=prediction), out=prediction)
+        return prediction
 
     def update(self, r) -> None:
         """One training step of every lane toward its observed reward r.

@@ -37,8 +37,9 @@ class Presentation(enum.Enum):
 
 
 def reward(y, target):
-    """1 where the emitted bit matches the target, else 0, elementwise."""
-    return np.where(np.equal(y, target), 1.0, 0.0)
+    """True (a reward of 1) where the emitted bit matches the target, else
+    False (a reward of 0), elementwise."""
+    return np.equal(y, target)
 
 
 _PATTERN_BITS = np.array([sample.x for sample in PATTERNS], dtype=bool)
@@ -51,6 +52,12 @@ class InputSchedule:
     so each lane draws i.i.d. patterns from its own uniforms. CYCLIC
     ignores u and shows every lane the truth-table row at the
     presentation index, which runs on across calls.
+
+    The outputs are presentation-major in memory, transposed views of
+    (batch, lanes, ...) arrays, so each presentation's x[:, t] and
+    target[:, t] is one contiguous row: UNIFORM's keep the layout of a
+    presentation-major u (ufunc outputs follow their input's layout),
+    CYCLIC's are built that way.
     """
 
     def __init__(self, mode: Presentation = Presentation.UNIFORM):
@@ -62,10 +69,12 @@ class InputSchedule:
         batch, 2) as floats, target (lanes, batch) the XOR of each
         presentation's bits."""
         if self.mode is Presentation.CYCLIC:
-            batch = u.shape[1]
+            lanes, batch = u.shape[:2]
             rows = (self._index + np.arange(batch)) % len(PATTERNS)
             self._index += batch
-            bits = np.broadcast_to(_PATTERN_BITS[rows], u.shape)
+            bits = np.empty((batch, lanes, 2), dtype=bool)
+            bits[...] = _PATTERN_BITS[rows, None]
+            bits = bits.transpose(1, 0, 2)
         else:
             bits = u < 0.5
         return bits.astype(float), bits[..., 0] ^ bits[..., 1]

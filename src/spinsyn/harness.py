@@ -33,10 +33,17 @@ its parameters between batches; the filter's recursion runs in
 presentation order. The mean reward is a plain sum, exact because each
 reward is 0 or 1.
 
+Memory layout. Every per-presentation array is presentation-major: the
+documented (lanes, batch_size, ...) arrays are transposed views of
+(batch_size, lanes, ...) memory, so each presentation's slice [:, t] is
+one contiguous (lanes, ...) row. The chain of a presentation writes into
+preallocated rows and chains its ufuncs in place. The actor's batch sums
+add whole rows of one (batch_size, lanes, ...) buffer of every term.
+
 Random streams. Every lane has its own generator,
 default_rng(trial_seed(master_seed, rule, lr, trial index)). It first
 draws the actor's initial weights, then the critic's. Then, per epoch, it
-draws one block rng.random((batch_size, 2 + 2 * n_hidden + 2)); row t
+draws one block of shape (batch_size, 2 + 2 * n_hidden + 2); row t
 serves presentation t, and its columns are, in order:
 
 * 0-1: the input bits, bit j = (u < 0.5); CYCLIC presentation ignores
@@ -45,6 +52,16 @@ serves presentation t, and its columns are, in order:
 * 2 + n_hidden .. 2 + 2 * n_hidden - 1: the hidden units' flips;
 * 2 + 2 * n_hidden: the output proposal;
 * 2 + 2 * n_hidden + 1: the output flip.
+
+A lane draws the blocks of several epochs, K, in one rng.random call into
+a lane-major (lanes, K, batch_size, ...) buffer. A generator fills its
+output in order, so these are the numbers of K calls of one block each.
+chunk_epochs picks K: at most CHUNK_MAX_EPOCHS and the epochs left before
+max_epochs, and small enough that the buffer stays within CHUNK_BYTES
+(13 epochs at compare's 20 lanes, 3 at a sweep's 72). Each epoch, the
+live lanes' blocks are copied out presentation-major. A lane that leaves
+is skipped from then on, so the numbers it drew past its last epoch are
+never used, and the next buffer has no row for it.
 
 All arithmetic on lanes is elementwise or reduces over the trailing axis,
 so a lane's results are bit-identical alone, in any batch, and in any
@@ -112,6 +129,11 @@ class ExperimentConfig:
             raise ValueError("n_trials and max_epochs must be >= 1")
         if not 0.0 < self.goal < 1.0:
             raise ValueError(f"goal must lie in (0, 1), got {self.goal}")
+        # with the sum below, this puts filter_keep in [0, 1), up to the
+        # sum's tolerance: the filter then mixes its state and the reward
+        # with nonnegative weights, so it stays in [0, 1]
+        if not 0.0 < self.filter_gain <= 1.0:
+            raise ValueError(f"filter_gain must lie in (0, 1], got {self.filter_gain}")
         if abs(self.filter_keep + self.filter_gain - 1.0) > 1e-12:
             raise ValueError(
                 f"filter coefficients must sum to 1, got "
@@ -221,33 +243,46 @@ def run_epoch(
     actor: ActorNetwork,
     critic: CriticNetwork,
     schedule: InputSchedule,
-    rngs: list[np.random.Generator],
+    u: np.ndarray,
     filter_state: np.ndarray,
     config: ExperimentConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One batch of presentations for every lane plus the closing actor update.
 
-    Draws each lane's block of uniforms (see the module docstring).
-    Returns every lane's mean batch reward and its filter state after the
-    last presentation.
+    u (lanes, batch_size, 2 + 2 * n_hidden + 2) holds each lane's uniforms
+    of the epoch (see the module docstring). Any layout gives the same
+    bits; a presentation-major one, a transposed view of a (batch_size,
+    lanes, ...) array as _run_batch passes, makes every presentation's
+    slice one contiguous row. Returns every lane's mean batch reward and
+    its filter state after the last presentation.
     """
-    batch_size = actor.config.batch_size
-    n_hidden = actor.config.n_hidden
-    block = np.empty((len(rngs), batch_size, 2 + 2 * n_hidden + 2))
-    for lane, rng in enumerate(rngs):
-        rng.random(out=block[lane])
-    x, target = schedule.next(block[:, :, :2])
-    actor.propose(x, block[:, :, 2:])
-    r = np.empty((len(rngs), batch_size))
-    for t in range(batch_size):
-        r_bar = critic.forward(x[:, t])
-        r[:, t] = reward(actor.forward(t, r_bar), target[:, t])
-        critic.update(r[:, t])
-    actor.accumulate(r)
+    batch_size = u.shape[1]
+    x, target = schedule.next(u[:, :, :2])
+    actor.propose(x, u[:, :, 2:])
+    r_rows = np.empty((batch_size, len(u)))  # row t: every lane's reward at presentation t
+    for t, (x_t, target_t, r_t) in enumerate(zip(x.transpose(1, 0, 2), target.T, r_rows)):
+        r_bar = critic.forward(x_t)
+        r_t[...] = reward(actor.forward(t, r_bar), target_t)
+        critic.update(r_t)
+    actor.accumulate(r_rows.T)
     actor.apply_batch_update()
-    for t in range(batch_size):
-        filter_state = filter_reward(filter_state, r[:, t], config.filter_keep, config.filter_gain)
-    return r.sum(axis=1) / batch_size, filter_state
+    for r_t in r_rows:
+        filter_state = filter_reward(filter_state, r_t, config.filter_keep, config.filter_gain)
+    return r_rows.sum(axis=0) / batch_size, filter_state
+
+
+# Bounds of one draw (module docstring, "Random streams"): the batch's
+# draw buffer stays within CHUNK_BYTES and spans at most CHUNK_MAX_EPOCHS.
+CHUNK_BYTES = 512 * 1024
+CHUNK_MAX_EPOCHS = 16
+
+
+def chunk_epochs(lanes: int, epoch_uniforms: int, epochs_left: int) -> int:
+    """Epochs per draw for lanes that each use epoch_uniforms float64
+    uniforms per epoch: at least 1, at most CHUNK_MAX_EPOCHS and
+    epochs_left, and otherwise the most whose buffer fits CHUNK_BYTES."""
+    fits = CHUNK_BYTES // (8 * lanes * epoch_uniforms)
+    return max(1, min(CHUNK_MAX_EPOCHS, epochs_left, fits))
 
 
 _RULE_IDS = {UpdateRule.LINEAR: 0, UpdateRule.POWER_LAW: 1}
@@ -286,20 +321,32 @@ def _run_batch(
     raw = np.empty((len(lanes), config.max_epochs))
     filtered = np.empty((len(lanes), config.max_epochs))
     n_epochs = np.empty(len(lanes), dtype=int)
-    for epoch in range(config.max_epochs):
-        mean_r, filter_state = run_epoch(actor, critic, schedule, rngs, filter_state, config)
-        raw[live, epoch] = mean_r
-        filtered[live, epoch] = filter_state
-        done = (filter_state >= config.goal) | (epoch + 1 == config.max_epochs)
-        if done.any():
-            n_epochs[live[done]] = epoch + 1
-            keep = np.flatnonzero(~done)
-            live, filter_state = live[keep], filter_state[keep]
-            rngs = [rngs[k] for k in keep]
-            actor.select(keep)
-            critic.select(keep)
-        if not live.size:
-            break
+    block = (config.actor.batch_size, 2 + 2 * config.actor.n_hidden + 2)
+    epoch = 0
+    while live.size:
+        n_chunk = chunk_epochs(live.size, block[0] * block[1], config.max_epochs - epoch)
+        chunk = None  # free the spent draws before the next ones
+        chunk = np.empty((live.size, n_chunk) + block)
+        for row, rng in enumerate(rngs):
+            rng.random(out=chunk[row])
+        rows = np.arange(live.size)  # the chunk row of every live lane
+        for k in range(n_chunk):
+            # the live lanes' blocks of this epoch, copied presentation-major
+            u = np.take(chunk[:, k].transpose(1, 0, 2), rows, axis=1).transpose(1, 0, 2)
+            mean_r, filter_state = run_epoch(actor, critic, schedule, u, filter_state, config)
+            raw[live, epoch] = mean_r
+            filtered[live, epoch] = filter_state
+            epoch += 1
+            done = (filter_state >= config.goal) | (epoch == config.max_epochs)
+            if done.any():
+                n_epochs[live[done]] = epoch
+                keep = np.flatnonzero(~done)
+                live, filter_state, rows = live[keep], filter_state[keep], rows[keep]
+                rngs = [rngs[i] for i in keep]
+                actor.select(keep)
+                critic.select(keep)
+                if not live.size:
+                    break
     results = []
     for k, seed in enumerate(seeds):
         curve = filtered[k, : n_epochs[k]].copy()

@@ -292,6 +292,35 @@ class TestForward:
         for name in names:
             assert getattr(batched, "acc_" + name).tobytes() == expected[name].tobytes()
 
+    def test_returned_bits_keep_their_values(self):
+        # forward writes row t of the batch's arrays in place; the array it
+        # returns must survive the next presentation and the next batch
+        net = one_input_net(alpha_flip=0.0, lr=LR)
+        u = np.zeros((1, 2, 4))
+        u[0, 1, 2] = 1.0  # output proposal: 1 at presentation 0, 0 at presentation 1
+        net.propose(np.ones((1, 2, 1)), u)
+        first = net.forward(0, np.array([0.5]))
+        assert first[0] == 1.0
+        assert net.forward(1, np.array([0.5]))[0] == 0.0
+        net.propose(np.ones((1, 2, 1)), u[:, ::-1])
+        assert net.forward(0, np.array([0.5]))[0] == 0.0
+        assert first[0] == 1.0
+
+    def test_batch_arrays_are_presentation_major(self):
+        # (lanes, batch, ...) views whose presentation slices are contiguous rows
+        config = ActorConfig()
+        net = ActorNetwork.initialize(config, [np.random.default_rng(s) for s in range(3)], [LR] * 3)
+        draws = np.random.default_rng(1)
+        net.propose(
+            (draws.random((3, 10, 2)) < 0.5).astype(float),
+            draws.random((3, 10, 2 * config.n_hidden + 2)),
+        )
+        net.forward(0, np.full(3, 0.5))
+        for name in ("p_hidden", "proposed_hidden", "y_hidden", "r_bar", "p_flip", "p_out", "y_out"):
+            array = getattr(net, name)
+            assert array.shape[:2] == (3, 10)
+            assert array[:, 4].flags.c_contiguous, name
+
 
 class TestAccumulate:
     def test_zero_prediction_error_gives_zero(self):

@@ -405,8 +405,14 @@ class TestExitCodes:
             (["train", "--lr", "-1"], None),
             (["sweep"], "harness.lr_sweep_step = 1e-11\n"),
             (["sweep"], "harness.lr_sweep_step = 1e-9\n"),  # 8.5e8 rates
+            # sums to 1, but the filtered reward leaves [0, 1] and every
+            # trial would report the goal at epoch 1
+            (["train"], "harness.filter_keep = 1.5\nharness.filter_gain = -0.5\n"),
         ],
-        ids=["train-negative-lr", "sweep-sub-resolution-step", "sweep-oversized-grid"],
+        ids=[
+            "train-negative-lr", "sweep-sub-resolution-step", "sweep-oversized-grid",
+            "train-negative-filter-gain",
+        ],
     )
     def test_rejected_arguments_leave_no_output_dir(self, tmp_path, argv, config):
         out = tmp_path / "o"

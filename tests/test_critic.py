@@ -95,6 +95,19 @@ class TestForward:
                 out = read(critic, x)
                 assert 0.0 < out < 1.0
 
+    def test_returned_prediction_keeps_its_values(self):
+        # forward chains its steps in place; the array it returns must
+        # survive the update and the next presentation's read
+        critic = CriticNetwork.initialize(
+            CriticConfig(), [np.random.default_rng(s) for s in (1, 2)]
+        )
+        first = critic.forward(np.array([[0.0, 1.0], [1.0, 1.0]]))
+        saved = first.copy()
+        critic.update(np.array([1.0, 0.0]))
+        second = critic.forward(np.array([[1.0, 0.0], [0.0, 0.0]]))
+        assert not np.array_equal(second, saved)
+        assert first.tobytes() == saved.tobytes()
+
     def test_pure_function(self):
         critic = make_critic(seed=5)
         x = [1.0, 1.0]

@@ -79,6 +79,15 @@ class TestInputSchedule:
         assert np.array_equal(target, x[..., 0] != x[..., 1])
 
 
+    @pytest.mark.parametrize("mode", list(Presentation))
+    def test_presentation_major_outputs(self, mode):
+        # from presentation-major uniforms, each presentation's inputs and
+        # targets are one contiguous row of all lanes
+        u = np.random.default_rng(5).random((4, 3, 2)).transpose(1, 0, 2)
+        x, target = InputSchedule(mode).next(u)
+        assert x.shape == (3, 4, 2) and target.shape == (3, 4)
+        assert x[:, 2].flags.c_contiguous and target[:, 2].flags.c_contiguous
+
 def test_single_threshold_unit_cannot_solve_xor():
     # algebraic core: (0,1) and (1,0) correct forces w1+b>0 and w2+b>0 with
     # b<=0, hence w1+w2+b > -b >= 0, contradicting (1,1) -> 0.

@@ -107,9 +107,9 @@ class CountingSchedule(InputSchedule):
 
 def one_lane_epoch(actor, config, schedule, filter_state):
     critic = CriticNetwork.initialize(config.critic, [np.random.default_rng(2)])
-    return run_epoch(
-        actor, critic, schedule, [np.random.default_rng(3)], np.array([filter_state]), config
-    )
+    cfg = config.actor
+    u = np.random.default_rng(3).random((1, cfg.batch_size, 2 + 2 * cfg.n_hidden + 2))
+    return run_epoch(actor, critic, schedule, u, np.array([filter_state]), config)
 
 
 class TestRunEpoch:
@@ -153,6 +153,27 @@ class TestRunEpoch:
             expected = getattr(before, name) + getattr(actor, "acc_" + name)
             assert np.array_equal(getattr(actor, name), expected)
         assert not np.array_equal(actor.w_hidden, before.w_hidden)
+
+    @pytest.mark.parametrize("mode", list(Presentation))
+    def test_layout_of_the_uniforms_does_not_change_the_bits(self, mode):
+        # the engine passes presentation-major uniforms; lane-major ones
+        # must give the same rewards, filter states and parameters
+        config = small_config(presentation=mode)
+        draws = np.random.default_rng(9).random((5, 10, 5, 2 + 2 * 10 + 2))
+        runs = []
+        for layout in ("presentation-major", "lane-major"):
+            rngs = [np.random.default_rng(s) for s in range(5)]
+            actor = ActorNetwork.initialize(config.actor, rngs, [1.1, 0.75, 0.5, 1.2, 0.9])
+            critic = CriticNetwork.initialize(config.critic, rngs)
+            schedule, filter_state, seen = InputSchedule(mode), np.full(5, 0.5), []
+            for epoch in draws:
+                u = epoch.transpose(1, 0, 2)
+                if layout == "lane-major":
+                    u = np.ascontiguousarray(u)
+                mean, filter_state = run_epoch(actor, critic, schedule, u, filter_state, config)
+                seen += [mean.tobytes(), filter_state.tobytes()]
+            runs.append(seen + [actor.w_hidden.tobytes(), critic.w_hidden.tobytes()])
+        assert runs[0] == runs[1]
 
 
 class TestTrialSeed:
@@ -327,6 +348,54 @@ class TestLaneInvariance:
             lanes = [(rule, lr, i) for rule, lr in arms for i in range(config.n_trials)]
             for (rule, lr, i), result in zip(lanes, results):
                 assert fingerprint(result) == fingerprint(run_trial(config, rule, lr, i))
+
+
+class TestChunkedDraws:
+    """Each lane fills several epochs' uniforms per generator call: the
+    numbers, and so the results, are those of one call per epoch."""
+
+    def test_chunk_epochs_cap_and_limit(self):
+        epoch = 10 * (2 + 2 * 10 + 2)  # uniforms per lane and epoch at the defaults
+        cap = harness.CHUNK_MAX_EPOCHS
+        assert harness.chunk_epochs(1, epoch, 10_000) == cap
+        assert harness.chunk_epochs(1, epoch, 5) == 5  # never past max_epochs
+        assert harness.chunk_epochs(20, epoch, 10_000) == 13  # 13 * 20 * 1920 B <= 512 KiB
+        assert harness.chunk_epochs(72, epoch, 10_000) == 3
+        assert harness.chunk_epochs(72, epoch, 2) == 2
+        assert harness.chunk_epochs(10**6, epoch, 10_000) == 1  # one epoch even past the bound
+        for lanes in range(1, 300):
+            k = harness.chunk_epochs(lanes, epoch, 10_000)
+            assert 1 <= k <= cap
+            assert k == 1 or 8 * lanes * k * epoch <= harness.CHUNK_BYTES
+            assert k == cap or 8 * lanes * (k + 1) * epoch > harness.CHUNK_BYTES
+
+    @pytest.mark.parametrize("draw", ["one_epoch", "default", "byte_capped"])
+    def test_lanes_leaving_mid_chunk_equal_lanes_alone(self, monkeypatch, draw):
+        config = uneven_config(n_trials=6, max_epochs=31)
+        arms = [(UpdateRule.POWER_LAW, 1.1), (UpdateRule.LINEAR, 0.75)]
+        # the reference: every lane alone, one generator call per epoch
+        monkeypatch.setattr(harness, "CHUNK_MAX_EPOCHS", 1)
+        alone = [run_trial(config, rule, lr, i) for rule, lr in arms for i in range(6)]
+        monkeypatch.setattr(harness, "CHUNK_MAX_EPOCHS", 1 if draw == "one_epoch" else 16)
+        if draw == "byte_capped":  # 5 epochs per draw at 12 lanes, more as lanes leave
+            monkeypatch.setattr(harness, "CHUNK_BYTES", 5 * 12 * 8 * 10 * 24)
+        sizes = []  # epochs of every draw
+        original = harness.chunk_epochs
+
+        def recording(*args):
+            sizes.append(original(*args))
+            return sizes[-1]
+
+        monkeypatch.setattr(harness, "chunk_epochs", recording)
+        batch = run_trials(config, arms)
+        assert sizes[0] == {"one_epoch": 1, "default": 16, "byte_capped": 5}[draw]
+        # one lane runs to the cap, and the last draw stops there
+        assert max(len(r.raw_curve) for r in batch) == sum(sizes) == 31
+        if draw != "one_epoch":
+            assert any(len(r.raw_curve) % sizes[0] for r in batch)  # lanes leave mid-draw
+            assert 31 % sizes[0]
+        for result, reference in zip(batch, alone):
+            assert fingerprint(result) == fingerprint(reference)
 
 
 def trials_digest(results):
@@ -528,6 +597,8 @@ class TestExperimentConfigValidation:
             {"goal": 0.0},
             {"goal": 1.0},
             {"filter_keep": 0.9, "filter_gain": 0.0011},
+            {"filter_keep": 1.5, "filter_gain": -0.5},  # sums to 1, but the filter leaves [0, 1]
+            {"filter_keep": 1.0, "filter_gain": 0.0},  # the filter never moves
             {"filter_init": 1.5},
             {"lr_sweep_step": 0.0},
             {"lr_sweep_step": 1e-11},  # below the sweep grid's resolution
