@@ -20,7 +20,7 @@ from .device import (
     pulse_map_sweep,
     set_magnetization,
 )
-from .env import InputSchedule, Presentation, Sample, reward
+from .env import InputSchedule, reward
 from .harness import (
     ComparisonReport,
     ExperimentConfig,

@@ -8,9 +8,11 @@ Subcommands:
 * ``device-map`` pulse-train on/off ratio grid, write pulse_map.csv
 
 Config files are flat ``section.key = value`` lines with ``#`` comments;
-sections are device, actor, critic, env, harness. Unknown keys are
-rejected with the offending line number. Exit codes: 0 success, 1 runtime
-failure, 2 usage or config error.
+sections are device, actor, critic, harness, and each section's keys are
+the int and float fields of SpinValveParams, ActorConfig, CriticConfig and
+ExperimentConfig. Unknown and repeated keys are rejected with the
+offending line number. Exit codes: 0 success, 1 runtime failure, 2 usage
+or config error.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import argparse
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,6 @@ import numpy as np
 from .actor import ActorConfig, UpdateRule
 from .critic import CriticConfig
 from .device import SpinValveParams, pulse_map_sweep
-from .env import Presentation
 from .harness import (
     ComparisonReport,
     ExperimentConfig,
@@ -58,40 +59,24 @@ def _parse_float(raw: str) -> float:
     return value
 
 
-# section.key -> (target dataclass kwargs bucket, field name, parser kind).
-# The parser kind is called on the raw text and raises ValueError on bad
-# input, NaN and infinities included; enum classes parse their .value
-# strings. Layer input and output sizes have no key: XOR fixes them. Each
-# arm's rate lives under harness.
+# section -> the config dataclass it sets: each int or float field is a key
+# section.field. Other fields (update_rule, the nested configs) have none,
+# and XOR fixes the layer input and output sizes, which are not fields.
+_SECTIONS = {
+    "device": SpinValveParams,
+    "actor": ActorConfig,
+    "critic": CriticConfig,
+    "harness": ExperimentConfig,
+}
+# The config modules postpone annotations, so a field's type is its text.
+_PARSERS = {"int": int, "float": _parse_float}
+# section.field -> parser. A parser is called on the raw text and raises
+# ValueError on bad input, NaN and infinities included.
 _SCHEMA = {
-    "device.g_min": ("device", "g_min", _parse_float),
-    "device.g_max": ("device", "g_max", _parse_float),
-    "device.g_th": ("device", "g_th", _parse_float),
-    "device.mg_max": ("device", "mg_max", _parse_float),
-    "device.mg_exponent": ("device", "mg_exponent", _parse_float),
-    "device.pulse_threshold_v": ("device", "pulse_threshold_v", _parse_float),
-    "device.pulse_time_constant_tau": ("device", "pulse_time_constant_tau", _parse_float),
-    "actor.n_hidden": ("actor", "n_hidden", int),
-    "actor.alpha_flip": ("actor", "alpha_flip", _parse_float),
-    "actor.batch_size": ("actor", "batch_size", int),
-    "actor.dw_min": ("actor", "dw_min", _parse_float),
-    "actor.power_exponent": ("actor", "power_exponent", _parse_float),
-    "critic.n_hidden": ("critic", "n_hidden", int),
-    "critic.lr": ("critic", "lr", _parse_float),
-    "critic.l1_coeff": ("critic", "l1_coeff", _parse_float),
-    "env.presentation": ("harness", "presentation", Presentation),
-    "harness.n_trials": ("harness", "n_trials", int),
-    "harness.max_epochs": ("harness", "max_epochs", int),
-    "harness.goal": ("harness", "goal", _parse_float),
-    "harness.filter_keep": ("harness", "filter_keep", _parse_float),
-    "harness.filter_gain": ("harness", "filter_gain", _parse_float),
-    "harness.filter_init": ("harness", "filter_init", _parse_float),
-    "harness.lr_sweep_from": ("harness", "lr_sweep_from", _parse_float),
-    "harness.lr_sweep_to": ("harness", "lr_sweep_to", _parse_float),
-    "harness.lr_sweep_step": ("harness", "lr_sweep_step", _parse_float),
-    "harness.lr_powerlaw": ("harness", "lr_powerlaw", _parse_float),
-    "harness.lr_linear": ("harness", "lr_linear", _parse_float),
-    "harness.master_seed": ("harness", "master_seed", int),
+    f"{section}.{f.name}": _PARSERS[f.type]
+    for section, target in _SECTIONS.items()
+    for f in fields(target)
+    if f.type in _PARSERS
 }
 
 _LINE_RE = re.compile(r"^([a-z_]+)\.([a-z_0-9]+)\s*=\s*(.*)$")
@@ -101,10 +86,11 @@ def parse_config(path: str | Path | None) -> LoadedConfig:
     """Load a config file; every omitted key keeps its default.
 
     path=None behaves like an empty file. Raises ConfigError for a missing
-    file, a malformed line, an unknown key, an unparsable value, or any
-    violated parameter invariant.
+    file, a malformed line, an unknown or repeated key, an unparsable
+    value, or any violated parameter invariant.
     """
-    buckets: dict[str, dict] = {"device": {}, "actor": {}, "critic": {}, "harness": {}}
+    buckets: dict[str, dict] = {section: {} for section in _SECTIONS}
+    first_line: dict[str, int] = {}  # key -> the line that set it
     if path is not None:
         path = Path(path)
         try:
@@ -120,13 +106,17 @@ def parse_config(path: str | Path | None) -> LoadedConfig:
                 raise ConfigError(
                     f"line {lineno}: expected 'section.key = value', got {rawline.strip()!r}"
                 )
-            key = f"{m.group(1)}.{m.group(2)}"
+            section, name, raw = m.groups()
+            key = f"{section}.{name}"
             if key not in _SCHEMA:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
-            bucket, field, kind = _SCHEMA[key]
-            raw = m.group(3).strip()
+            if key in first_line:
+                raise ConfigError(
+                    f"line {lineno}: key {key!r} repeats line {first_line[key]}"
+                )
+            first_line[key] = lineno
             try:
-                buckets[bucket][field] = kind(raw)
+                buckets[section][name] = _SCHEMA[key](raw)
             except ValueError:
                 raise ConfigError(
                     f"line {lineno}: invalid value {raw!r} for {key}"

@@ -46,8 +46,7 @@ draws the actor's initial weights, then the critic's. Then, per epoch, it
 draws one block of shape (batch_size, 2 + 2 * n_hidden + 2); row t
 serves presentation t, and its columns are, in order:
 
-* 0-1: the input bits, bit j = (u < 0.5); CYCLIC presentation ignores
-  them and takes the pattern from the presentation index;
+* 0-1: the input bits, bit j = (u < 0.5);
 * 2 .. 2 + n_hidden - 1: the hidden units' proposals;
 * 2 + n_hidden .. 2 + 2 * n_hidden - 1: the hidden units' flips;
 * 2 + 2 * n_hidden: the output proposal;
@@ -82,7 +81,7 @@ import numpy as np
 
 from .actor import ActorConfig, ActorNetwork, UpdateRule
 from .critic import CriticConfig, CriticNetwork
-from .env import InputSchedule, Presentation, reward
+from .env import InputSchedule, reward
 
 
 class StatisticsUnavailableError(RuntimeError):
@@ -117,7 +116,6 @@ class ExperimentConfig:
     lr_powerlaw: float = 1.1
     lr_linear: float = 0.75
     master_seed: int = 12345
-    presentation: Presentation = Presentation.UNIFORM
 
     def __post_init__(self) -> None:
         floats = ("goal", "filter_keep", "filter_gain", "filter_init", "lr_sweep_from",
@@ -314,7 +312,7 @@ def _run_batch(
         config.actor, rngs, [lr for _, lr, _ in lanes], [rule for rule, _, _ in lanes]
     )
     critic = CriticNetwork.initialize(config.critic, rngs)
-    schedule = InputSchedule(config.presentation)
+    schedule = InputSchedule()
 
     live = np.arange(len(lanes))  # lane index of every row still training
     filter_state = np.full(len(lanes), config.filter_init)

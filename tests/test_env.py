@@ -1,36 +1,22 @@
 import numpy as np
-import pytest
 
-from spinsyn.env import (
-    PATTERNS,
-    InputSchedule,
-    Presentation,
-    Sample,
-    reward,
-)
+from spinsyn.env import InputSchedule, reward
 
-
-class TestSample:
-    def test_truth_table(self):
-        assert [s.target for s in PATTERNS] == [0, 1, 1, 0]
-
-    def test_constructor_rejects_wrong_target(self):
-        with pytest.raises(ValueError):
-            Sample(x=(1, 1), target=1)
+PATTERNS = [(0, 0), (0, 1), (1, 0), (1, 1)]  # the XOR truth table's inputs
 
 
 class TestSampleInput:
     def test_invariant_holds_for_every_draw(self):
         rng = np.random.default_rng(0)
-        x, target = InputSchedule(Presentation.UNIFORM).next(rng.random((1, 1000, 2)))
+        x, target = InputSchedule().next(rng.random((1, 1000, 2)))
         for t in range(1000):
             assert target[0, t] == int(x[0, t, 0]) ^ int(x[0, t, 1])
 
     def test_uniformity_monte_carlo(self):
         rng = np.random.default_rng(1)
         n = 100_000
-        x, _ = InputSchedule(Presentation.UNIFORM).next(rng.random((n, 1, 2)))
-        counts = {p.x: 0 for p in PATTERNS}
+        x, _ = InputSchedule().next(rng.random((n, 1, 2)))
+        counts = {p: 0 for p in PATTERNS}
         for row in x[:, 0].astype(int):
             counts[tuple(row)] += 1
         se = np.sqrt(0.25 * 0.75 / n)
@@ -57,36 +43,23 @@ class TestReward:
 
 
 class TestInputSchedule:
-    def test_cyclic_never_consumes_randomness(self):
-        # cyclic inputs come from the presentation index, which runs on
-        # across calls; the uniforms go unused
-        schedule = InputSchedule(Presentation.CYCLIC)
-        seen = []
-        for batch in (5, 3):
-            x, target = schedule.next(np.full((3, batch, 2), np.nan))
-            assert x.shape == (3, batch, 2) and target.shape == (3, batch)
-            assert np.all(x == x[0]) and np.all(target == target[0])
-            seen += [(tuple(row.astype(int)), int(t)) for row, t in zip(x[0], target[0])]
-        assert seen == [(p.x, p.target) for p in PATTERNS] * 2
-
     def test_uniform_draws_from_rng(self):
         rng = np.random.default_rng(3)
-        schedule = InputSchedule(Presentation.UNIFORM)
+        schedule = InputSchedule()
         u = rng.random((10, 10, 2))
         x, target = schedule.next(u)
         assert np.array_equal(x, (u < 0.5).astype(float))
-        assert {tuple(row) for row in x.reshape(-1, 2).astype(int)} == {p.x for p in PATTERNS}
+        assert {tuple(row) for row in x.reshape(-1, 2).astype(int)} == set(PATTERNS)
         assert np.array_equal(target, x[..., 0] != x[..., 1])
 
-
-    @pytest.mark.parametrize("mode", list(Presentation))
-    def test_presentation_major_outputs(self, mode):
+    def test_presentation_major_outputs(self):
         # from presentation-major uniforms, each presentation's inputs and
         # targets are one contiguous row of all lanes
         u = np.random.default_rng(5).random((4, 3, 2)).transpose(1, 0, 2)
-        x, target = InputSchedule(mode).next(u)
+        x, target = InputSchedule().next(u)
         assert x.shape == (3, 4, 2) and target.shape == (3, 4)
         assert x[:, 2].flags.c_contiguous and target[:, 2].flags.c_contiguous
+
 
 def test_single_threshold_unit_cannot_solve_xor():
     # algebraic core: (0,1) and (1,0) correct forces w1+b>0 and w2+b>0 with
@@ -94,7 +67,5 @@ def test_single_threshold_unit_cannot_solve_xor():
     rng = np.random.default_rng(4)
     for _ in range(10_000):
         w1, w2, b = rng.uniform(-50, 50, size=3)
-        outputs = [
-            int(w1 * x0 + w2 * x1 + b > 0) for x0, x1 in ((0, 0), (0, 1), (1, 0), (1, 1))
-        ]
+        outputs = [int(w1 * x0 + w2 * x1 + b > 0) for x0, x1 in PATTERNS]
         assert outputs != [0, 1, 1, 0]

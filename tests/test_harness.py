@@ -12,7 +12,7 @@ import pytest
 from spinsyn import harness
 from spinsyn.actor import ActorConfig, ActorNetwork, UpdateRule, threshold_power_update
 from spinsyn.critic import CriticConfig, CriticNetwork
-from spinsyn.env import InputSchedule, Presentation
+from spinsyn.env import InputSchedule
 from spinsyn.harness import (
     ExperimentConfig,
     StatisticsUnavailableError,
@@ -97,7 +97,6 @@ def test_xor_actor_is_exact_on_all_patterns():
 
 class CountingSchedule(InputSchedule):
     def __init__(self):
-        super().__init__(Presentation.UNIFORM)
         self.count = 0  # presentations served
 
     def next(self, u):
@@ -154,18 +153,17 @@ class TestRunEpoch:
             assert np.array_equal(getattr(actor, name), expected)
         assert not np.array_equal(actor.w_hidden, before.w_hidden)
 
-    @pytest.mark.parametrize("mode", list(Presentation))
-    def test_layout_of_the_uniforms_does_not_change_the_bits(self, mode):
+    def test_layout_of_the_uniforms_does_not_change_the_bits(self):
         # the engine passes presentation-major uniforms; lane-major ones
         # must give the same rewards, filter states and parameters
-        config = small_config(presentation=mode)
+        config = small_config()
         draws = np.random.default_rng(9).random((5, 10, 5, 2 + 2 * 10 + 2))
         runs = []
         for layout in ("presentation-major", "lane-major"):
             rngs = [np.random.default_rng(s) for s in range(5)]
             actor = ActorNetwork.initialize(config.actor, rngs, [1.1, 0.75, 0.5, 1.2, 0.9])
             critic = CriticNetwork.initialize(config.critic, rngs)
-            schedule, filter_state, seen = InputSchedule(mode), np.full(5, 0.5), []
+            schedule, filter_state, seen = InputSchedule(), np.full(5, 0.5), []
             for epoch in draws:
                 u = epoch.transpose(1, 0, 2)
                 if layout == "lane-major":
@@ -207,11 +205,6 @@ class TestRunTrial:
         res = run_trial(config, UpdateRule.LINEAR, 0.75, 2)
         assert len(res.filtered_curve) == len(res.raw_curve) <= 25
         assert np.all((res.filtered_curve >= 0.0) & (res.filtered_curve <= 1.0))
-
-    def test_cyclic_presentation_supported(self):
-        config = small_config(presentation=Presentation.CYCLIC)
-        res = run_trial(config, UpdateRule.LINEAR, 0.75, 0)
-        assert len(res.raw_curve) > 0
 
 
 class TestRunTrialsParallel:
@@ -414,10 +407,6 @@ def trials_digest(results):
 # so a platform whose exp rounds differently gives other digests.
 PINNED_DIGESTS = {
     "default": ({}, "29ab59a9a4ef81b08c72320a42c834f55e026b666abfc574016ed439db9f0f67"),
-    "cyclic": (
-        {"presentation": Presentation.CYCLIC},
-        "4b6498012bf5ea32fd52cd22bfea89fde064ca33e0c128f5905798d9f0971bfa",
-    ),
 }
 
 
