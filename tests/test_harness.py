@@ -420,19 +420,33 @@ def test_engine_bits_are_pinned(name):
 
 
 class TestWelch:
-    def test_scipy_is_imported_only_by_the_test(self):
+    def test_compare_runs_without_scipy(self, tmp_path):
+        cfg = tmp_path / "compare.cfg"
+        cfg.write_text(
+            "harness.n_trials = 4\nharness.max_epochs = 150\n"
+            "harness.goal = 0.52\nharness.master_seed = 99\n"
+        )
+        out = tmp_path / "out"
         code = (
-            "import sys, spinsyn.cli\n"
-            "assert 'scipy.special' not in sys.modules\n"
-            "spinsyn.welch_t_test([1.0, 2.0, 3.0], [2.0, 4.0, 6.0])\n"
-            "assert 'scipy.special' in sys.modules\n"
+            "import sys\n"
+            "from spinsyn.cli import main\n"
+            "status = main(sys.argv[1:])\n"
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])\n"
+            "sys.exit(status)\n"
         )
         # the interpreter imports the spinsyn these tests import
         src = str(Path(harness.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = dict(os.environ, PYTHONPATH=path)
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "compare", "--config", str(cfg), "--out", str(out)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
         assert proc.returncode == 0, proc.stderr
+        assert len((out / "stats.csv").read_text().splitlines()) == 2
+        assert proc.stdout.strip() == "[]"
 
     def test_identical_samples(self):
         res = welch_t_test([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
@@ -445,12 +459,38 @@ class TestWelch:
         assert res.nu == pytest.approx(2.941, abs=1e-3)
 
     def test_cauchy_closed_form(self):
-        # nu = 1, t = 1: two-sided p = 1 - 2*arctan(1)/pi = 0.5
+        # nu = 1 is the Cauchy distribution; nu = 2 has a closed-form tail too
+        for t in (1e-6, 0.01, 0.5, 1.0, 3.0, 40.0, 1e3):
+            cauchy = 1.0 - 2.0 * math.atan(t) / math.pi
+            nu2 = 1.0 - t / math.sqrt(2.0 + t * t)
+            for signed in (t, -t):
+                p1 = harness._student_t_two_sided(signed, 1.0)
+                p2 = harness._student_t_two_sided(signed, 2.0)
+                assert p1 == pytest.approx(cauchy, rel=1e-13)
+                assert p2 == pytest.approx(nu2, rel=1e-13)
+
+    def test_scipy_oracle_grid(self):
         from scipy.special import betainc
 
-        p = float(betainc(0.5, 0.5, 1.0 / (1.0 + 1.0)))
-        assert p == pytest.approx(1.0 - 2.0 * math.atan(1.0) / math.pi, abs=1e-12)
-        assert p == pytest.approx(0.5, abs=1e-9)
+        rng = np.random.default_rng(15)
+        nus = np.exp(rng.uniform(0.0, math.log(2000.0), 2000))
+        ts = np.exp(rng.uniform(math.log(1e-3), math.log(40.0), 2000))
+        ts *= rng.choice([-1.0, 1.0], size=ts.size)
+        ours = np.array([harness._student_t_two_sided(t, nu) for t, nu in zip(ts, nus)])
+        oracle = betainc(nus / 2.0, 0.5, nus / (nus + ts * ts))
+        assert np.max(np.abs(ours - oracle) / oracle) <= 1e-10
+
+    def test_tail_edges(self):
+        assert harness._student_t_two_sided(0.0, 7.3) == 1.0
+        # 1 - x is formed without subtraction: x rounds to 1 here
+        assert harness._student_t_two_sided(1e-8, 377.0) < 1.0
+        for t in (1e60, 1e200):
+            assert 0.0 <= harness._student_t_two_sided(t, 5.0) <= 1e-100
+
+    def test_unconverged_fraction_raises(self, monkeypatch):
+        monkeypatch.setattr(harness, "_CF_MAX_ITER", 2)
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            harness._student_t_two_sided(1.3, 900.0)
 
     def test_antisymmetry(self):
         a = [5.0, 7.0, 9.0, 4.0]
