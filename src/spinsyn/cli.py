@@ -131,9 +131,14 @@ def parse_config(path: str | Path | None) -> LoadedConfig:
     return LoadedConfig(experiment=experiment, device=device)
 
 
+# Every number in every CSV: 17 significant digits, so each value
+# round-trips exactly. fmt and the row templates below both read it.
+FLOAT_FORMAT = "%.17g"
+
+
 def fmt(x: float) -> str:
-    """Render a float with 17 significant digits (round-trip exact)."""
-    return format(float(x), ".17g")
+    """Render a float as FLOAT_FORMAT (17 significant digits, round-trip exact)."""
+    return FLOAT_FORMAT % float(x)
 
 
 def _write_text(path: Path, lines: list[str]) -> None:
@@ -141,14 +146,24 @@ def _write_text(path: Path, lines: list[str]) -> None:
 
 
 def write_learning_curve_csv(path: Path, results: list[TrialResult]) -> None:
-    """One row per (trial, epoch), trials and epochs 1-indexed."""
-    lines = ["trial,epoch,raw_reward,filtered_reward"]
+    """One row per (trial, epoch), trials and epochs 1-indexed.
+
+    Each trial is rendered by one %-template over its interleaved
+    (epoch, raw, filtered) values and written as one block."""
     for t_idx, res in enumerate(results, start=1):
-        for e_idx, (raw, filt) in enumerate(
-            zip(res.raw_curve, res.filtered_curve), start=1
-        ):
-            lines.append(f"{t_idx},{e_idx},{fmt(raw)},{fmt(filt)}")
-    _write_text(path, lines)
+        if len(res.raw_curve) != len(res.filtered_curve):
+            raise ValueError(
+                f"trial {t_idx}: raw curve has {len(res.raw_curve)} epochs, "
+                f"filtered curve {len(res.filtered_curve)}"
+            )
+    with path.open("w") as f:
+        f.write("trial,epoch,raw_reward,filtered_reward\n")
+        for t_idx, res in enumerate(results, start=1):
+            n = len(res.raw_curve)
+            # float epoch numbers are exact integers, which %d renders as ints
+            cells = np.column_stack((np.arange(1, n + 1), res.raw_curve, res.filtered_curve))
+            row = f"{t_idx},%d,{FLOAT_FORMAT},{FLOAT_FORMAT}\n"
+            f.write((row * n) % tuple(cells.ravel().tolist()))
 
 
 def write_sweep_csv(path: Path, sweeps: list[SweepResult]) -> None:
@@ -186,14 +201,23 @@ def write_stats_csv(path: Path, report: ComparisonReport) -> None:
 def write_pulse_map_csv(
     path: Path, voltages: list[float], durations: list[float], ratios: np.ndarray
 ) -> None:
-    lines = ["voltage_v,duration_s,onoff_ratio"]
-    t_texts = [fmt(t) for t in durations]
-    for v, row in zip(voltages, ratios.tolist(), strict=True):
-        v_text = fmt(v)
-        lines.extend(
-            f"{v_text},{t_text},{fmt(r)}" for t_text, r in zip(t_texts, row, strict=True)
+    """One row per (voltage, duration) cell, voltage-major.
+
+    Each voltage row is rendered by one %-template, built from the
+    pre-formatted durations, and written as one block."""
+    expected = (len(voltages), len(durations))
+    if ratios.shape != expected:
+        raise ValueError(
+            f"ratios has shape {ratios.shape}, expected {expected} (voltages, durations)"
         )
-    _write_text(path, lines)
+    suffixes = [f",{fmt(t)},{FLOAT_FORMAT}\n" for t in durations]
+    with path.open("w") as f:
+        f.write("voltage_v,duration_s,onoff_ratio\n")
+        if not suffixes:  # an empty template would render the bare voltage
+            return
+        for v, row in zip(voltages, ratios.tolist()):
+            v_text = fmt(v)
+            f.write((v_text + v_text.join(suffixes)) % tuple(row))
 
 
 # Default device-map protocol: both polarities around the measured pulse

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -200,6 +201,16 @@ class TestNumberFormat:
         assert fmt(0.5) == "0.5"
         assert fmt(float("nan")) == "nan"
 
+    @pytest.mark.parametrize(
+        "x",
+        [0.0, -0.0, 5e-324, 1.7976931348623157e308, math.inf, -math.inf, math.nan,
+         0.1, 1 / 3, np.float64(0.1), np.float64(-0.0), np.float64(5e-324)],
+    )
+    def test_fmt_matches_the_row_templates(self, x):
+        # fmt and the templates of the large writers share one format
+        assert cli.FLOAT_FORMAT == "%.17g"
+        assert fmt(x) == cli.FLOAT_FORMAT % x == format(float(x), ".17g")
+
 
 class TestCsvWriters:
     def test_learning_curve_row_count_and_round_trip(self, tmp_path):
@@ -243,6 +254,46 @@ class TestCsvWriters:
         path = tmp_path / "pulse_map.csv"
         write_pulse_map_csv(path, voltages, durations, ratios)
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2)], ids=["missing_row", "missing_column"])
+    def test_pulse_map_shape_mismatch_raises_before_writing(self, tmp_path, shape):
+        path = tmp_path / "pulse_map.csv"
+        with pytest.raises(ValueError, match=re.escape(f"shape {shape}, expected (3, 3)")):
+            write_pulse_map_csv(path, [-1.0, 0.0, 1.0], [1e-3, 1e-2, 1e-1], np.ones(shape))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("voltages, durations", [([1.0], []), ([], [1e-3])])
+    def test_pulse_map_of_an_empty_axis_is_the_header(self, tmp_path, voltages, durations):
+        path = tmp_path / "pulse_map.csv"
+        write_pulse_map_csv(path, voltages, durations, np.ones((len(voltages), len(durations))))
+        assert path.read_text() == "voltage_v,duration_s,onoff_ratio\n"
+
+    def test_learning_curve_bytes_match_per_cell_rendering(self, tmp_path):
+        rng = np.random.default_rng(5)
+        specials = [0.0, 1.0, 5e-324, 2.2250738585072014e-308 / 3]
+        results = []
+        for seed, n in enumerate([7, 1, 0, 40], start=1):
+            raw, filt = rng.random(n), rng.random(n)
+            raw[: len(specials)] = specials[:n]
+            filt[::-1][: len(specials)] = specials[:n]
+            results.append(TrialResult(filt, raw, None, seed))
+        # per-cell rendering of the writer before it formatted trial by trial
+        lines = ["trial,epoch,raw_reward,filtered_reward"]
+        for t_idx, res in enumerate(results, start=1):
+            for e_idx in range(len(res.raw_curve)):
+                raw, filt = res.raw_curve[e_idx], res.filtered_curve[e_idx]
+                lines.append(f"{t_idx},{e_idx + 1},{fmt(raw)},{fmt(filt)}")
+        path = tmp_path / "learning_curve.csv"
+        write_learning_curve_csv(path, results)
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    def test_unequal_learning_curves_raise_before_writing(self, tmp_path):
+        good = TrialResult(np.array([0.5, 0.6]), np.array([0.4, 0.9]), None, 1)
+        short = TrialResult(np.array([0.5, 0.6, 0.7]), np.array([0.4, 0.9]), None, 2)
+        path = tmp_path / "learning_curve.csv"
+        with pytest.raises(ValueError, match="trial 2"):
+            write_learning_curve_csv(path, [good, short])
+        assert not path.exists()
 
 
 class TestCliCommands:
