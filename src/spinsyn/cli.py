@@ -7,6 +7,10 @@ Subcommands:
 * ``compare``    linear vs power-law comparison, write comparison.csv + stats.csv
 * ``device-map`` pulse-train on/off ratio grid, write pulse_map.csv
 
+Every CSV is written as ASCII bytes to a file opened in binary mode, from
+row templates filled with bytes %, so its lines end in a bare LF on every
+platform.
+
 Config files are flat ``section.key = value`` lines with ``#`` comments;
 sections are device, actor, critic, harness, and each section's keys are
 the int and float fields of SpinValveParams, ActorConfig, CriticConfig and
@@ -21,6 +25,7 @@ import argparse
 import math
 import re
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -132,7 +137,9 @@ def parse_config(path: str | Path | None) -> LoadedConfig:
 
 
 # Every number in every CSV: 17 significant digits, so each value
-# round-trips exactly. fmt and the row templates below both read it.
+# round-trips exactly. fmt and the writers' row templates all read it; the
+# templates are encoded to ASCII bytes once and filled with bytes %, which
+# renders the same digits as the str form.
 FLOAT_FORMAT = "%.17g"
 
 
@@ -141,83 +148,108 @@ def fmt(x: float) -> str:
     return FLOAT_FORMAT % float(x)
 
 
-def _write_text(path: Path, lines: list[str]) -> None:
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header: str, blocks: Iterable[bytes]) -> None:
+    """Write the header line, then each rendered block, as ASCII bytes to a
+    file opened in binary mode: no text encoder and no newline translation,
+    so every line ends in a bare LF on every platform."""
+    # blocks run to a few KiB (a trial, a voltage row): a 64 KiB buffer
+    # passes them to the OS in a few large writes rather than one per block
+    with path.open("wb", buffering=1 << 16) as f:
+        f.write(header.encode("ascii") + b"\n")
+        f.writelines(blocks)
+
+
+def _curve_block(t_idx: int, res: TrialResult) -> bytes:
+    """One trial's rows, rendered by one template over its interleaved
+    (epoch, raw, filtered) values."""
+    n = len(res.raw_curve)
+    # float epoch numbers are exact integers, which %d renders as ints
+    cells = np.column_stack((np.arange(1, n + 1), res.raw_curve, res.filtered_curve))
+    row = f"{t_idx},%d,{FLOAT_FORMAT},{FLOAT_FORMAT}\n".encode("ascii")
+    return (row * n) % tuple(cells.ravel().tolist())
 
 
 def write_learning_curve_csv(path: Path, results: list[TrialResult]) -> None:
-    """One row per (trial, epoch), trials and epochs 1-indexed.
-
-    Each trial is rendered by one %-template over its interleaved
-    (epoch, raw, filtered) values and written as one block."""
+    """One row per (trial, epoch), trials and epochs 1-indexed, written one
+    block per trial."""
     for t_idx, res in enumerate(results, start=1):
         if len(res.raw_curve) != len(res.filtered_curve):
             raise ValueError(
                 f"trial {t_idx}: raw curve has {len(res.raw_curve)} epochs, "
                 f"filtered curve {len(res.filtered_curve)}"
             )
-    with path.open("w") as f:
-        f.write("trial,epoch,raw_reward,filtered_reward\n")
-        for t_idx, res in enumerate(results, start=1):
-            n = len(res.raw_curve)
-            # float epoch numbers are exact integers, which %d renders as ints
-            cells = np.column_stack((np.arange(1, n + 1), res.raw_curve, res.filtered_curve))
-            row = f"{t_idx},%d,{FLOAT_FORMAT},{FLOAT_FORMAT}\n"
-            f.write((row * n) % tuple(cells.ravel().tolist()))
+    _write_csv(
+        path,
+        "trial,epoch,raw_reward,filtered_reward",
+        (_curve_block(t_idx, res) for t_idx, res in enumerate(results, start=1)),
+    )
 
 
 def write_sweep_csv(path: Path, sweeps: list[SweepResult]) -> None:
-    lines = ["rule,lr_hidden,mean_epochs,std_epochs,n_converged"]
-    for sweep in sweeps:
-        for p in sweep.points:
-            lines.append(
-                f"{p.rule.value},{fmt(p.lr_hidden)},{fmt(p.mean_epochs)},"
-                f"{fmt(p.std_epochs)},{p.n_converged}"
-            )
-    _write_text(path, lines)
+    row = f"%b,{FLOAT_FORMAT},{FLOAT_FORMAT},{FLOAT_FORMAT},%d\n".encode("ascii")
+    _write_csv(
+        path,
+        "rule,lr_hidden,mean_epochs,std_epochs,n_converged",
+        (
+            row % (p.rule.value.encode("ascii"), p.lr_hidden, p.mean_epochs,
+                   p.std_epochs, p.n_converged)
+            for sweep in sweeps
+            for p in sweep.points
+        ),
+    )
 
 
 def write_comparison_csv(path: Path, report: ComparisonReport) -> None:
-    lines = ["rule,mean,std,n_converged"]
-    for summary in (report.powerlaw, report.linear):
-        lines.append(
-            f"{summary.rule.value},{fmt(summary.mean)},{fmt(summary.std)},"
-            f"{summary.n_converged}"
-        )
-    _write_text(path, lines)
+    row = f"%b,{FLOAT_FORMAT},{FLOAT_FORMAT},%d\n".encode("ascii")
+    _write_csv(
+        path,
+        "rule,mean,std,n_converged",
+        (
+            row % (summary.rule.value.encode("ascii"), summary.mean, summary.std,
+                   summary.n_converged)
+            for summary in (report.powerlaw, report.linear)
+        ),
+    )
 
 
 def write_stats_csv(path: Path, report: ComparisonReport) -> None:
-    _write_text(
+    row = ",".join([FLOAT_FORMAT] * 4).encode("ascii") + b"\n"
+    _write_csv(
         path,
-        [
-            "t,nu,p_one_sided,p_two_sided",
-            f"{fmt(report.t)},{fmt(report.nu)},{fmt(report.p_one_sided)},"
-            f"{fmt(report.p_two_sided)}",
-        ],
+        "t,nu,p_one_sided,p_two_sided",
+        [row % (report.t, report.nu, report.p_one_sided, report.p_two_sided)],
     )
 
 
 def write_pulse_map_csv(
     path: Path, voltages: list[float], durations: list[float], ratios: np.ndarray
 ) -> None:
-    """One row per (voltage, duration) cell, voltage-major.
+    """One row per (voltage, duration) cell, voltage-major, written one
+    block per voltage row.
 
-    Each voltage row is rendered by one %-template, built from the
-    pre-formatted durations, and written as one block."""
+    A row's template is built from the pre-formatted durations. A row whose
+    ratios are all exactly 1.0 (every sub-threshold voltage) is joined from
+    duration suffixes rendered once with its ratio, so it formats no float."""
     expected = (len(voltages), len(durations))
     if ratios.shape != expected:
         raise ValueError(
             f"ratios has shape {ratios.shape}, expected {expected} (voltages, durations)"
         )
-    suffixes = [f",{fmt(t)},{FLOAT_FORMAT}\n" for t in durations]
-    with path.open("w") as f:
-        f.write("voltage_v,duration_s,onoff_ratio\n")
-        if not suffixes:  # an empty template would render the bare voltage
+    suffixes = [f",{fmt(t)},{FLOAT_FORMAT}\n".encode("ascii") for t in durations]
+    ones = [f",{fmt(t)},{fmt(1.0)}\n".encode("ascii") for t in durations]
+
+    def blocks() -> Iterator[bytes]:
+        if not durations:  # an empty template would render the bare voltage
             return
-        for v, row in zip(voltages, ratios.tolist()):
-            v_text = fmt(v)
-            f.write((v_text + v_text.join(suffixes)) % tuple(row))
+        all_ones = (ratios == 1.0).all(axis=1).tolist()
+        for v, row, row_all_ones in zip(voltages, ratios.tolist(), all_ones):
+            v_text = fmt(v).encode("ascii")
+            if row_all_ones:
+                yield v_text + v_text.join(ones)
+            else:
+                yield (v_text + v_text.join(suffixes)) % tuple(row)
+
+    _write_csv(path, "voltage_v,duration_s,onoff_ratio", blocks())
 
 
 # Default device-map protocol: both polarities around the measured pulse

@@ -345,18 +345,18 @@ def _run_batch(
                 critic.select(keep)
                 if not live.size:
                     break
-    results = []
-    for k, seed in enumerate(seeds):
-        curve = filtered[k, : n_epochs[k]].copy()
-        results.append(
-            TrialResult(
-                filtered_curve=curve,
-                raw_curve=raw[k, : n_epochs[k]].copy(),
-                epochs_to_goal=epochs_to_goal(curve, config.goal),
-                seed=seed,
-            )
+    # A lane leaves at the first epoch whose filter reaches the goal, or at
+    # max_epochs: it reached the goal iff its last filter value did.
+    reached = filtered[np.arange(len(lanes)), n_epochs - 1] >= config.goal
+    return [
+        TrialResult(
+            filtered_curve=filtered[k, :n].copy(),
+            raw_curve=raw[k, :n].copy(),
+            epochs_to_goal=n if hit else None,
+            seed=seeds[k],
         )
-    return results
+        for k, (n, hit) in enumerate(zip(n_epochs.tolist(), reached.tolist()))
+    ]
 
 
 def run_trial(

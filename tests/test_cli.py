@@ -5,22 +5,39 @@ import numpy as np
 import pytest
 
 from spinsyn import cli, harness
+from spinsyn.actor import UpdateRule
 from spinsyn.cli import (
     _SCHEMA,
     ConfigError,
     fmt,
     main,
     parse_config,
+    write_comparison_csv,
     write_learning_curve_csv,
     write_pulse_map_csv,
+    write_stats_csv,
+    write_sweep_csv,
 )
-from spinsyn.harness import ExperimentConfig, SweepResult, TrialResult
+from spinsyn.harness import (
+    ComparisonReport,
+    ExperimentConfig,
+    RuleSummary,
+    SweepPoint,
+    SweepResult,
+    TrialResult,
+)
 
 
 def write_config(tmp_path, text):
     path = tmp_path / "run.cfg"
     path.write_text(text)
     return path
+
+
+def per_cell_csv(header, rows):
+    """The bytes of a CSV rendered cell by cell: the oracle of the writers,
+    which render whole rows or blocks from templates."""
+    return ("\n".join([header] + [",".join(row) for row in rows]) + "\n").encode()
 
 
 SMALL_EXPERIMENT = """
@@ -240,12 +257,19 @@ class TestCsvWriters:
             assert float(raw) == res.raw_curve[int(epoch) - 1]
             assert float(filt) == res.filtered_curve[int(epoch) - 1]
 
-    def test_pulse_map_bytes_match_per_cell_rendering(self, tmp_path):
+    @pytest.mark.parametrize("ones_rows", ["none", "one", "all"])
+    def test_pulse_map_bytes_match_per_cell_rendering(self, tmp_path, ones_rows):
         rng = np.random.default_rng(3)
         voltages = [0.0] + list(rng.uniform(-4.0, 4.0, 12))
         durations = [0.0] + list(10.0 ** rng.uniform(-4.0, -1.0, 10))
         ratios = rng.uniform(0.0, 140.0, (13, 11))
-        ratios[0] = 1.0
+        # rows whose ratios are all 1.0 are written from a cached line
+        if ones_rows == "none":
+            ratios[0, :-1] = 1.0  # all ones but the last cell
+        elif ones_rows == "one":
+            ratios[0] = 1.0
+        else:
+            ratios[:] = 1.0
         # per-cell rendering of the writer before it formatted row by row
         lines = ["voltage_v,duration_s,onoff_ratio"]
         for i, v in enumerate(voltages):
@@ -294,6 +318,57 @@ class TestCsvWriters:
         with pytest.raises(ValueError, match="trial 2"):
             write_learning_curve_csv(path, [good, short])
         assert not path.exists()
+
+
+    def test_sweep_bytes_match_per_cell_rendering(self, tmp_path):
+        nan = math.nan
+        # a sweep where no trial converged has NaN mean and std on every row
+        stalled = [SweepPoint(UpdateRule.LINEAR, lr, nan, nan, 0, nan) for lr in (0.4, 0.45)]
+        mixed = [
+            SweepPoint(UpdateRule.POWER_LAW, 0.1 + 0.2, 312.5, 17.677669529663689, 2, 312.5),
+            SweepPoint(UpdateRule.POWER_LAW, np.float64(1 / 3), np.float64(40.0), nan, 1, 60.0),
+            SweepPoint(UpdateRule.POWER_LAW, 1.25, 5e-324, 0.0, 3, 5e-324),
+        ]
+        sweeps = [SweepResult(UpdateRule.LINEAR, stalled, 0.4),
+                  SweepResult(UpdateRule.POWER_LAW, mixed, 1.25)]
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(path, sweeps)
+        rows = [
+            [p.rule.value, fmt(p.lr_hidden), fmt(p.mean_epochs), fmt(p.std_epochs),
+             str(p.n_converged)]
+            for sweep in sweeps
+            for p in sweep.points
+        ]
+        assert path.read_bytes() == per_cell_csv(
+            "rule,lr_hidden,mean_epochs,std_epochs,n_converged", rows
+        )
+        assert path.read_bytes().count(b"nan,nan,0\n") == 2
+
+    def comparison_report(self):
+        powerlaw = RuleSummary(UpdateRule.POWER_LAW, 1.1, [900, 1200, None], 1050.0,
+                               212.13203435596427, 2, 3)
+        linear = RuleSummary(UpdateRule.LINEAR, 0.75, [1000, 1600, 1300],
+                             np.float64(1300.0), np.float64(300.0), 3, 3)
+        return ComparisonReport(powerlaw=powerlaw, linear=linear, t=-1.1180339887498949,
+                                nu=np.float64(2.9411764705882355), p_one_sided=0.1715,
+                                p_two_sided=0.343)
+
+    def test_comparison_bytes_match_per_cell_rendering(self, tmp_path):
+        report = self.comparison_report()
+        path = tmp_path / "comparison.csv"
+        write_comparison_csv(path, report)
+        rows = [
+            [s.rule.value, fmt(s.mean), fmt(s.std), str(s.n_converged)]
+            for s in (report.powerlaw, report.linear)
+        ]
+        assert path.read_bytes() == per_cell_csv("rule,mean,std,n_converged", rows)
+
+    def test_stats_bytes_match_per_cell_rendering(self, tmp_path):
+        report = self.comparison_report()
+        path = tmp_path / "stats.csv"
+        write_stats_csv(path, report)
+        row = [fmt(report.t), fmt(report.nu), fmt(report.p_one_sided), fmt(report.p_two_sided)]
+        assert path.read_bytes() == per_cell_csv("t,nu,p_one_sided,p_two_sided", [row])
 
 
 class TestCliCommands:

@@ -343,6 +343,40 @@ class TestLaneInvariance:
                 assert fingerprint(result) == fingerprint(run_trial(config, rule, lr, i))
 
 
+class TestGoalEpoch:
+    """The batch engine takes a lane's goal epoch from where the lane left;
+    epochs_to_goal's scan of the whole filtered curve is the oracle."""
+
+    ARMS = [(UpdateRule.POWER_LAW, 1.1), (UpdateRule.LINEAR, 0.75)]
+
+    def check(self, config):
+        results = run_trials(config, self.ARMS)
+        for result in results:
+            expected = epochs_to_goal(result.filtered_curve, config.goal)
+            assert result.epochs_to_goal == expected
+            assert type(result.epochs_to_goal) is type(expected)
+        return results
+
+    def test_uneven_batch_with_capped_lanes(self):
+        results = self.check(uneven_config(n_trials=10, max_epochs=25))
+        capped = [r for r in results if r.epochs_to_goal is None]
+        assert 0 < len(capped) < len(results)
+        assert all(len(r.raw_curve) == 25 for r in capped)
+        assert len({r.epochs_to_goal for r in results}) > 5
+
+    def test_lane_reaching_the_goal_at_the_cap(self):
+        # lanes run the same epochs at any cap: cap the batch at a goal epoch
+        reached = sorted(
+            r.epochs_to_goal for r in self.check(uneven_config(n_trials=10))
+            if r.epochs_to_goal is not None
+        )
+        cap = reached[len(reached) // 2]
+        results = self.check(uneven_config(n_trials=10, max_epochs=cap))
+        at_cap = [r for r in results if len(r.raw_curve) == cap]
+        assert any(r.epochs_to_goal == cap for r in at_cap)
+        assert any(r.epochs_to_goal is None for r in at_cap)
+
+
 class TestChunkedDraws:
     """Each lane fills several epochs' uniforms per generator call: the
     numbers, and so the results, are those of one call per epoch."""
