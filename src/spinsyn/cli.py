@@ -26,7 +26,7 @@ import math
 import re
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -191,8 +191,7 @@ def write_sweep_csv(path: Path, sweeps: list[SweepResult]) -> None:
         path,
         "rule,lr_hidden,mean_epochs,std_epochs,n_converged",
         (
-            row % (p.rule.value.encode("ascii"), p.lr_hidden, p.mean_epochs,
-                   p.std_epochs, p.n_converged)
+            row % (p.rule.value.encode("ascii"), p.lr_hidden, p.mean, p.std, p.n_converged)
             for sweep in sweeps
             for p in sweep.points
         ),
@@ -213,11 +212,12 @@ def write_comparison_csv(path: Path, report: ComparisonReport) -> None:
 
 
 def write_stats_csv(path: Path, report: ComparisonReport) -> None:
+    welch = report.welch
     row = ",".join([FLOAT_FORMAT] * 4).encode("ascii") + b"\n"
     _write_csv(
         path,
         "t,nu,p_one_sided,p_two_sided",
-        [row % (report.t, report.nu, report.p_one_sided, report.p_two_sided)],
+        [row % (welch.t, welch.nu, welch.p_one_sided, welch.p_two_sided)],
     )
 
 
@@ -292,27 +292,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run_cli(args: argparse.Namespace) -> int:
     loaded = parse_config(args.config)
-    config = loaded.experiment
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-        config.master_seed = args.seed
+    # --seed and --lr replace config fields, so ExperimentConfig checks them
+    overrides = {} if args.seed is None else {"master_seed": args.seed}
+    if args.subcommand == "train":
+        rule = UpdateRule(args.rule)
+        if args.lr is not None:
+            overrides[f"lr_{rule.value}"] = args.lr
+    try:
+        config = replace(loaded.experiment, **overrides)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if args.parallelism < 1:
         raise ConfigError(f"--parallelism must be >= 1, got {args.parallelism}")
 
     if args.subcommand == "compare" and config.n_trials < 2:
         raise ConfigError(f"compare needs harness.n_trials >= 2, got {config.n_trials}")
-    if args.subcommand == "train":
-        rule = UpdateRule(args.rule)
-        lr = args.lr if args.lr is not None else config.lr_for(rule)
-        if not 0 < lr < math.inf:
-            raise ConfigError(f"--lr must be finite and > 0, got {lr}")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     if args.subcommand == "train":
-        results = run_trials(config, [(rule, lr)], parallelism=args.parallelism)
+        results = run_trials(config, [(rule, config.lr_for(rule))], parallelism=args.parallelism)
         write_learning_curve_csv(out / "learning_curve.csv", results)
     elif args.subcommand == "sweep":
         rules = [UpdateRule(args.rule)] if args.rule else list(UpdateRule)

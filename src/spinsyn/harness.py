@@ -174,7 +174,8 @@ class TrialResult:
 
 @dataclass
 class RuleSummary:
-    """Epochs-to-goal statistics of one rule's trial set (converged trials only)."""
+    """Epochs-to-goal statistics of one (rule, lr) arm's trial set; mean and
+    std cover converged trials only."""
 
     rule: UpdateRule
     lr_hidden: float
@@ -184,37 +185,29 @@ class RuleSummary:
     n_converged: int
     n_trials: int
 
+    def penalized_mean(self, max_epochs: int) -> float:
+        """Mean epochs to goal with every non-converged trial counted as
+        max_epochs: the sweep's ranking key."""
+        return float(np.mean([e if e is not None else max_epochs for e in self.epochs]))
+
 
 @dataclass
 class ComparisonReport:
-    """Linear-vs-power-law comparison with Welch test output."""
+    """Linear-vs-power-law comparison: each arm's summary, and the Welch
+    test of the power-law arm's converged epochs against the linear arm's."""
 
     powerlaw: RuleSummary
     linear: RuleSummary
-    t: float
-    nu: float
-    p_one_sided: float
-    p_two_sided: float
-
-
-@dataclass
-class SweepPoint:
-    """Trial statistics at one learning rate of a sweep."""
-
-    rule: UpdateRule
-    lr_hidden: float
-    mean_epochs: float
-    std_epochs: float
-    n_converged: int
-    penalized_mean: float
+    welch: WelchResult
 
 
 @dataclass
 class SweepResult:
-    """Full sweep grid plus the ranking winner."""
+    """One rule's sweep: a summary per grid rate, in grid order, and the
+    rate with the smallest penalized mean."""
 
     rule: UpdateRule
-    points: list[SweepPoint]
+    points: list[RuleSummary]
     best_lr: float
 
     @property
@@ -523,6 +516,15 @@ def welch_t_test(a, b) -> WelchResult:
     return WelchResult(t=t, nu=nu, p_two_sided=p_two, p_one_sided=p_two / 2.0)
 
 
+def _summarize_arms(
+    config: ExperimentConfig, arms: list[tuple[UpdateRule, float]], parallelism: int
+) -> list[RuleSummary]:
+    """One RuleSummary per (rule, lr) arm, in arm order, from one run_trials call."""
+    results = run_trials(config, arms, parallelism=parallelism)
+    n = config.n_trials
+    return [summarize_rule(*arm, results[k * n : (k + 1) * n]) for k, arm in enumerate(arms)]
+
+
 def compare_rules(config: ExperimentConfig, parallelism: int = 1) -> ComparisonReport:
     """Run both rules at their configured learning rates and test the difference.
 
@@ -533,31 +535,16 @@ def compare_rules(config: ExperimentConfig, parallelism: int = 1) -> ComparisonR
     """
     if config.n_trials < 2:
         raise ValueError(f"compare needs n_trials >= 2, got {config.n_trials}")
-    rules = (UpdateRule.POWER_LAW, UpdateRule.LINEAR)
-    results = run_trials(
-        config, [(rule, config.lr_for(rule)) for rule in rules], parallelism=parallelism
-    )
-    n = config.n_trials
-    arms = {
-        rule: summarize_rule(rule, config.lr_for(rule), results[k * n : (k + 1) * n])
-        for k, rule in enumerate(rules)
-    }
-    sample_p = [e for e in arms[UpdateRule.POWER_LAW].epochs if e is not None]
-    sample_l = [e for e in arms[UpdateRule.LINEAR].epochs if e is not None]
+    arms = [(rule, config.lr_for(rule)) for rule in (UpdateRule.POWER_LAW, UpdateRule.LINEAR)]
+    powerlaw, linear = _summarize_arms(config, arms, parallelism)
+    sample_p = [e for e in powerlaw.epochs if e is not None]
+    sample_l = [e for e in linear.epochs if e is not None]
     if len(sample_p) < 2 or len(sample_l) < 2:
         raise StatisticsUnavailableError(
             f"need >= 2 converged trials per arm, got "
             f"{len(sample_p)} (powerlaw) and {len(sample_l)} (linear)"
         )
-    welch = welch_t_test(sample_p, sample_l)
-    return ComparisonReport(
-        powerlaw=arms[UpdateRule.POWER_LAW],
-        linear=arms[UpdateRule.LINEAR],
-        t=welch.t,
-        nu=welch.nu,
-        p_one_sided=welch.p_one_sided,
-        p_two_sided=welch.p_two_sided,
-    )
+    return ComparisonReport(powerlaw, linear, welch_t_test(sample_p, sample_l))
 
 
 def sweep_grid(config: ExperimentConfig) -> list[float]:
@@ -579,35 +566,18 @@ def lr_sweep(
     """n_trials trials at every grid learning rate of every rule, all as
     one batch; pick each rule's fastest rate.
 
-    Returns one SweepResult per rule, in the order given. Ranking uses the
-    mean with non-converged trials penalized as max_epochs; ties break
-    toward the smaller learning rate. The reported per-point mean/std
-    cover converged trials only.
+    Returns one SweepResult per rule, in the order given, whose points are
+    the RuleSummary of every grid rate. The winner has the smallest
+    RuleSummary.penalized_mean(max_epochs); ties break toward the smaller
+    learning rate. Raises ValueError if the grid is empty.
     """
     grid = sweep_grid(config)
     if not grid:
         raise ValueError("learning-rate sweep grid is empty")
-    results = iter(
-        run_trials(config, [(rule, lr) for rule in rules for lr in grid], parallelism=parallelism)
-    )
+    summaries = _summarize_arms(config, [(rule, lr) for rule in rules for lr in grid], parallelism)
     sweeps = []
-    for rule in rules:
-        points = []
-        for lr in grid:
-            summary = summarize_rule(rule, lr, [next(results) for _ in range(config.n_trials)])
-            penalized = float(
-                np.mean([e if e is not None else config.max_epochs for e in summary.epochs])
-            )
-            points.append(
-                SweepPoint(
-                    rule=rule,
-                    lr_hidden=lr,
-                    mean_epochs=summary.mean,
-                    std_epochs=summary.std,
-                    n_converged=summary.n_converged,
-                    penalized_mean=penalized,
-                )
-            )
-        best = min(points, key=lambda p: (p.penalized_mean, p.lr_hidden))
-        sweeps.append(SweepResult(rule=rule, points=points, best_lr=best.lr_hidden))
+    for k, rule in enumerate(rules):
+        points = summaries[k * len(grid) : (k + 1) * len(grid)]
+        best = min(points, key=lambda p: (p.penalized_mean(config.max_epochs), p.lr_hidden))
+        sweeps.append(SweepResult(rule, points, best.lr_hidden))
     return sweeps

@@ -54,13 +54,13 @@ def headline():
 def test_criterion_01_headline_reproduction(headline):
     pl, lin = headline.powerlaw, headline.linear
     ordered = pl.mean < lin.mean
-    significant = headline.p_one_sided < 0.05
+    significant = headline.welch.p_one_sided < 0.05
     pl_in_band = 896 * 0.6 <= pl.mean <= 896 * 1.4
     lin_in_band = 1076 * 0.6 <= lin.mean <= 1076 * 1.4
     detail = (
         f"powerlaw {pl.mean:.0f}±{pl.std:.0f} (n={pl.n_converged}/50), "
         f"linear {lin.mean:.0f}±{lin.std:.0f} (n={lin.n_converged}/50), "
-        f"one-sided p={headline.p_one_sided:.4f}; "
+        f"one-sided p={headline.welch.p_one_sided:.4f}; "
         f"ordered={ordered} significant={significant} "
         f"bands powerlaw={pl_in_band} linear={lin_in_band}"
     )

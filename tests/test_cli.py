@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -22,9 +23,9 @@ from spinsyn.harness import (
     ComparisonReport,
     ExperimentConfig,
     RuleSummary,
-    SweepPoint,
     SweepResult,
     TrialResult,
+    WelchResult,
 )
 
 
@@ -323,19 +324,22 @@ class TestCsvWriters:
     def test_sweep_bytes_match_per_cell_rendering(self, tmp_path):
         nan = math.nan
         # a sweep where no trial converged has NaN mean and std on every row
-        stalled = [SweepPoint(UpdateRule.LINEAR, lr, nan, nan, 0, nan) for lr in (0.4, 0.45)]
+        stalled = [
+            RuleSummary(UpdateRule.LINEAR, lr, [None, None], nan, nan, 0, 2) for lr in (0.4, 0.45)
+        ]
         mixed = [
-            SweepPoint(UpdateRule.POWER_LAW, 0.1 + 0.2, 312.5, 17.677669529663689, 2, 312.5),
-            SweepPoint(UpdateRule.POWER_LAW, np.float64(1 / 3), np.float64(40.0), nan, 1, 60.0),
-            SweepPoint(UpdateRule.POWER_LAW, 1.25, 5e-324, 0.0, 3, 5e-324),
+            RuleSummary(UpdateRule.POWER_LAW, 0.1 + 0.2, [300, 325], 312.5, 17.677669529663689,
+                        2, 2),
+            RuleSummary(UpdateRule.POWER_LAW, np.float64(1 / 3), [40, None], np.float64(40.0),
+                        nan, 1, 2),
+            RuleSummary(UpdateRule.POWER_LAW, 1.25, [0, 0, 0], 5e-324, 0.0, 3, 3),
         ]
         sweeps = [SweepResult(UpdateRule.LINEAR, stalled, 0.4),
                   SweepResult(UpdateRule.POWER_LAW, mixed, 1.25)]
         path = tmp_path / "sweep.csv"
         write_sweep_csv(path, sweeps)
         rows = [
-            [p.rule.value, fmt(p.lr_hidden), fmt(p.mean_epochs), fmt(p.std_epochs),
-             str(p.n_converged)]
+            [p.rule.value, fmt(p.lr_hidden), fmt(p.mean), fmt(p.std), str(p.n_converged)]
             for sweep in sweeps
             for p in sweep.points
         ]
@@ -349,9 +353,9 @@ class TestCsvWriters:
                                212.13203435596427, 2, 3)
         linear = RuleSummary(UpdateRule.LINEAR, 0.75, [1000, 1600, 1300],
                              np.float64(1300.0), np.float64(300.0), 3, 3)
-        return ComparisonReport(powerlaw=powerlaw, linear=linear, t=-1.1180339887498949,
-                                nu=np.float64(2.9411764705882355), p_one_sided=0.1715,
-                                p_two_sided=0.343)
+        welch = WelchResult(t=-1.1180339887498949, nu=np.float64(2.9411764705882355),
+                            p_two_sided=0.343, p_one_sided=0.1715)
+        return ComparisonReport(powerlaw=powerlaw, linear=linear, welch=welch)
 
     def test_comparison_bytes_match_per_cell_rendering(self, tmp_path):
         report = self.comparison_report()
@@ -367,7 +371,8 @@ class TestCsvWriters:
         report = self.comparison_report()
         path = tmp_path / "stats.csv"
         write_stats_csv(path, report)
-        row = [fmt(report.t), fmt(report.nu), fmt(report.p_one_sided), fmt(report.p_two_sided)]
+        welch = report.welch
+        row = [fmt(welch.t), fmt(welch.nu), fmt(welch.p_one_sided), fmt(welch.p_two_sided)]
         assert path.read_bytes() == per_cell_csv("t,nu,p_one_sided,p_two_sided", [row])
 
 
@@ -399,6 +404,21 @@ class TestCliCommands:
         main(["train", "--config", str(cfg), "--out", str(out_a), "--seed", "1"])
         main(["train", "--config", str(cfg), "--out", str(out_b), "--seed", "2"])
         assert (out_a / "learning_curve.csv").read_bytes() != (
+            out_b / "learning_curve.csv"
+        ).read_bytes()
+
+    @pytest.mark.parametrize("rule", [r.value for r in UpdateRule])
+    def test_lr_flag_sets_the_rules_config_rate(self, tmp_path, rule):
+        # the rate enters every trial's seed, so a flag that set the other
+        # rule's rate would give other curves
+        flag = write_config(tmp_path, SMALL_EXPERIMENT)
+        keyed = tmp_path / "keyed.cfg"
+        keyed.write_text(SMALL_EXPERIMENT + f"harness.lr_{rule} = 0.9\n")
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert main(["train", "--rule", rule, "--config", str(flag), "--out", str(out_a),
+                     "--lr", "0.9"]) == 0
+        assert main(["train", "--rule", rule, "--config", str(keyed), "--out", str(out_b)]) == 0
+        assert (out_a / "learning_curve.csv").read_bytes() == (
             out_b / "learning_curve.csv"
         ).read_bytes()
 
@@ -510,6 +530,42 @@ class TestCliCommands:
         assert subthreshold and all(r == 1.0 for r in subthreshold)
 
 
+# sha256 of the result CSVs of compare and sweep at RESULT_PIN_CONFIG and
+# --seed 7, recorded on x86-64 with AVX-512 and numpy 2.4. The trials go
+# through numpy's float64 exp, so a platform whose exp rounds differently
+# gives other digests. Some trials stop at max_epochs, so the summaries
+# skip them and the sweep's ranking penalizes them.
+RESULT_PIN_CONFIG = """
+harness.n_trials = 4
+harness.max_epochs = 20
+harness.goal = 0.6
+harness.filter_keep = 0.95
+harness.filter_gain = 0.05
+harness.lr_sweep_from = 0.7
+harness.lr_sweep_to = 0.8
+"""
+RESULT_DIGESTS = {
+    "comparison.csv": "6a2bb08d61404d61e532f566a1c38670c60c5192cb55323e3c36945d755f5832",
+    "stats.csv": "44134fa3af0dc372aa2cae883e3661f1ff91f92f955cadd20f715e6b246d82b3",
+    "sweep.csv": "516dbb7d332fc4397a50cd51f2a1695a2fdaa54bebb92acfbca35bb55133a4b0",
+}
+
+
+def test_result_csvs_are_pinned(tmp_path, capsys):
+    cfg = write_config(tmp_path, RESULT_PIN_CONFIG)
+    out = tmp_path / "out"
+    for subcommand in ("compare", "sweep"):
+        assert main([subcommand, "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 0
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in RESULT_DIGESTS
+    }
+    assert digests == RESULT_DIGESTS
+    # the ranking picks linear 0.7, an edge, and powerlaw 0.75, inside the grid
+    warnings = capsys.readouterr().err.splitlines()
+    assert [w.split(" best_lr ")[0] for w in warnings] == ["spinsyn: warning: linear"]
+    assert "best_lr 0.7 " in warnings[0]
+
+
 class TestExitCodes:
     def test_missing_config_exits_2(self, tmp_path):
         code = main(
@@ -539,6 +595,7 @@ class TestExitCodes:
         "argv, config",
         [
             (["train", "--lr", "-1"], None),
+            (["train", "--seed", "-1"], None),
             (["sweep"], "harness.lr_sweep_step = 1e-11\n"),
             (["sweep"], "harness.lr_sweep_step = 1e-9\n"),  # 8.5e8 rates
             # sums to 1, but the filtered reward leaves [0, 1] and every
@@ -546,7 +603,7 @@ class TestExitCodes:
             (["train"], "harness.filter_keep = 1.5\nharness.filter_gain = -0.5\n"),
         ],
         ids=[
-            "train-negative-lr", "sweep-sub-resolution-step", "sweep-oversized-grid",
+            "train-negative-lr", "train-negative-seed", "sweep-sub-resolution-step", "sweep-oversized-grid",
             "train-negative-filter-gain",
         ],
     )

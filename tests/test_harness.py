@@ -15,8 +15,8 @@ from spinsyn.critic import CriticConfig, CriticNetwork
 from spinsyn.env import InputSchedule
 from spinsyn.harness import (
     ExperimentConfig,
+    RuleSummary,
     StatisticsUnavailableError,
-    SweepPoint,
     SweepResult,
     compare_rules,
     epochs_to_goal,
@@ -590,10 +590,8 @@ class TestSweep:
         assert result.rule is UpdateRule.LINEAR
         assert [p.lr_hidden for p in result.points] == [0.7, 0.75, 0.8]
         assert result.best_lr in (0.7, 0.75, 0.8)
-        penalized = [p.penalized_mean for p in result.points]
-        winners = [
-            p.lr_hidden for p in result.points if p.penalized_mean == min(penalized)
-        ]
+        penalized = [p.penalized_mean(config.max_epochs) for p in result.points]
+        winners = [p.lr_hidden for p, pm in zip(result.points, penalized) if pm == min(penalized)]
         assert result.best_lr == min(winners)  # ties break toward smaller lr
 
     def test_smallest_step_gives_distinct_rates(self):
@@ -615,10 +613,16 @@ class TestSweep:
         with pytest.raises(ValueError, match="more than"):
             ExperimentConfig(lr_sweep_from=1.0, lr_sweep_to=1.0 + n * step, lr_sweep_step=step)
 
+    def test_penalized_mean_counts_stalled_trials_as_max_epochs(self):
+        epochs = [10, None, 30, None]
+        summary = RuleSummary(UpdateRule.LINEAR, 0.75, epochs, 20.0, math.sqrt(200), 2, 4)
+        assert summary.penalized_mean(100) == (10 + 100 + 30 + 100) / 4
+
     @pytest.mark.parametrize("best, on_edge", [(0.7, True), (0.75, False), (0.8, True)])
     def test_best_on_edge(self, best, on_edge):
         points = [
-            SweepPoint(UpdateRule.LINEAR, lr, 100.0, 10.0, 2, 100.0) for lr in (0.7, 0.75, 0.8)
+            RuleSummary(UpdateRule.LINEAR, lr, [90, 100, 110], 100.0, 10.0, 3, 3)
+            for lr in (0.7, 0.75, 0.8)
         ]
         assert SweepResult(UpdateRule.LINEAR, points, best).best_on_edge is on_edge
 
@@ -636,8 +640,8 @@ class TestCompareRules:
         assert report.powerlaw.n_trials == report.linear.n_trials == 4
         assert report.powerlaw.lr_hidden == config.lr_powerlaw
         assert report.linear.lr_hidden == config.lr_linear
-        assert 0.0 <= report.p_two_sided <= 1.0
-        assert report.p_one_sided == pytest.approx(report.p_two_sided / 2.0)
+        assert 0.0 <= report.welch.p_two_sided <= 1.0
+        assert report.welch.p_one_sided == pytest.approx(report.welch.p_two_sided / 2.0)
 
     def test_statistics_unavailable_when_nothing_converges(self):
         config = small_config(n_trials=3, max_epochs=5, goal=0.99)
