@@ -109,47 +109,63 @@ class ActorConfig:
 
 
 # 0-d float64 operands for the per-presentation ufuncs: numpy converts a
-# Python float operand anew on every call, a quarter of the cost of a
-# ufunc on a few lanes. The bits are the same.
-_ZERO, _ONE, _NEG_EXP_LIMIT = np.array(0.0), np.array(1.0), np.array(-709.0)
+# Python float operand anew on every call. On numpy 2.4.6 at 12 lanes,
+# np.add(r, 1.0, out=o) took 0.89 us and np.add(r, np.array(1.0), out=o)
+# 0.54 us (best of 15 runs of 10^5 calls). The bits are the same.
+_ZERO, _ONE, _MINUS_ONE = np.array(0.0), np.array(1.0), np.array(-1.0)
+_EXP_LIMIT = np.array(709.0)
+
+
+def sigmoid_of_negated(neg_z, out, negated=False):
+    """Logistic function 1/(1 + e^-z) of z = -neg_z, elementwise, into out
+    (which may be neg_z); with negated, its negation -1/(1 + e^-z).
+
+    The steps min, exp, +1, divide run in place on out, so taking the
+    negated pre-activation saves the negation step. The overflow guard
+    min(-z, 709) is -max(z, -709) exactly: e^-z stays finite, so the result
+    stays > 0. No guard on the other side is needed: for z >= 709,
+    1 + e^-z rounds to 1 whether or not z is clipped, so a clip there
+    changes no bit. Division is symmetric in sign, so the negated result
+    has the same bits with the sign flipped.
+    """
+    np.minimum(neg_z, _EXP_LIMIT, out=out)
+    np.exp(out, out=out)
+    np.add(out, _ONE, out=out)
+    return np.divide(_MINUS_ONE if negated else _ONE, out, out=out)
 
 
 def sigmoid(z, out=None):
     """Logistic function 1/(1 + e^-z), elementwise, into out.
 
     out may be z itself; without it the result is a fresh float array (a
-    numpy scalar for a scalar z). The steps max, negate, exp, +1, divide
-    all run in place on out, with the bits of one fresh array per step.
+    numpy scalar for a scalar z). The bits are those of sigmoid_of_negated
+    of -z.
     """
     if out is None:
         return sigmoid(z, np.array(z, dtype=float))[()]
-    # exp overflow guard: e^-z stays finite for z >= -709, so the result
-    # stays > 0. No upper guard is needed: for z >= 709, 1 + e^-z rounds to
-    # 1 whether or not z is clipped, so a clip at 709 changes no bit.
-    np.maximum(z, _NEG_EXP_LIMIT, out=out)
-    np.negative(out, out=out)
-    np.exp(out, out=out)
-    np.add(out, _ONE, out=out)
-    return np.divide(_ONE, out, out=out)
+    return sigmoid_of_negated(np.negative(z, out=out), out)
 
 
-def affine(w: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x @ w + b for input-major w (..., n_in, units), x (..., n_in), b (..., units).
+def affine_negated(w, neg_x, b, out=None, products=None):
+    """-(x @ w + b) for input-major w (..., n_in, units), negated inputs
+    neg_x = -x (..., n_in) and b (..., units), into out if given; the
+    products (..., n_in, units) go into products if given.
 
     Leading axes broadcast: a lane's weights (lanes, n_in, units) meet one
     input per lane (lanes, n_in), or every input of a batch in
     presentation-major order (batch, lanes, n_in). One broadcast product
-    gives every input's row w[..., j, :] * x[..., j], and the rows are
-    summed one at a time, in input order, then b is added: for the two
+    gives every input's row w[..., j, :] * -x[..., j], and the rows are
+    summed one at a time, in input order, then b is subtracted: for the two
     XOR inputs this is several times faster than a reduction over a
     length-2 axis, and each element gets the same bits whatever the
-    leading axes.
+    leading axes. Rounding is symmetric in sign, so the result is the
+    negated x @ w + b up to the sign of a zero, which no sigmoid sees.
     """
-    products = w * x[..., None]
+    products = np.multiply(w, neg_x[..., None], out=products)
     z = products[..., 0, :]
-    for j in range(1, x.shape[-1]):
-        z = z + products[..., j, :]
-    return z + b
+    for j in range(1, neg_x.shape[-1]):
+        z = out = np.add(z, products[..., j, :], out=out)
+    return np.subtract(z, b, out=out)
 
 
 def threshold_power_update(acc, dw_min: float, exponent: float):
@@ -159,8 +175,10 @@ def threshold_power_update(acc, dw_min: float, exponent: float):
     so noise-level accumulated changes are suppressed.
     """
     acc = np.asarray(acc, dtype=float)
-    transformed = np.sign(acc) * np.abs(acc) ** exponent
-    return np.where(np.abs(acc) > dw_min, transformed, 0.0)
+    magnitude = np.abs(acc)
+    # copysign(|a|^k, a) is sign(a) * |a|^k wherever |a| > dw_min >= 0
+    transformed = np.copysign(magnitude**exponent, acc)
+    return np.where(magnitude > dw_min, transformed, 0.0)
 
 
 class ActorNetwork:
@@ -171,9 +189,12 @@ class ActorNetwork:
     (lanes, n_hidden), b_out (lanes,); the input width is w_hidden's
     axis 1. Each lane has its own update rule (the powerlaw mask) and
     hidden-layer rate (lr_hidden); config holds everything the lanes
-    share. These parameters are all the actor keeps between batches. All
-    arithmetic is elementwise or reduces over the trailing axis, so a lane
-    computes the same bits whatever batch it runs in.
+    share. These parameters are all the actor keeps between batches,
+    besides per-lane constants and scratch arrays that the constructor,
+    select and propose size to the lanes and the batch. All arithmetic is
+    elementwise or reduces over the trailing axis (accumulate's sum runs
+    over the presentation axis, in order), so a lane computes the same
+    bits whatever batch it runs in.
 
     A batch of presentations runs in three stages. The weights change only
     in apply_batch_update, so propose computes the hidden layer's firing
@@ -187,12 +208,15 @@ class ActorNetwork:
     the parameters.
 
     The per-batch arrays have a presentation axis after the lane axis:
-    x (lanes, batch, n_in), p_hidden and y_hidden (lanes, batch, n_hidden),
-    and r_bar, p_flip, p_out and y_out (lanes, batch). propose allocates
-    them afresh for every batch, presentation-major: each is a transposed
-    view of a (batch, lanes, ...) array, so each presentation's slice
-    [:, t] is one contiguous row that forward reads and fills in place.
-    An array forward returns therefore keeps its values for good.
+    x (lanes, batch, n_in), p_hidden (lanes, batch, n_hidden), the bits
+    proposed_hidden and y_hidden (lanes, batch, n_hidden) and y_out
+    (lanes, batch), and r_bar, p_flip and p_out (lanes, batch). propose
+    allocates them afresh for every batch, presentation-major: each is a
+    transposed view of a (batch, lanes, ...) array, so each presentation's
+    slice [:, t] is one contiguous row that forward reads and fills in
+    place. An array forward returns therefore keeps its values for good.
+    The bits stay bool until accumulate turns them into floats, once per
+    batch.
     """
 
     def __init__(
@@ -224,6 +248,24 @@ class ActorNetwork:
         for name, shape in expected.items():
             if getattr(self, name).shape != shape:
                 raise ValueError(f"{name} shape {getattr(self, name).shape} != {shape}")
+        self._alpha_flip = np.array(config.alpha_flip)
+        self._size_to_lanes()
+
+    def _size_to_lanes(self) -> None:
+        """Per-lane constants and per-presentation scratch for the current lanes."""
+        lanes, _, n_hidden = self.w_hidden.shape
+        # every unit's rate: the lane's rate in the hidden layer, and
+        # LR_OUT_RATIO of it for the output unit, in column n_hidden
+        self._lr_units = np.empty((lanes, n_hidden + 1))
+        self._lr_units[:, :n_hidden] = self.lr_hidden[:, None]
+        self._lr_units[:, n_hidden] = self.lr_hidden * LR_OUT_RATIO
+        self._linear = ~self.powerlaw[:, None]
+        # a presentation's flips: the hidden units', the output proposal's
+        # column (unused) and the output unit's
+        self._flips = np.empty((lanes, n_hidden + 2), dtype=bool)
+        self._proposed_out = np.empty(lanes, dtype=bool)
+        self._products = np.empty((lanes, n_hidden))
+        self._scratch = None  # accumulate's, sized to the batch by propose
 
     @classmethod
     def initialize(
@@ -263,6 +305,7 @@ class ActorNetwork:
         """Keep only the given lanes, in the given order."""
         for name in ("w_hidden", "b_hidden", "w_out", "b_out", "powerlaw", "lr_hidden"):
             setattr(self, name, getattr(self, name)[lanes])
+        self._size_to_lanes()
 
     def propose(self, x, u) -> None:
         """Hidden-layer pass of a whole batch of presentations.
@@ -284,18 +327,39 @@ class ActorNetwork:
             )
         batch = x.shape[1]
         x_rows = np.ascontiguousarray(x.transpose(1, 0, 2))  # a no-op for presentation-major x
-        self.x, self.u = x_rows.transpose(1, 0, 2), u
-        p_hidden = affine(self.w_hidden, x_rows, self.b_hidden)
-        sigmoid(p_hidden, out=p_hidden)
-        proposed = np.empty(p_hidden.shape, dtype=bool)
-        np.less(u.transpose(1, 0, 2)[..., :n_hidden], p_hidden, out=proposed)
-        self.p_hidden = p_hidden.transpose(1, 0, 2)
-        self.proposed_hidden = proposed.transpose(1, 0, 2)
-        self.y_hidden = np.empty(p_hidden.shape).transpose(1, 0, 2)
-        # four (lanes, batch) views of one presentation-major buffer
-        self.r_bar, self.p_flip, self.p_out, self.y_out = np.empty((4, batch, lanes)).transpose(
-            0, 2, 1
-        )
+        u_rows = u.transpose(1, 0, 2)
+        self._x = x_rows
+        # the uniforms forward reads: the hidden flips', the output
+        # proposal's and the output flip's
+        self._u_flips = u_rows[..., n_hidden : 2 * n_hidden + 2]
+        if self._scratch is None or len(self._scratch[0]) != batch:
+            # accumulate's: two (batch, lanes, n_hidden + 1) unit rows and the terms
+            units = (batch, lanes, n_hidden + 1)
+            terms = (batch, lanes, (n_in + 2) * n_hidden + 1)
+            self._scratch = (np.empty(units), np.empty(units), np.empty(terms))
+        # the products w * -x go where accumulate later puts the w_hidden terms
+        products = self._scratch[2][..., : n_in * n_hidden].reshape(batch, lanes, n_in, n_hidden)
+        p_hidden = affine_negated(self.w_hidden, -x_rows, self.b_hidden, products=products)
+        sigmoid_of_negated(p_hidden, out=p_hidden)
+        self._p_hidden = p_hidden
+        self._proposed = np.less(u_rows[..., :n_hidden], p_hidden)
+        self._y_hidden = np.empty(p_hidden.shape, dtype=bool)
+        self._y_out = np.empty((batch, lanes), dtype=bool)
+        self._r_bar = np.empty((batch, lanes))
+        self._p_flip = np.empty((batch, lanes))
+        self._p_out = np.empty((batch, lanes))
+        self._neg_w_out = -self.w_out
+
+    # The batch's arrays in the documented (lanes, batch, ...) order: views
+    # of the presentation-major arrays that propose allocates.
+    x = property(lambda self: self._x.transpose(1, 0, 2))
+    p_hidden = property(lambda self: self._p_hidden.transpose(1, 0, 2))
+    proposed_hidden = property(lambda self: self._proposed.transpose(1, 0, 2))
+    y_hidden = property(lambda self: self._y_hidden.transpose(1, 0, 2))
+    y_out = property(lambda self: self._y_out.T)
+    r_bar = property(lambda self: self._r_bar.T)
+    p_flip = property(lambda self: self._p_flip.T)
+    p_out = property(lambda self: self._p_out.T)
 
     def forward(self, t: int, r_bar) -> np.ndarray:
         """Sample every lane's output bit at presentation t of the batch,
@@ -304,23 +368,21 @@ class ActorNetwork:
         A unit flips its proposal when its flip uniform lies below
         alpha_flip * (1 - r_bar), with r_bar clamped into [0, 1]; the
         output unit proposes 1 when its uniform lies below its firing
-        probability. Every step writes into row t of the batch's arrays;
-        the returned bits are y_out[:, t].
+        probability. Every step writes into row t of the batch's arrays
+        or into scratch rows; the returned bits are y_out[:, t].
         """
-        n_hidden = self.b_hidden.shape[1]
-        u = self.u[:, t]
-        rb, p_flip, p_out, y_out = (
-            self.r_bar[:, t], self.p_flip[:, t], self.p_out[:, t], self.y_out[:, t]
-        )
+        # (indexing each buffer is several times faster than unpacking a row)
+        rb, p_flip, p_out = self._r_bar[t], self._p_flip[t], self._p_out[t]
+        y_hidden, u = self._y_hidden[t], self._u_flips[t]
         np.minimum(np.maximum(r_bar, _ZERO, out=rb), _ONE, out=rb)
-        np.multiply(self.config.alpha_flip, np.subtract(_ONE, rb, out=p_flip), out=p_flip)
-        flips = np.less(u[:, n_hidden : 2 * n_hidden], p_flip[:, None])
-        y_hidden = self.y_hidden[:, t]
-        y_hidden[...] = np.not_equal(self.proposed_hidden[:, t], flips, out=flips)
-        np.add.reduce(self.w_out * y_hidden, axis=-1, out=p_out)
-        sigmoid(np.add(p_out, self.b_out, out=p_out), out=p_out)
-        y_out[...] = (u[:, 2 * n_hidden] < p_out) ^ (u[:, 2 * n_hidden + 1] < p_flip)
-        return y_out
+        np.multiply(self._alpha_flip, np.subtract(_ONE, rb, out=p_flip), out=p_flip)
+        flips = np.less(u, p_flip[:, None], out=self._flips)
+        np.not_equal(self._proposed[t], flips[:, :-2], out=y_hidden)
+        # the output unit's negated pre-activation
+        np.add.reduce(np.multiply(self._neg_w_out, y_hidden, out=self._products), axis=-1, out=p_out)
+        sigmoid_of_negated(np.subtract(p_out, self.b_out, out=p_out), out=p_out)
+        proposed_out = np.less(u[:, -2], p_out, out=self._proposed_out)
+        return np.not_equal(proposed_out, flips[:, -1], out=self._y_out[t])
 
     def accumulate(self, r) -> None:
         """Sum the batch's proposed changes, given its rewards r (lanes, batch).
@@ -331,41 +393,60 @@ class ActorNetwork:
         emission probability p * (1 - p_flip) + (1 - p) * p_flip, so the
         term is mean-zero under the exploration flips.
 
-        Every presentation's four terms go into one row of a contiguous
-        (batch, lanes, (n_in + 2) * n_hidden + 1) buffer, and the rows are
-        summed from zero, one at a time, in presentation order (np.sum may
-        add pairwise). The sums are views of that one (lanes, ...) result
-        with the parameters' shapes: acc_w_hidden (lanes, n_in, n_hidden),
-        input-major like w_hidden, acc_b_hidden, acc_w_out and acc_b_out.
+        The error terms eta * (R - r_bar) * (y_i - p_i) of the hidden units
+        and the output unit are formed together, over (batch, lanes,
+        n_hidden + 1). Every presentation's terms go into one row of a
+        contiguous (batch, lanes, (n_in + 2) * n_hidden + 1) buffer, laid
+        out weights first: w_hidden, w_out, b_hidden, b_out. The rows are
+        summed from zero, in presentation order, by one reduction over the
+        batch axis (an outer axis, so numpy adds whole rows in turn, never
+        pairwise). The sums are views of that one (lanes, ...) result with
+        the parameters' shapes: acc_w_hidden (lanes, n_in, n_hidden),
+        input-major like w_hidden, acc_w_out, acc_b_hidden and acc_b_out.
         """
         lanes, n_in, n_hidden = self.w_hidden.shape
-        # presentation-major views (batch, lanes, ...) of the batch's arrays
-        x, p, y = (a.transpose(1, 0, 2) for a in (self.x, self.p_hidden, self.y_hidden))
-        f, r_bar, p_out, y_out = self.p_flip.T, self.r_bar.T, self.p_out.T, self.y_out.T
-        delta = np.asarray(r).T - r_bar
-        batch = len(delta)
-        p_emit = p * (1.0 - f[..., None]) + (1.0 - p) * f[..., None]
-        p_out_emit = p_out * (1.0 - f) + (1.0 - p_out) * f
         n_w = n_in * n_hidden
-        terms = np.empty((batch, lanes, n_w + 2 * n_hidden + 1))
-        err_hidden = np.multiply(
-            (self.lr_hidden * delta)[..., None], y - p_emit, out=terms[..., n_w : n_w + n_hidden]
-        )
+        p, y, terms = self._scratch
+        batch = len(terms)
+        # every unit's firing probability, the output unit's last, becomes
+        # the emission probability p (1 - f) + (1 - p) f; y holds p (1 - f)
+        # until it takes the bits as floats
+        p[..., :n_hidden], p[..., n_hidden] = self._p_hidden, self._p_out
+        f = self._p_flip[..., None]
+        np.multiply(p, np.subtract(_ONE, f), out=y)
+        np.add(y, np.multiply(np.subtract(_ONE, p, out=p), f, out=p), out=p)
+        y[..., :n_hidden], y[..., n_hidden] = self._y_hidden, self._y_out
+        np.subtract(y, p, out=p)
+        # p becomes the errors eta * (R - r_bar) * (y - p_emit), which are
+        # the bias terms; the weight terms read them from p, because an
+        # operand that shares memory with the output makes numpy copy it
+        bias_terms = terms[..., n_w + n_hidden :]
+        delta = np.subtract(np.asarray(r).T, self._r_bar)
+        np.multiply(np.multiply(self._lr_units, delta[..., None], out=bias_terms), p, out=p)
+        bias_terms[...] = p
         np.multiply(
-            err_hidden[:, :, None, :],
-            x[..., None],
+            p[:, :, None, :n_hidden],
+            self._x[..., None],
             out=terms[..., :n_w].reshape(batch, lanes, n_in, n_hidden),  # a view
         )
-        err_out = np.multiply(
-            self.lr_hidden * LR_OUT_RATIO * delta, y_out - p_out_emit, out=terms[..., -1]
-        )
-        np.multiply(err_out[..., None], y, out=terms[..., n_w + n_hidden : -1])
-        sums = np.zeros(terms.shape[1:])
-        for row in terms:
-            sums += row
+        np.multiply(p[..., n_hidden:], y[..., :n_hidden], out=terms[..., n_w : n_w + n_hidden])
+        self.load_sums(np.add.reduce(terms, axis=0, initial=0.0))
+
+    def load_sums(self, sums: np.ndarray) -> None:
+        """Take sums (lanes, (n_in + 2) * n_hidden + 1), laid out as
+        accumulate's, as the batch sums that apply_batch_update adds.
+
+        acc_w_hidden, acc_w_out, acc_b_hidden and acc_b_out become views of
+        sums with the parameters' shapes.
+        """
+        lanes, n_in, n_hidden = self.w_hidden.shape
+        n_w = n_in * n_hidden
+        if sums.shape != (lanes, n_w + 2 * n_hidden + 1):
+            raise ValueError(f"sums shape {sums.shape} != {(lanes, n_w + 2 * n_hidden + 1)}")
+        self._sums = sums
         self.acc_w_hidden = sums[:, :n_w].reshape(lanes, n_in, n_hidden)
-        self.acc_b_hidden = sums[:, n_w : n_w + n_hidden]
-        self.acc_w_out = sums[:, n_w + n_hidden : -1]
+        self.acc_w_out = sums[:, n_w : n_w + n_hidden]
+        self.acc_b_hidden = sums[:, n_w + n_hidden : -1]
         self.acc_b_out = sums[:, -1]
 
     def apply_batch_update(self) -> None:
@@ -373,14 +454,19 @@ class ActorNetwork:
 
         Biases, and every weight of a linear lane, take their sum verbatim.
         A power-law lane's weights take threshold_power_update of it:
-        components at or below dw_min in magnitude are dropped. The next
+        components at or below dw_min in magnitude are dropped. The
+        weights' sums are one contiguous block, so the power law runs once
+        over every lane's block, into a fresh array that then takes the
+        linear lanes' sums; the acc_* views keep the raw sums. The next
         batch sums from zero again.
         """
         cfg = self.config
-        self.b_hidden += self.acc_b_hidden
-        self.b_out += self.acc_b_out
-        for param, acc in ((self.w_hidden, self.acc_w_hidden), (self.w_out, self.acc_w_out)):
-            powerlaw = self.powerlaw.reshape((-1,) + (1,) * (acc.ndim - 1))
-            param += np.where(
-                powerlaw, threshold_power_update(acc, cfg.dw_min, cfg.power_exponent), acc
-            )
+        lanes, n_in, n_hidden = self.w_hidden.shape
+        n_w = n_in * n_hidden
+        weights = self._sums[:, : n_w + n_hidden]
+        step = threshold_power_update(weights, cfg.dw_min, cfg.power_exponent)
+        np.copyto(step, weights, where=self._linear)
+        self.w_hidden += step[:, :n_w].reshape(lanes, n_in, n_hidden)
+        self.w_out += step[:, n_w:]
+        self.b_hidden += self._sums[:, n_w + n_hidden : -1]
+        self.b_out += self._sums[:, -1]

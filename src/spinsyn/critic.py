@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actor import affine, sigmoid
+from .actor import affine_negated, sigmoid_of_negated
 from .env import N_INPUTS
 
 
@@ -52,10 +52,15 @@ class CriticNetwork:
     change between the two, so the read and the update share one forward
     pass exactly.
 
-    forward runs once per presentation, so it chains its ufuncs in place
-    on two fresh arrays, the hidden layer's and the prediction's, instead
-    of allocating a result per step. Each call allocates its own, so the
-    prediction it returns keeps its values for good.
+    forward and update run once per presentation, so they chain their
+    ufuncs in place on scratch arrays that the constructor and select size
+    to the lanes, instead of allocating a result per step. Only the
+    prediction is fresh on every forward call, so the array forward returns
+    keeps its values for good. forward works on negated pre-activations:
+    from the negated inputs, the hidden layer's is -(x @ w_hidden +
+    b_hidden), its sigmoid is formed negated, and the output's negated
+    pre-activation is then sum(w_out * -y_hidden) - b_out. Rounding is
+    symmetric in sign, so every bit is that of the plain chain.
     """
 
     def __init__(
@@ -81,6 +86,18 @@ class CriticNetwork:
         for name, shape in expected.items():
             if getattr(self, name).shape != shape:
                 raise ValueError(f"{name} shape {getattr(self, name).shape} != {shape}")
+        self._lr, self._l1_coeff = np.array(config.lr), np.array(config.l1_coeff)
+        self._size_to_lanes()
+
+    def _size_to_lanes(self) -> None:
+        """Per-presentation scratch for the current lanes."""
+        lanes, n_in, n_hidden = self.w_hidden.shape
+        self._products = np.empty((lanes, n_in, n_hidden))
+        self._hidden = np.empty((lanes, n_hidden))
+        self._error = np.empty(lanes)
+        self._gain = np.empty((lanes, n_hidden))
+        self._step = np.empty((lanes, n_in, n_hidden))
+        self._l1 = np.empty((lanes, n_in, n_hidden))
 
     @classmethod
     def initialize(
@@ -110,18 +127,29 @@ class CriticNetwork:
         """Keep only the given lanes, in the given order."""
         for name in ("w_hidden", "b_hidden", "w_out", "b_out"):
             setattr(self, name, getattr(self, name)[lanes])
+        self._size_to_lanes()
 
-    def forward(self, x) -> np.ndarray:
-        """Predicted reward of every lane for inputs x (lanes, n_in), inside [0, 1]."""
+    def forward(self, x, neg_x=None) -> np.ndarray:
+        """Predicted reward of every lane for inputs x (lanes, n_in), inside [0, 1].
+
+        neg_x, if given, must be -x: an epoch's caller negates all its
+        inputs in one step.
+        """
         x = np.asarray(x, dtype=float)
         lanes, n_in, _ = self.w_hidden.shape
         if x.shape != (lanes, n_in):
             raise ValueError(f"input shape {x.shape} does not match ({lanes}, n_in={n_in})")
-        y_hidden = affine(self.w_hidden, x, self.b_hidden)
-        sigmoid(y_hidden, out=y_hidden)
-        prediction = np.add.reduce(np.multiply(self.w_out, y_hidden, out=y_hidden), axis=-1)
+        if neg_x is None:
+            neg_x = -x
+        hidden = affine_negated(
+            self.w_hidden, neg_x, self.b_hidden, out=self._hidden, products=self._products
+        )
+        sigmoid_of_negated(hidden, out=hidden, negated=True)  # -y_hidden
+        # -(w_out . y_hidden) - b_out, the output's negated pre-activation
+        prediction = np.add.reduce(np.multiply(self.w_out, hidden, out=hidden), axis=-1)
+        np.subtract(prediction, self.b_out, out=prediction)
         self.x = x
-        self.prediction = sigmoid(np.add(prediction, self.b_out, out=prediction), out=prediction)
+        self.prediction = sigmoid_of_negated(prediction, out=prediction)
         return prediction
 
     def update(self, r) -> None:
@@ -132,9 +160,10 @@ class CriticNetwork:
         is untouched. sign(0) is 0, so exactly-zero weights receive no L1
         drift.
         """
-        gain = (r - self.prediction)[:, None] * self.w_out
-        self.w_hidden += self.config.lr * (
-            gain[:, None, :] * self.x[:, :, None]
-            - self.config.l1_coeff * np.sign(self.w_hidden)
+        gain = np.multiply(
+            np.subtract(r, self.prediction, out=self._error)[:, None], self.w_out, out=self._gain
         )
-        self.b_hidden += self.config.lr * gain
+        step = np.multiply(gain[:, None, :], self.x[:, :, None], out=self._step)
+        l1 = np.multiply(self._l1_coeff, np.sign(self.w_hidden, out=self._l1), out=self._l1)
+        self.w_hidden += np.multiply(self._lr, np.subtract(step, l1, out=step), out=step)
+        self.b_hidden += np.multiply(self._lr, gain, out=gain)

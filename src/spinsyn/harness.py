@@ -28,17 +28,30 @@ presentation axis (lanes, batch_size, ...):
 Every result is bit-identical to running the whole stack once per
 presentation, because the order of every rounding step is kept: the
 actor sums each batch's changes from zero, adding each presentation's
-term in presentation order (never a pairwise sum), and keeps nothing but
-its parameters between batches; the filter's recursion runs in
-presentation order. The mean reward is a plain sum, exact because each
-reward is 0 or 1.
+term in presentation order (one reduction over the batch axis, never a
+pairwise sum; tests/test_actor.py checks it against the row-by-row loop),
+and keeps nothing but its parameters between batches; the filter's
+recursion runs in presentation order, and only its gain * R products,
+which do not depend on the state, are formed for the whole batch at once.
+Each sigmoid takes its negated pre-activation, formed from negated inputs
+and a subtracted bias; rounding is symmetric in sign, so that changes at
+most the sign of a zero the sigmoid maps to 1/2 either way. The mean
+reward is a plain sum, exact because each reward is 0 or 1.
 
 Memory layout. Every per-presentation array is presentation-major: the
 documented (lanes, batch_size, ...) arrays are transposed views of
 (batch_size, lanes, ...) memory, so each presentation's slice [:, t] is
-one contiguous (lanes, ...) row. The chain of a presentation writes into
-preallocated rows and chains its ufuncs in place. The actor's batch sums
-add whole rows of one (batch_size, lanes, ...) buffer of every term.
+one contiguous (lanes, ...) row. ActorNetwork.propose allocates those
+rows once per batch, and each network sizes its scratch arrays to its
+lanes when it is built and when select drops lanes, so the chain of a
+presentation writes into rows and scratch and chains its ufuncs in place;
+only the critic's prediction is a fresh array. The hidden bits, the
+output bits and the rewards stay bool inside the presentation loop and
+become floats once per batch, in accumulate. The actor's batch sums come from one
+contiguous (batch_size, lanes, (n_in + 2) * n_hidden + 1) buffer of every
+term, laid out weights first, which the actor keeps from batch to batch;
+the end-of-batch update then runs the power law once over the contiguous
+weight block of the sums.
 
 Random streams. Every lane has its own generator,
 default_rng(trial_seed(master_seed, rule, lr, trial index)). It first
@@ -250,15 +263,21 @@ def run_epoch(
     batch_size = u.shape[1]
     x, target = schedule.next(u[:, :, :2])
     actor.propose(x, u[:, :, 2:])
-    r_rows = np.empty((batch_size, len(u)))  # row t: every lane's reward at presentation t
-    for t, (x_t, target_t, r_t) in enumerate(zip(x.transpose(1, 0, 2), target.T, r_rows)):
-        r_bar = critic.forward(x_t)
-        r_t[...] = reward(actor.forward(t, r_bar), target_t)
+    x_rows = x.transpose(1, 0, 2)
+    r_rows = np.empty((batch_size, len(u)), dtype=bool)  # row t: every lane's reward at t
+    for t, (x_t, neg_x_t, target_t, r_t) in enumerate(
+        zip(x_rows, np.negative(x_rows), target.T, r_rows)
+    ):
+        r_bar = critic.forward(x_t, neg_x_t)
+        reward(actor.forward(t, r_bar), target_t, out=r_t)
         critic.update(r_t)
     actor.accumulate(r_rows.T)
     actor.apply_batch_update()
-    for r_t in r_rows:
-        filter_state = filter_reward(filter_state, r_t, config.filter_keep, config.filter_gain)
+    # filter_reward per presentation, with every gain * R formed at once
+    keep = np.array(config.filter_keep)
+    filter_state = np.array(filter_state, dtype=float)
+    for gain_r in np.multiply(config.filter_gain, r_rows):
+        np.add(np.multiply(keep, filter_state, out=filter_state), gain_r, out=filter_state)
     return r_rows.sum(axis=0) / batch_size, filter_state
 
 

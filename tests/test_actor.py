@@ -53,9 +53,10 @@ def present(net, x, r_bar, u):
 
 
 def load_sums(net):
-    """Zero batch sums in place of an accumulate call, for apply_batch_update."""
-    for name in ("w_hidden", "b_hidden", "w_out", "b_out"):
-        setattr(net, "acc_" + name, np.zeros_like(getattr(net, name)))
+    """Zero batch sums in place of an accumulate call, for apply_batch_update;
+    the acc_* arrays are views of them."""
+    lanes, n_in, n_hidden = net.w_hidden.shape
+    net.load_sums(np.zeros((lanes, (n_in + 2) * n_hidden + 1)))
 
 
 def copies(net, n):
@@ -384,6 +385,26 @@ class TestAccumulate:
         fresh.accumulate(r)
         for name in ("acc_w_hidden", "acc_b_hidden", "acc_w_out", "acc_b_out"):
             assert getattr(net, name).tobytes() == getattr(fresh, name).tobytes()
+
+    @pytest.mark.parametrize("lanes", [1, 4, 20, 72, 2000])
+    def test_batch_reduction_is_the_ordered_row_sum(self, lanes):
+        # accumulate sums its (batch, lanes, 41) terms with one
+        # np.add.reduce over the batch axis; that must be the sum from +0.0,
+        # one row at a time in presentation order. Terms of mixed magnitude
+        # make the bits depend on the order; rows of -0.0 must sum to +0.0.
+        def row_sum(rows):
+            total = np.zeros(rows.shape[1:])
+            for row in rows:
+                total += row
+            return total
+
+        rng = np.random.default_rng(lanes)
+        mixed = rng.normal(size=(10, lanes, 41)) * 10.0 ** rng.integers(-6, 7, (10, lanes, 41))
+        for terms in (mixed, np.full((10, lanes, 41), -0.0)):
+            reduced = np.add.reduce(terms, axis=0, initial=0.0)
+            assert reduced.tobytes() == row_sum(terms).tobytes()
+        # the mixed terms can tell the orders apart
+        assert row_sum(mixed[::-1]).tobytes() != row_sum(mixed).tobytes()
 
     def test_per_lane_learning_rate(self):
         # the same draws at two rates: every accumulator scales with the lane's rate

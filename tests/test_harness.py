@@ -439,16 +439,24 @@ def trials_digest(results):
 # accumulation and the reward filter moved out of the presentation loop, on
 # x86-64 with AVX-512 and numpy 2.4. The bits go through numpy's float64 exp,
 # so a platform whose exp rounds differently gives other digests.
+# "sweep" was recorded the same way, before the presentation chain moved to
+# preallocated rows and the batch update to one pass over the sums: a
+# sweep-shaped batch of 72 lanes that all run 20 epochs, 3 epochs per draw.
 PINNED_DIGESTS = {
     "default": ({}, "29ab59a9a4ef81b08c72320a42c834f55e026b666abfc574016ed439db9f0f67"),
+    "sweep": (
+        dict(n_trials=36, max_epochs=20, goal=0.975, filter_keep=0.999, filter_gain=0.001),
+        "fa29f67f5d52530444ab4cd8cc0c3525e9c7bc91c23da6f88c960ac4443c060b",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", PINNED_DIGESTS)
 def test_engine_bits_are_pinned(name):
-    # both rules, 4 trials each, lanes finishing at uneven epochs
+    # both rules, 4 trials each unless overridden; "default" has lanes
+    # finishing at uneven epochs
     overrides, digest = PINNED_DIGESTS[name]
-    config = uneven_config(n_trials=4, **overrides)
+    config = uneven_config(**{"n_trials": 4, **overrides})
     results = run_trials(config, [(UpdateRule.POWER_LAW, 1.1), (UpdateRule.LINEAR, 0.75)])
     assert trials_digest(results) == digest
 
