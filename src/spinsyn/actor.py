@@ -146,10 +146,10 @@ def sigmoid(z, out=None):
     return sigmoid_of_negated(np.negative(z, out=out), out)
 
 
-def affine_negated(w, neg_x, b, out=None, products=None):
+def affine_negated(w, neg_x, b, products, out=None):
     """-(x @ w + b) for input-major w (..., n_in, units), negated inputs
     neg_x = -x (..., n_in) and b (..., units), into out if given; the
-    products (..., n_in, units) go into products if given.
+    products (..., n_in, units) go into products.
 
     Leading axes broadcast: a lane's weights (lanes, n_in, units) meet one
     input per lane (lanes, n_in), or every input of a batch in
@@ -161,7 +161,7 @@ def affine_negated(w, neg_x, b, out=None, products=None):
     leading axes. Rounding is symmetric in sign, so the result is the
     negated x @ w + b up to the sign of a zero, which no sigmoid sees.
     """
-    products = np.multiply(w, neg_x[..., None], out=products)
+    np.multiply(w, neg_x[..., None], out=products)
     z = products[..., 0, :]
     for j in range(1, neg_x.shape[-1]):
         z = out = np.add(z, products[..., j, :], out=out)
@@ -339,7 +339,7 @@ class ActorNetwork:
             self._scratch = (np.empty(units), np.empty(units), np.empty(terms))
         # the products w * -x go where accumulate later puts the w_hidden terms
         products = self._scratch[2][..., : n_in * n_hidden].reshape(batch, lanes, n_in, n_hidden)
-        p_hidden = affine_negated(self.w_hidden, -x_rows, self.b_hidden, products=products)
+        p_hidden = affine_negated(self.w_hidden, -x_rows, self.b_hidden, products)
         sigmoid_of_negated(p_hidden, out=p_hidden)
         self._p_hidden = p_hidden
         self._proposed = np.less(u_rows[..., :n_hidden], p_hidden)

@@ -142,7 +142,7 @@ class CriticNetwork:
         if neg_x is None:
             neg_x = -x
         hidden = affine_negated(
-            self.w_hidden, neg_x, self.b_hidden, out=self._hidden, products=self._products
+            self.w_hidden, neg_x, self.b_hidden, self._products, out=self._hidden
         )
         sigmoid_of_negated(hidden, out=hidden, negated=True)  # -y_hidden
         # -(w_out . y_hidden) - b_out, the output's negated pre-activation
