@@ -461,6 +461,54 @@ def test_engine_bits_are_pinned(name):
     assert trials_digest(results) == digest
 
 
+def epoch_state_digest(rule, lanes, epochs=5):
+    """sha256 over both networks' parameters and the actor's batch sums
+    after each of a few run_epoch calls, lanes of one rule at sweep-grid rates.
+
+    The sums are hashed whether or not a power-law weight fires, so a
+    change of one ulp in any sum moves the digest.
+    """
+    config = uneven_config()
+    cfg = config.actor
+    lrs = [0.4 + 0.05 * (k % 18) for k in range(lanes)]
+    rngs = [np.random.default_rng([lanes, k]) for k in range(lanes)]
+    actor = ActorNetwork.initialize(cfg, rngs, lrs, [rule] * lanes)
+    critic = CriticNetwork.initialize(config.critic, rngs)
+    schedule, filter_state = InputSchedule(), np.full(lanes, config.filter_init)
+    sha = hashlib.sha256()
+    for _ in range(epochs):
+        draws = np.stack([rng.random((cfg.batch_size, 2 + 2 * cfg.n_hidden + 2)) for rng in rngs])
+        u = draws
+        mean, filter_state = run_epoch(actor, critic, schedule, u, filter_state, config)
+        for array in (
+            mean, filter_state,
+            actor.w_hidden, actor.b_hidden, actor.w_out, actor.b_out,
+            actor.acc_w_hidden, actor.acc_w_out, actor.acc_b_hidden, actor.acc_b_out,
+            critic.w_hidden, critic.b_hidden, critic.w_out, critic.b_out,
+        ):
+            sha.update(array.tobytes())
+    return sha.hexdigest()
+
+
+# Recorded on the same platform as PINNED_DIGESTS, before the batch API took
+# presentation-major arrays.
+PINNED_EPOCH_DIGESTS = {
+    (UpdateRule.POWER_LAW, 1): "4a8bd45bf60cf15b00bd2ff5f5823acd8bafb273e75d44225a703e3c9127e39f",
+    (UpdateRule.POWER_LAW, 4): "b3a571d0672a72709f65863bf18963f7d1eccbcd0f72bdd0823dba21ab7433a1",
+    (UpdateRule.POWER_LAW, 72): "cc74f706dea74c03e092ead3470b5ac8a41fb44b2aa8eec3468591a34feb5326",
+    (UpdateRule.LINEAR, 1): "f736c5237ee6a316c390d2d3b1b40d7bcf039fdfc801c8c64125c99e6dcb60e2",
+    (UpdateRule.LINEAR, 4): "1fe2543d107d443c0b36f308e3dc012c9523e6c580dc38d8646d461bf7c5255f",
+    (UpdateRule.LINEAR, 72): "6474185762cd1866845bdbd9ae1813974bf535f24073669d6a7b91b15857fc55",
+}
+
+
+@pytest.mark.parametrize(
+    "rule, lanes", PINNED_EPOCH_DIGESTS, ids=[f"{r.value}-{n}" for r, n in PINNED_EPOCH_DIGESTS]
+)
+def test_parameters_after_each_epoch_are_pinned(rule, lanes):
+    assert epoch_state_digest(rule, lanes) == PINNED_EPOCH_DIGESTS[rule, lanes]
+
+
 class TestWelch:
     def test_compare_runs_without_scipy(self, tmp_path):
         cfg = tmp_path / "compare.cfg"
