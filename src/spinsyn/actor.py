@@ -207,16 +207,15 @@ class ActorNetwork:
     zero, in presentation order, and apply_batch_update adds the sums to
     the parameters.
 
-    The per-batch arrays have a presentation axis after the lane axis:
-    x (lanes, batch, n_in), p_hidden (lanes, batch, n_hidden), the bits
-    proposed_hidden and y_hidden (lanes, batch, n_hidden) and y_out
-    (lanes, batch), and r_bar, p_flip and p_out (lanes, batch). propose
-    allocates them afresh for every batch, presentation-major: each is a
-    transposed view of a (batch, lanes, ...) array, so each presentation's
-    slice [:, t] is one contiguous row that forward reads and fills in
-    place. An array forward returns therefore keeps its values for good.
-    The bits stay bool until accumulate turns them into floats, once per
-    batch.
+    The per-batch arrays have one (batch, lanes, ...) layout, with the
+    presentation axis in front of the lane axis: x (batch, lanes, n_in),
+    p_hidden (batch, lanes, n_hidden), the bits proposed_hidden and
+    y_hidden (batch, lanes, n_hidden) and y_out (batch, lanes), and r_bar,
+    p_flip and p_out (batch, lanes). propose allocates them afresh for
+    every batch, so each presentation's slice [t] is one contiguous row
+    that forward reads and fills in place. An array forward returns
+    therefore keeps its values for good. The bits stay bool until
+    accumulate turns them into floats, once per batch.
     """
 
     def __init__(
@@ -310,28 +309,25 @@ class ActorNetwork:
     def propose(self, x, u) -> None:
         """Hidden-layer pass of a whole batch of presentations.
 
-        x has shape (lanes, batch, n_in) and u (lanes, batch, 2 * n_hidden
-        + 2): each presentation's uniforms for the hidden proposals, the
-        hidden flips, the output proposal and the output flip, in that
-        order. A hidden unit proposes 1 when its uniform lies below its
-        firing probability. Starts a batch: forward then runs its
-        presentations, and accumulate reads all of them. Any layout of x
-        and u gives the same bits; presentation-major ones (x[:, t] and
-        u[:, t] contiguous, as run_epoch passes them) are the fastest.
+        In the one (batch, lanes, ...) layout, x has shape (batch, lanes,
+        n_in) and u (batch, lanes, 2 * n_hidden + 2): each presentation's
+        uniforms for the hidden proposals, the hidden flips, the output
+        proposal and the output flip, in that order. A hidden unit proposes
+        1 when its uniform lies below its firing probability. Starts a
+        batch: forward then runs its presentations, and accumulate reads
+        all of them.
         """
         x = np.asarray(x, dtype=float)
         lanes, n_in, n_hidden = self.w_hidden.shape
-        if x.ndim != 3 or (x.shape[0], x.shape[2]) != (lanes, n_in):
+        if x.ndim != 3 or x.shape[1:] != (lanes, n_in):
             raise ValueError(
-                f"input shape {x.shape} does not match ({lanes}, batch, n_in={n_in})"
+                f"input shape {x.shape} does not match (batch, {lanes}, n_in={n_in})"
             )
-        batch = x.shape[1]
-        x_rows = np.ascontiguousarray(x.transpose(1, 0, 2))  # a no-op for presentation-major x
-        u_rows = u.transpose(1, 0, 2)
-        self._x = x_rows
+        batch = len(x)
+        self.x = x
         # the uniforms forward reads: the hidden flips', the output
         # proposal's and the output flip's
-        self._u_flips = u_rows[..., n_hidden : 2 * n_hidden + 2]
+        self._u_flips = u[..., n_hidden : 2 * n_hidden + 2]
         if self._scratch is None or len(self._scratch[0]) != batch:
             # accumulate's: two (batch, lanes, n_hidden + 1) unit rows and the terms
             units = (batch, lanes, n_hidden + 1)
@@ -339,27 +335,15 @@ class ActorNetwork:
             self._scratch = (np.empty(units), np.empty(units), np.empty(terms))
         # the products w * -x go where accumulate later puts the w_hidden terms
         products = self._scratch[2][..., : n_in * n_hidden].reshape(batch, lanes, n_in, n_hidden)
-        p_hidden = affine_negated(self.w_hidden, -x_rows, self.b_hidden, products)
-        sigmoid_of_negated(p_hidden, out=p_hidden)
-        self._p_hidden = p_hidden
-        self._proposed = np.less(u_rows[..., :n_hidden], p_hidden)
-        self._y_hidden = np.empty(p_hidden.shape, dtype=bool)
-        self._y_out = np.empty((batch, lanes), dtype=bool)
-        self._r_bar = np.empty((batch, lanes))
-        self._p_flip = np.empty((batch, lanes))
-        self._p_out = np.empty((batch, lanes))
+        p_hidden = affine_negated(self.w_hidden, -x, self.b_hidden, products)
+        self.p_hidden = sigmoid_of_negated(p_hidden, out=p_hidden)
+        self.proposed_hidden = np.less(u[..., :n_hidden], p_hidden)
+        self.y_hidden = np.empty(p_hidden.shape, dtype=bool)
+        self.y_out = np.empty((batch, lanes), dtype=bool)
+        self.r_bar = np.empty((batch, lanes))
+        self.p_flip = np.empty((batch, lanes))
+        self.p_out = np.empty((batch, lanes))
         self._neg_w_out = -self.w_out
-
-    # The batch's arrays in the documented (lanes, batch, ...) order: views
-    # of the presentation-major arrays that propose allocates.
-    x = property(lambda self: self._x.transpose(1, 0, 2))
-    p_hidden = property(lambda self: self._p_hidden.transpose(1, 0, 2))
-    proposed_hidden = property(lambda self: self._proposed.transpose(1, 0, 2))
-    y_hidden = property(lambda self: self._y_hidden.transpose(1, 0, 2))
-    y_out = property(lambda self: self._y_out.T)
-    r_bar = property(lambda self: self._r_bar.T)
-    p_flip = property(lambda self: self._p_flip.T)
-    p_out = property(lambda self: self._p_out.T)
 
     def forward(self, t: int, r_bar) -> np.ndarray:
         """Sample every lane's output bit at presentation t of the batch,
@@ -369,23 +353,23 @@ class ActorNetwork:
         alpha_flip * (1 - r_bar), with r_bar clamped into [0, 1]; the
         output unit proposes 1 when its uniform lies below its firing
         probability. Every step writes into row t of the batch's arrays
-        or into scratch rows; the returned bits are y_out[:, t].
+        or into scratch rows; the returned bits are y_out[t].
         """
         # (indexing each buffer is several times faster than unpacking a row)
-        rb, p_flip, p_out = self._r_bar[t], self._p_flip[t], self._p_out[t]
-        y_hidden, u = self._y_hidden[t], self._u_flips[t]
+        rb, p_flip, p_out = self.r_bar[t], self.p_flip[t], self.p_out[t]
+        y_hidden, u = self.y_hidden[t], self._u_flips[t]
         np.minimum(np.maximum(r_bar, _ZERO, out=rb), _ONE, out=rb)
         np.multiply(self._alpha_flip, np.subtract(_ONE, rb, out=p_flip), out=p_flip)
         flips = np.less(u, p_flip[:, None], out=self._flips)
-        np.not_equal(self._proposed[t], flips[:, :-2], out=y_hidden)
+        np.not_equal(self.proposed_hidden[t], flips[:, :-2], out=y_hidden)
         # the output unit's negated pre-activation
         np.add.reduce(np.multiply(self._neg_w_out, y_hidden, out=self._products), axis=-1, out=p_out)
         sigmoid_of_negated(np.subtract(p_out, self.b_out, out=p_out), out=p_out)
         proposed_out = np.less(u[:, -2], p_out, out=self._proposed_out)
-        return np.not_equal(proposed_out, flips[:, -1], out=self._y_out[t])
+        return np.not_equal(proposed_out, flips[:, -1], out=self.y_out[t])
 
     def accumulate(self, r) -> None:
-        """Sum the batch's proposed changes, given its rewards r (lanes, batch).
+        """Sum the batch's proposed changes, given its rewards r (batch, lanes).
 
         Weights get eta * (R - r_bar) * (y_i - p_i) * y_j with the presynaptic
         value y_j; biases use the same rule with y_j = 1. eta is the lane's
@@ -411,22 +395,22 @@ class ActorNetwork:
         # every unit's firing probability, the output unit's last, becomes
         # the emission probability p (1 - f) + (1 - p) f; y holds p (1 - f)
         # until it takes the bits as floats
-        p[..., :n_hidden], p[..., n_hidden] = self._p_hidden, self._p_out
-        f = self._p_flip[..., None]
+        p[..., :n_hidden], p[..., n_hidden] = self.p_hidden, self.p_out
+        f = self.p_flip[..., None]
         np.multiply(p, np.subtract(_ONE, f), out=y)
         np.add(y, np.multiply(np.subtract(_ONE, p, out=p), f, out=p), out=p)
-        y[..., :n_hidden], y[..., n_hidden] = self._y_hidden, self._y_out
+        y[..., :n_hidden], y[..., n_hidden] = self.y_hidden, self.y_out
         np.subtract(y, p, out=p)
         # p becomes the errors eta * (R - r_bar) * (y - p_emit), which are
         # the bias terms; the weight terms read them from p, because an
         # operand that shares memory with the output makes numpy copy it
         bias_terms = terms[..., n_w + n_hidden :]
-        delta = np.subtract(np.asarray(r).T, self._r_bar)
+        delta = np.subtract(r, self.r_bar)
         np.multiply(np.multiply(self._lr_units, delta[..., None], out=bias_terms), p, out=p)
         bias_terms[...] = p
         np.multiply(
             p[:, :, None, :n_hidden],
-            self._x[..., None],
+            self.x[..., None],
             out=terms[..., :n_w].reshape(batch, lanes, n_in, n_hidden),  # a view
         )
         np.multiply(p[..., n_hidden:], y[..., :n_hidden], out=terms[..., n_w : n_w + n_hidden])

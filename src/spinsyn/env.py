@@ -16,16 +16,15 @@ def reward(y, target, out=None):
 class InputSchedule:
     """Supplies every lane's inputs and targets, one batch of presentations per call.
 
-    Input bit j of lane k's presentation t is u[k, t, j] < 0.5, so each
-    lane draws i.i.d. patterns from its own uniforms. The outputs keep the
-    layout of u, as ufunc outputs do: from presentation-major uniforms
-    (transposed views of (batch, lanes, ...) arrays), each presentation's
-    x[:, t] and target[:, t] is one contiguous row.
+    Every array has the one (batch, lanes, ...) layout of the batch API:
+    input bit j of lane k's presentation t is u[t, k, j] < 0.5, so each
+    lane draws i.i.d. patterns from its own uniforms, and each
+    presentation's x[t] and target[t] is one contiguous row.
     """
 
     def next(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(x, target) for uniforms u of shape (lanes, batch, 2): x (lanes,
-        batch, 2) as floats, target (lanes, batch) the XOR of each
+        """(x, target) for uniforms u of shape (batch, lanes, 2): x (batch,
+        lanes, 2) as floats, target (batch, lanes) the XOR of each
         presentation's bits."""
         bits = u < 0.5
         return bits.astype(float), bits[..., 0] ^ bits[..., 1]

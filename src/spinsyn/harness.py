@@ -13,7 +13,7 @@ rules are compared on it with Welch's t-test.
 One epoch is batch_size presentations followed by a single actor weight
 update. The actor's weights change only in that update, so whatever does
 not depend on the critic runs once per epoch, on arrays with a
-presentation axis (lanes, batch_size, ...):
+presentation axis (batch_size, lanes, ...):
 
 * before the presentations: every presentation's inputs and targets
   (InputSchedule.next), and the actor's hidden firing probabilities and
@@ -38,10 +38,9 @@ and a subtracted bias; rounding is symmetric in sign, so that changes at
 most the sign of a zero the sigmoid maps to 1/2 either way. The mean
 reward is a plain sum, exact because each reward is 0 or 1.
 
-Memory layout. Every per-presentation array is presentation-major: the
-documented (lanes, batch_size, ...) arrays are transposed views of
-(batch_size, lanes, ...) memory, so each presentation's slice [:, t] is
-one contiguous (lanes, ...) row. ActorNetwork.propose allocates those
+Memory layout. Every per-presentation array has one (batch_size, lanes,
+...) layout, in the API and in memory, so each presentation's slice [t]
+is one contiguous (lanes, ...) row. ActorNetwork.propose allocates those
 rows once per batch, and each network sizes its scratch arrays to its
 lanes when it is built and when select drops lanes, so the chain of a
 presentation writes into rows and scratch and chains its ufuncs in place;
@@ -71,9 +70,10 @@ output in order, so these are the numbers of K calls of one block each.
 chunk_epochs picks K: at most CHUNK_MAX_EPOCHS and the epochs left before
 max_epochs, and small enough that the buffer stays within CHUNK_BYTES
 (13 epochs at compare's 20 lanes, 3 at a sweep's 72). Each epoch, the
-live lanes' blocks are copied out presentation-major. A lane that leaves
-is skipped from then on, so the numbers it drew past its last epoch are
-never used, and the next buffer has no row for it.
+live lanes' blocks are copied out into one (batch_size, lanes, ...)
+array. A lane that leaves is skipped from then on, so the numbers it
+drew past its last epoch are never used, and the next buffer has no row
+for it.
 
 All arithmetic on lanes is elementwise or reduces over the trailing axis,
 so a lane's results are bit-identical alone, in any batch, and in any
@@ -87,7 +87,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from multiprocessing import Pool
 
 import numpy as np
@@ -131,8 +131,8 @@ class ExperimentConfig:
     master_seed: int = 12345
 
     def __post_init__(self) -> None:
-        floats = ("goal", "filter_keep", "filter_gain", "filter_init", "lr_sweep_from",
-                  "lr_sweep_to", "lr_sweep_step", "lr_powerlaw", "lr_linear")
+        # annotations are postponed, so a field's type is its text
+        floats = [f.name for f in fields(self) if f.type == "float"]
         not_finite = [name for name in floats if not math.isfinite(getattr(self, name))]
         if not_finite:
             raise ValueError(f"{', '.join(not_finite)} must be finite")
@@ -187,16 +187,40 @@ class TrialResult:
 
 @dataclass
 class RuleSummary:
-    """Epochs-to-goal statistics of one (rule, lr) arm's trial set; mean and
-    std cover converged trials only."""
+    """Epochs-to-goal statistics of one (rule, lr) arm's trial set, all
+    derived from each trial's epochs to goal (None where it did not
+    converge); mean and std cover converged trials only."""
 
     rule: UpdateRule
     lr_hidden: float
     epochs: list[int | None]
-    mean: float
-    std: float
-    n_converged: int
-    n_trials: int
+
+    @property
+    def converged(self) -> list[int]:
+        """Epochs to goal of the converged trials, in trial order."""
+        return [e for e in self.epochs if e is not None]
+
+    @property
+    def n_converged(self) -> int:
+        return len(self.converged)
+
+    @property
+    def n_trials(self) -> int:
+        return len(self.epochs)
+
+    @property
+    def mean(self) -> float:
+        """Mean over converged trials; NaN if none converged."""
+        converged = self.converged
+        return float(np.mean(converged)) if converged else math.nan
+
+    @property
+    def std(self) -> float:
+        """Sample standard deviation over converged trials: 0 for one, NaN for none."""
+        converged = self.converged
+        if not converged:
+            return math.nan
+        return float(np.std(converged, ddof=1)) if len(converged) > 1 else 0.0
 
     def penalized_mean(self, max_epochs: int) -> float:
         """Mean epochs to goal with every non-converged trial counted as
@@ -253,32 +277,28 @@ def run_epoch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One batch of presentations for every lane plus the closing actor update.
 
-    u (lanes, batch_size, 2 + 2 * n_hidden + 2) holds each lane's uniforms
-    of the epoch (see the module docstring). Any layout gives the same
-    bits; a presentation-major one, a transposed view of a (batch_size,
-    lanes, ...) array as _run_batch passes, makes every presentation's
-    slice one contiguous row. Returns every lane's mean batch reward and
-    its filter state after the last presentation.
+    u (batch_size, lanes, 2 + 2 * n_hidden + 2) holds each lane's uniforms
+    of the epoch (see the module docstring), in the one (batch_size, lanes,
+    ...) layout of every per-presentation array, so u[t] serves
+    presentation t. Returns every lane's mean batch reward and its filter
+    state after the last presentation.
     """
-    batch_size = u.shape[1]
-    x, target = schedule.next(u[:, :, :2])
-    actor.propose(x, u[:, :, 2:])
-    x_rows = x.transpose(1, 0, 2)
-    r_rows = np.empty((batch_size, len(u)), dtype=bool)  # row t: every lane's reward at t
-    for t, (x_t, neg_x_t, target_t, r_t) in enumerate(
-        zip(x_rows, np.negative(x_rows), target.T, r_rows)
-    ):
+    batch_size = len(u)
+    x, target = schedule.next(u[..., :2])
+    actor.propose(x, u[..., 2:])
+    r = np.empty(target.shape, dtype=bool)  # row t: every lane's reward at t
+    for t, (x_t, neg_x_t, target_t, r_t) in enumerate(zip(x, np.negative(x), target, r)):
         r_bar = critic.forward(x_t, neg_x_t)
         reward(actor.forward(t, r_bar), target_t, out=r_t)
         critic.update(r_t)
-    actor.accumulate(r_rows.T)
+    actor.accumulate(r)
     actor.apply_batch_update()
     # filter_reward per presentation, with every gain * R formed at once
     keep = np.array(config.filter_keep)
     filter_state = np.array(filter_state, dtype=float)
-    for gain_r in np.multiply(config.filter_gain, r_rows):
+    for gain_r in np.multiply(config.filter_gain, r):
         np.add(np.multiply(keep, filter_state, out=filter_state), gain_r, out=filter_state)
-    return r_rows.sum(axis=0) / batch_size, filter_state
+    return r.sum(axis=0) / batch_size, filter_state
 
 
 # Bounds of one draw (module docstring, "Random streams"): the batch's
@@ -342,7 +362,7 @@ def _run_batch(
         rows = np.arange(live.size)  # the chunk row of every live lane
         for k in range(n_chunk):
             # the live lanes' blocks of this epoch, copied presentation-major
-            u = np.take(chunk[:, k].transpose(1, 0, 2), rows, axis=1).transpose(1, 0, 2)
+            u = np.take(chunk[:, k].transpose(1, 0, 2), rows, axis=1)
             mean_r, filter_state = run_epoch(actor, critic, schedule, u, filter_state, config)
             raw[live, epoch] = mean_r
             filtered[live, epoch] = filter_state
@@ -414,29 +434,6 @@ def _run_lanes(
     with Pool(processes=workers) as pool:
         parts = pool.starmap(_run_batch, chunks)
     return [result for part in parts for result in part]
-
-
-def summarize_rule(
-    rule: UpdateRule, lr_hidden: float, results: list[TrialResult]
-) -> RuleSummary:
-    """Mean and sample standard deviation of epochs_to_goal over converged trials."""
-    epochs = [r.epochs_to_goal for r in results]
-    converged = [e for e in epochs if e is not None]
-    if converged:
-        mean = float(np.mean(converged))
-        std = float(np.std(converged, ddof=1)) if len(converged) > 1 else 0.0
-    else:
-        mean = math.nan
-        std = math.nan
-    return RuleSummary(
-        rule=rule,
-        lr_hidden=lr_hidden,
-        epochs=epochs,
-        mean=mean,
-        std=std,
-        n_converged=len(converged),
-        n_trials=len(results),
-    )
 
 
 @dataclass
@@ -541,7 +538,10 @@ def _summarize_arms(
     """One RuleSummary per (rule, lr) arm, in arm order, from one run_trials call."""
     results = run_trials(config, arms, parallelism=parallelism)
     n = config.n_trials
-    return [summarize_rule(*arm, results[k * n : (k + 1) * n]) for k, arm in enumerate(arms)]
+    return [
+        RuleSummary(rule, lr, [r.epochs_to_goal for r in results[k * n : (k + 1) * n]])
+        for k, (rule, lr) in enumerate(arms)
+    ]
 
 
 def compare_rules(config: ExperimentConfig, parallelism: int = 1) -> ComparisonReport:
@@ -556,8 +556,7 @@ def compare_rules(config: ExperimentConfig, parallelism: int = 1) -> ComparisonR
         raise ValueError(f"compare needs n_trials >= 2, got {config.n_trials}")
     arms = [(rule, config.lr_for(rule)) for rule in (UpdateRule.POWER_LAW, UpdateRule.LINEAR)]
     powerlaw, linear = _summarize_arms(config, arms, parallelism)
-    sample_p = [e for e in powerlaw.epochs if e is not None]
-    sample_l = [e for e in linear.epochs if e is not None]
+    sample_p, sample_l = powerlaw.converged, linear.converged
     if len(sample_p) < 2 or len(sample_l) < 2:
         raise StatisticsUnavailableError(
             f"need >= 2 converged trials per arm, got "

@@ -183,9 +183,9 @@ def test_criterion_06_policy_gradient_monte_carlo():
     rng = np.random.default_rng(2024)
     n = 100_000
     net.select(np.zeros(n, dtype=int))  # n copies of the lane
-    net.propose(np.ones((n, 1, 1)), rng.random((n, 1, 2 * config.n_hidden + 2)))
+    net.propose(np.ones((1, n, 1)), rng.random((1, n, 2 * config.n_hidden + 2)))
     net.forward(0, np.full(n, 0.5))
-    net.accumulate(net.y_hidden[:, :, 0])
+    net.accumulate(net.y_hidden[..., 0])
     increments = net.acc_w_hidden[:, 0, 0]
     expected = p * (1 - p)
     se = increments.std(ddof=1) / math.sqrt(n)

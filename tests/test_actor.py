@@ -40,15 +40,16 @@ def one_input_net(alpha_flip, lr):
 
 
 def step_uniforms(rng, net, batch=1):
-    """One lane's forward uniforms for a batch of presentations: per
-    presentation, hidden proposals, hidden flips, output proposal and flip."""
-    return rng.random((1, batch, 2 * net.config.n_hidden + 2))
+    """One lane's forward uniforms for a batch of presentations, (batch, 1,
+    ...): per presentation, hidden proposals, hidden flips, output proposal
+    and flip."""
+    return rng.random((batch, 1, 2 * net.config.n_hidden + 2))
 
 
 def present(net, x, r_bar, u):
     """A batch of one presentation: inputs x (lanes, n_in), uniforms u
-    (lanes, 1, 2 * n_hidden + 2); returns the output bits."""
-    net.propose(np.asarray(x, dtype=float)[:, None], u)
+    (1, lanes, 2 * n_hidden + 2); returns the output bits."""
+    net.propose(np.asarray(x, dtype=float)[None], u)
     return net.forward(0, np.asarray(r_bar, dtype=float))
 
 
@@ -198,7 +199,7 @@ class TestForward:
         rng = np.random.default_rng(2)
         n_hidden = net.config.n_hidden
         u = step_uniforms(rng, net, batch=200)
-        net.propose(np.ones((1, 200, 2)), u)
+        net.propose(np.ones((200, 1, 2)), u)
         for t in range(200):
             net.forward(t, np.array([1.0]))
         assert np.all(net.p_flip == 0.0)
@@ -222,6 +223,8 @@ class TestForward:
             net.propose(np.array([[[1.0, 0.0, 1.0]]]), u)
         with pytest.raises(ValueError):
             net.propose(np.array([[1.0, 0.0]]), u)
+        with pytest.raises(ValueError):  # one lane's two presentations, lanes first
+            net.propose(np.ones((1, 2, 2)), step_uniforms(np.random.default_rng(0), net, 2))
 
     def test_single_neuron_flip_arithmetic(self):
         # P(y=1) = p*(1-f) + (1-p)*f with p = 0.9, f = alpha*(1-0) = 0.1
@@ -231,7 +234,7 @@ class TestForward:
         rng = np.random.default_rng(123)
         n = 100_000
         net = copies(net, n)
-        present(net, np.ones((n, 1)), np.zeros(n), rng.random((n, 1, 4)))
+        present(net, np.ones((n, 1)), np.zeros(n), rng.random((1, n, 4)))
         ones = net.y_hidden.sum()
         expected = 0.9 * 0.9 + 0.1 * 0.1  # 0.82
         se = np.sqrt(expected * (1 - expected) / n)
@@ -247,7 +250,7 @@ class TestForward:
         rng = np.random.default_rng(5)
         n = 100_000
         net = copies(net, n)
-        ones = present(net, np.ones((n, 1)), np.full(n, 0.5), rng.random((n, 1, 4))).sum()
+        ones = present(net, np.ones((n, 1)), np.full(n, 0.5), rng.random((1, n, 4))).sum()
         se = np.sqrt(p * (1 - p) / n)
         assert abs(ones / n - p) < 3.5 * se
 
@@ -258,13 +261,13 @@ class TestForward:
         batch = ActorNetwork.initialize(config, rngs, [LR] * 5)
         x = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [1.0, 0.0]])
         r_bar = np.linspace(0.1, 0.9, 5)
-        u = np.random.default_rng(9).random((5, 1, 2 * config.n_hidden + 2))
+        u = np.random.default_rng(9).random((1, 5, 2 * config.n_hidden + 2))
         y = present(batch, x, r_bar, u)
         for k in range(5):
             alone = ActorNetwork.initialize(config, [np.random.default_rng(k)], [LR])
-            assert present(alone, x[k : k + 1], r_bar[k : k + 1], u[k : k + 1])[0] == y[k]
-            assert alone.p_hidden[0].tobytes() == batch.p_hidden[k].tobytes()
-            assert alone.p_out[0] == batch.p_out[k]
+            assert present(alone, x[k : k + 1], r_bar[k : k + 1], u[:, k : k + 1])[0] == y[k]
+            assert alone.p_hidden[:, 0].tobytes() == batch.p_hidden[:, k].tobytes()
+            assert alone.p_out[:, 0] == batch.p_out[:, k]
 
     def test_batch_of_presentations_equals_one_at_a_time(self):
         # a batch of 10 presentations gives the bits of 10 batches of one;
@@ -276,17 +279,17 @@ class TestForward:
             config, [np.random.default_rng(s) for s in (6, 7)], lr_hidden=[1.1, 0.75]
         )
         draws = np.random.default_rng(8)
-        x = (draws.random((2, 10, 2)) < 0.5).astype(float)
-        u = draws.random((2, 10, 2 * config.n_hidden + 2))
-        r_bar = draws.random((2, 10))
-        r = (draws.random((2, 10)) < 0.5).astype(float)
+        x = (draws.random((10, 2, 2)) < 0.5).astype(float)
+        u = draws.random((10, 2, 2 * config.n_hidden + 2))
+        r_bar = draws.random((10, 2))
+        r = (draws.random((10, 2)) < 0.5).astype(float)
         names = ("w_hidden", "b_hidden", "w_out", "b_out")
         expected = {name: np.zeros_like(getattr(single, name)) for name in names}
         batched.propose(x, u)
         for t in range(10):
-            y = batched.forward(t, r_bar[:, t])
-            assert np.array_equal(y, present(single, x[:, t], r_bar[:, t], u[:, t : t + 1]))
-            single.accumulate(r[:, t : t + 1])
+            y = batched.forward(t, r_bar[t])
+            assert np.array_equal(y, present(single, x[t], r_bar[t], u[t : t + 1]))
+            single.accumulate(r[t : t + 1])
             for name in names:
                 expected[name] += getattr(single, "acc_" + name)
         batched.accumulate(r)
@@ -297,30 +300,30 @@ class TestForward:
         # forward writes row t of the batch's arrays in place; the array it
         # returns must survive the next presentation and the next batch
         net = one_input_net(alpha_flip=0.0, lr=LR)
-        u = np.zeros((1, 2, 4))
-        u[0, 1, 2] = 1.0  # output proposal: 1 at presentation 0, 0 at presentation 1
-        net.propose(np.ones((1, 2, 1)), u)
+        u = np.zeros((2, 1, 4))
+        u[1, 0, 2] = 1.0  # output proposal: 1 at presentation 0, 0 at presentation 1
+        net.propose(np.ones((2, 1, 1)), u)
         first = net.forward(0, np.array([0.5]))
         assert first[0] == 1.0
         assert net.forward(1, np.array([0.5]))[0] == 0.0
-        net.propose(np.ones((1, 2, 1)), u[:, ::-1])
+        net.propose(np.ones((2, 1, 1)), u[::-1])
         assert net.forward(0, np.array([0.5]))[0] == 0.0
         assert first[0] == 1.0
 
     def test_batch_arrays_are_presentation_major(self):
-        # (lanes, batch, ...) views whose presentation slices are contiguous rows
+        # (batch, lanes, ...) arrays whose presentation slices are contiguous rows
         config = ActorConfig()
         net = ActorNetwork.initialize(config, [np.random.default_rng(s) for s in range(3)], [LR] * 3)
         draws = np.random.default_rng(1)
         net.propose(
-            (draws.random((3, 10, 2)) < 0.5).astype(float),
-            draws.random((3, 10, 2 * config.n_hidden + 2)),
+            (draws.random((10, 3, 2)) < 0.5).astype(float),
+            draws.random((10, 3, 2 * config.n_hidden + 2)),
         )
         net.forward(0, np.full(3, 0.5))
         for name in ("p_hidden", "proposed_hidden", "y_hidden", "r_bar", "p_flip", "p_out", "y_out"):
             array = getattr(net, name)
-            assert array.shape[:2] == (3, 10)
-            assert array[:, 4].flags.c_contiguous, name
+            assert array.shape[:2] == (10, 3)
+            assert array[4].flags.c_contiguous, name
 
 
 class TestAccumulate:
@@ -371,17 +374,17 @@ class TestAccumulate:
         fresh = copy.deepcopy(net)
         draws = np.random.default_rng(6)
         for r_value in (1.0, 0.0):
-            x = (draws.random((1, 10, 2)) < 0.5).astype(float)
-            u = draws.random((1, 10, 2 * config.n_hidden + 2))
-            r_bar = draws.random((1, 10))
-            r = np.full((1, 10), r_value)
+            x = (draws.random((10, 1, 2)) < 0.5).astype(float)
+            u = draws.random((10, 1, 2 * config.n_hidden + 2))
+            r_bar = draws.random((10, 1))
+            r = np.full((10, 1), r_value)
             net.propose(x, u)
             for t in range(10):
-                net.forward(t, r_bar[:, t])
+                net.forward(t, r_bar[t])
             net.accumulate(r)
         fresh.propose(x, u)
         for t in range(10):
-            fresh.forward(t, r_bar[:, t])
+            fresh.forward(t, r_bar[t])
         fresh.accumulate(r)
         for name in ("acc_w_hidden", "acc_b_hidden", "acc_w_out", "acc_b_out"):
             assert getattr(net, name).tobytes() == getattr(fresh, name).tobytes()
@@ -411,9 +414,9 @@ class TestAccumulate:
         config = ActorConfig(alpha_flip=0.1)
         rngs = [np.random.default_rng(3), np.random.default_rng(3)]
         net = ActorNetwork.initialize(config, rngs, lr_hidden=[0.5, 1.0])
-        u = np.repeat(np.random.default_rng(4).random((1, 1, 2 * config.n_hidden + 2)), 2, axis=0)
+        u = np.repeat(np.random.default_rng(4).random((1, 1, 2 * config.n_hidden + 2)), 2, axis=1)
         present(net, [[1.0, 1.0], [1.0, 1.0]], [0.3, 0.3], u)
-        net.accumulate(np.array([[1.0], [1.0]]))
+        net.accumulate(np.array([[1.0, 1.0]]))
         for acc in (net.acc_w_hidden, net.acc_b_hidden, net.acc_w_out, net.acc_b_out):
             assert np.allclose(acc[1], 2.0 * acc[0], rtol=1e-15, atol=0.0)
 
@@ -427,8 +430,8 @@ class TestAccumulate:
         rng = np.random.default_rng(77)
         n = 100_000
         net = copies(net, n)  # one presentation per lane
-        present(net, np.ones((n, 1)), np.full(n, 0.5), rng.random((n, 1, 4)))
-        net.accumulate(net.y_hidden[:, :, 0])
+        present(net, np.ones((n, 1)), np.full(n, 0.5), rng.random((1, n, 4)))
+        net.accumulate(net.y_hidden[..., 0])
         increments = net.acc_w_hidden[:, 0, 0]
         expected = p * (1 - p)
         se = increments.std(ddof=1) / np.sqrt(n)

@@ -8,16 +8,16 @@ PATTERNS = [(0, 0), (0, 1), (1, 0), (1, 1)]  # the XOR truth table's inputs
 class TestSampleInput:
     def test_invariant_holds_for_every_draw(self):
         rng = np.random.default_rng(0)
-        x, target = InputSchedule().next(rng.random((1, 1000, 2)))
+        x, target = InputSchedule().next(rng.random((1000, 1, 2)))
         for t in range(1000):
-            assert target[0, t] == int(x[0, t, 0]) ^ int(x[0, t, 1])
+            assert target[t, 0] == int(x[t, 0, 0]) ^ int(x[t, 0, 1])
 
     def test_uniformity_monte_carlo(self):
         rng = np.random.default_rng(1)
         n = 100_000
-        x, _ = InputSchedule().next(rng.random((n, 1, 2)))
+        x, _ = InputSchedule().next(rng.random((1, n, 2)))
         counts = {p: 0 for p in PATTERNS}
-        for row in x[:, 0].astype(int):
+        for row in x[0].astype(int):
             counts[tuple(row)] += 1
         se = np.sqrt(0.25 * 0.75 / n)
         for c in counts.values():
@@ -53,12 +53,13 @@ class TestInputSchedule:
         assert np.array_equal(target, x[..., 0] != x[..., 1])
 
     def test_presentation_major_outputs(self):
-        # from presentation-major uniforms, each presentation's inputs and
-        # targets are one contiguous row of all lanes
-        u = np.random.default_rng(5).random((4, 3, 2)).transpose(1, 0, 2)
+        # from the input columns of (batch, lanes, ...) uniforms, as run_epoch
+        # passes them, each presentation's inputs and targets are one
+        # contiguous row of all lanes
+        u = np.random.default_rng(5).random((4, 3, 24))[..., :2]
         x, target = InputSchedule().next(u)
-        assert x.shape == (3, 4, 2) and target.shape == (3, 4)
-        assert x[:, 2].flags.c_contiguous and target[:, 2].flags.c_contiguous
+        assert x.shape == (4, 3, 2) and target.shape == (4, 3)
+        assert x[2].flags.c_contiguous and target[2].flags.c_contiguous
 
 
 def test_single_threshold_unit_cannot_solve_xor():

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import math
 import os
@@ -25,7 +26,6 @@ from spinsyn.harness import (
     run_epoch,
     run_trial,
     run_trials,
-    summarize_rule,
     sweep_grid,
     trial_seed,
     welch_t_test,
@@ -90,7 +90,7 @@ def test_xor_actor_is_exact_on_all_patterns():
     net = make_xor_actor()
     rng = np.random.default_rng(1)
     patterns = ((0, 0), (0, 1), (1, 0), (1, 1))
-    net.propose(np.array([patterns], dtype=float), rng.random((1, 4, 6)))
+    net.propose(np.array(patterns, dtype=float)[:, None], rng.random((4, 1, 6)))
     for t, (x0, x1) in enumerate(patterns):
         assert net.forward(t, np.array([1.0]))[0] == x0 ^ x1
 
@@ -100,14 +100,14 @@ class CountingSchedule(InputSchedule):
         self.count = 0  # presentations served
 
     def next(self, u):
-        self.count += u.shape[1]
+        self.count += len(u)
         return super().next(u)
 
 
 def one_lane_epoch(actor, config, schedule, filter_state):
     critic = CriticNetwork.initialize(config.critic, [np.random.default_rng(2)])
     cfg = config.actor
-    u = np.random.default_rng(3).random((1, cfg.batch_size, 2 + 2 * cfg.n_hidden + 2))
+    u = np.random.default_rng(3).random((cfg.batch_size, 1, 2 + 2 * cfg.n_hidden + 2))
     return run_epoch(actor, critic, schedule, u, np.array([filter_state]), config)
 
 
@@ -154,19 +154,21 @@ class TestRunEpoch:
         assert not np.array_equal(actor.w_hidden, before.w_hidden)
 
     def test_layout_of_the_uniforms_does_not_change_the_bits(self):
-        # the engine passes presentation-major uniforms; lane-major ones
-        # must give the same rewards, filter states and parameters
+        # the engine passes C-contiguous (batch, lanes, ...) uniforms; a
+        # transposed view of lane-major memory must give the same rewards,
+        # filter states and parameters
         config = small_config()
-        draws = np.random.default_rng(9).random((5, 10, 5, 2 + 2 * 10 + 2))
+        # lane-major: (epochs, lanes, batch, ...)
+        draws = np.random.default_rng(9).random((5, 5, 10, 2 + 2 * 10 + 2))
         runs = []
-        for layout in ("presentation-major", "lane-major"):
+        for layout in ("contiguous", "lane-major view"):
             rngs = [np.random.default_rng(s) for s in range(5)]
             actor = ActorNetwork.initialize(config.actor, rngs, [1.1, 0.75, 0.5, 1.2, 0.9])
             critic = CriticNetwork.initialize(config.critic, rngs)
             schedule, filter_state, seen = InputSchedule(), np.full(5, 0.5), []
             for epoch in draws:
-                u = epoch.transpose(1, 0, 2)
-                if layout == "lane-major":
+                u = epoch.transpose(1, 0, 2)  # a view of lane-major memory
+                if layout == "contiguous":
                     u = np.ascontiguousarray(u)
                 mean, filter_state = run_epoch(actor, critic, schedule, u, filter_state, config)
                 seen += [mean.tobytes(), filter_state.tobytes()]
@@ -478,7 +480,7 @@ def epoch_state_digest(rule, lanes, epochs=5):
     sha = hashlib.sha256()
     for _ in range(epochs):
         draws = np.stack([rng.random((cfg.batch_size, 2 + 2 * cfg.n_hidden + 2)) for rng in rngs])
-        u = draws
+        u = draws.transpose(1, 0, 2)
         mean, filter_state = run_epoch(actor, critic, schedule, u, filter_state, config)
         for array in (
             mean, filter_state,
@@ -616,7 +618,7 @@ class TestSummaries:
     def test_mean_std_match_two_pass_oracle(self):
         config = small_config(n_trials=5, max_epochs=30, goal=0.52)
         results = run_trials(config, [(UpdateRule.LINEAR, 0.75)])
-        summary = summarize_rule(UpdateRule.LINEAR, 0.75, results)
+        summary = RuleSummary(UpdateRule.LINEAR, 0.75, [r.epochs_to_goal for r in results])
         converged = [r.epochs_to_goal for r in results if r.epochs_to_goal is not None]
         assert summary.n_converged == len(converged)
         if len(converged) >= 2:
@@ -624,6 +626,22 @@ class TestSummaries:
             var = sum((e - mean) ** 2 for e in converged) / (len(converged) - 1)
             assert summary.mean == pytest.approx(mean, rel=1e-12)
             assert summary.std == pytest.approx(math.sqrt(var), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "epochs, mean, std, n_converged",
+        [
+            ([None, None], math.nan, math.nan, 0),
+            ([40, None], 40.0, 0.0, 1),
+            ([], math.nan, math.nan, 0),
+        ],
+    )
+    def test_statistics_derive_from_the_epochs(self, epochs, mean, std, n_converged):
+        summary = RuleSummary(UpdateRule.POWER_LAW, 1.1, epochs)
+        assert summary.converged == [e for e in epochs if e is not None]
+        assert (summary.n_converged, summary.n_trials) == (n_converged, len(epochs))
+        assert summary.mean == mean or math.isnan(mean) and math.isnan(summary.mean)
+        assert summary.std == std or math.isnan(std) and math.isnan(summary.std)
+        assert type(summary.mean) is type(summary.std) is float
 
 
 class TestSweep:
@@ -671,13 +689,13 @@ class TestSweep:
 
     def test_penalized_mean_counts_stalled_trials_as_max_epochs(self):
         epochs = [10, None, 30, None]
-        summary = RuleSummary(UpdateRule.LINEAR, 0.75, epochs, 20.0, math.sqrt(200), 2, 4)
+        summary = RuleSummary(UpdateRule.LINEAR, 0.75, epochs)
         assert summary.penalized_mean(100) == (10 + 100 + 30 + 100) / 4
 
     @pytest.mark.parametrize("best, on_edge", [(0.7, True), (0.75, False), (0.8, True)])
     def test_best_on_edge(self, best, on_edge):
         points = [
-            RuleSummary(UpdateRule.LINEAR, lr, [90, 100, 110], 100.0, 10.0, 3, 3)
+            RuleSummary(UpdateRule.LINEAR, lr, [90, 100, 110])
             for lr in (0.7, 0.75, 0.8)
         ]
         assert SweepResult(UpdateRule.LINEAR, points, best).best_on_edge is on_edge
@@ -741,9 +759,9 @@ class TestExperimentConfigValidation:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
-        "field",
-        ["lr_powerlaw", "lr_linear", "goal", "filter_keep", "filter_gain", "filter_init"],
+        "field", [f.name for f in dataclasses.fields(ExperimentConfig) if f.type == "float"]
     )
     def test_non_finite_rejected(self, field, value):
-        with pytest.raises(ValueError):
+        # every float field, by the finiteness check before any range check
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
             ExperimentConfig(**{field: value})
