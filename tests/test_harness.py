@@ -616,16 +616,16 @@ class TestWelch:
 
 class TestSummaries:
     def test_mean_std_match_two_pass_oracle(self):
-        config = small_config(n_trials=5, max_epochs=30, goal=0.52)
+        # some trials stop at max_epochs, and mean and std skip them
+        config = uneven_config(n_trials=5, max_epochs=20)
         results = run_trials(config, [(UpdateRule.LINEAR, 0.75)])
         summary = RuleSummary(UpdateRule.LINEAR, 0.75, [r.epochs_to_goal for r in results])
         converged = [r.epochs_to_goal for r in results if r.epochs_to_goal is not None]
-        assert summary.n_converged == len(converged)
-        if len(converged) >= 2:
-            mean = sum(converged) / len(converged)
-            var = sum((e - mean) ** 2 for e in converged) / (len(converged) - 1)
-            assert summary.mean == pytest.approx(mean, rel=1e-12)
-            assert summary.std == pytest.approx(math.sqrt(var), rel=1e-12)
+        assert 2 <= summary.n_converged == len(converged) < summary.n_trials == 5
+        mean = sum(converged) / len(converged)
+        var = sum((e - mean) ** 2 for e in converged) / (len(converged) - 1)
+        assert summary.mean == pytest.approx(mean, rel=1e-12)
+        assert summary.std == pytest.approx(math.sqrt(var), rel=1e-12)
 
     @pytest.mark.parametrize(
         "epochs, mean, std, n_converged",
