@@ -4,7 +4,6 @@ from .actor import (
     ActorConfig,
     ActorNetwork,
     UpdateRule,
-    sigmoid,
     threshold_power_update,
 )
 from .critic import CriticConfig, CriticNetwork
@@ -30,8 +29,6 @@ from .harness import (
     TrialResult,
     WelchResult,
     compare_rules,
-    epochs_to_goal,
-    filter_reward,
     lr_sweep,
     run_epoch,
     run_trial,

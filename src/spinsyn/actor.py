@@ -134,37 +134,58 @@ def sigmoid_of_negated(neg_z, out, negated=False):
     return np.divide(_MINUS_ONE if negated else _ONE, out, out=out)
 
 
-def sigmoid(z, out=None):
-    """Logistic function 1/(1 + e^-z), elementwise, into out.
+def sum_rows(terms, out):
+    """The sum of the rows of terms (batch, ...), into out: from +0.0, one
+    row at a time, in order.
 
-    out may be z itself; without it the result is a fresh float array (a
-    numpy scalar for a scalar z). The bits are those of sigmoid_of_negated
-    of -z.
+    np.add.reduce over the outer axis of a C-contiguous array adds whole
+    rows in turn, never pairwise, as long as a row has two or more
+    entries. A row of one entry would make the reduction one-dimensional,
+    which numpy sums pairwise, so those rows are added one by one.
     """
-    if out is None:
-        return sigmoid(z, np.array(z, dtype=float))[()]
-    return sigmoid_of_negated(np.negative(z, out=out), out)
+    if terms[0].size > 1:
+        return np.add.reduce(terms, axis=0, initial=0.0, out=out)
+    out[...] = 0.0
+    for row in terms:
+        np.add(out, row, out=out)
+    return out
 
 
-def affine_negated(w, neg_x, b, products, out=None):
+class InputProducts:
+    """Scratch of affine_negated for weights and inputs broadcast to shape
+    (..., n_in, units): the products w * neg_x, and the same products
+    input-major in rows, a C-contiguous (n_in, ..., units) array."""
+
+    def __init__(self, shape):
+        nd = len(shape)
+        self.products = np.empty(shape)
+        self.by_input = self.products.transpose(nd - 2, *range(nd - 2), nd - 1)
+        self.input_major = np.empty(self.by_input.shape)
+        self.rows = tuple(self.input_major)
+
+
+def affine_negated(w, neg_x, b, scratch, out=None):
     """-(x @ w + b) for input-major w (..., n_in, units), negated inputs
-    neg_x = -x (..., n_in) and b (..., units), into out if given; the
-    products (..., n_in, units) go into products.
+    broadcast along the units, neg_x = -x[..., None] of shape (..., n_in,
+    units), and b (..., units), into out if given; scratch is an
+    InputProducts of that shape.
 
     Leading axes broadcast: a lane's weights (lanes, n_in, units) meet one
-    input per lane (lanes, n_in), or every input of a batch in
-    presentation-major order (batch, lanes, n_in). One broadcast product
-    gives every input's row w[..., j, :] * -x[..., j], and the rows are
-    summed one at a time, in input order, then b is subtracted: for the two
-    XOR inputs this is several times faster than a reduction over a
-    length-2 axis, and each element gets the same bits whatever the
-    leading axes. Rounding is symmetric in sign, so the result is the
-    negated x @ w + b up to the sign of a zero, which no sigmoid sees.
+    input block per lane (lanes, n_in, units), or every input block of a
+    batch in presentation-major order (batch, lanes, n_in, units). The
+    caller forms neg_x once per batch, so the product w * neg_x has
+    operands of one shape. One copy moves the input axis of the products
+    to the front, and the rows are summed one at a time, in input order,
+    then b is subtracted: every ufunc has contiguous operands, and each
+    element gets the same bits whatever the leading axes. Rounding is
+    symmetric in sign, so the result is the negated x @ w + b up to the
+    sign of a zero, which no sigmoid sees.
     """
-    np.multiply(w, neg_x[..., None], out=products)
-    z = products[..., 0, :]
-    for j in range(1, neg_x.shape[-1]):
-        z = out = np.add(z, products[..., j, :], out=out)
+    np.multiply(w, neg_x, out=scratch.products)
+    np.copyto(scratch.input_major, scratch.by_input)
+    z, *rest = scratch.rows
+    for row in rest:
+        z = out = np.add(z, row, out=out)
     return np.subtract(z, b, out=out)
 
 
@@ -208,14 +229,23 @@ class ActorNetwork:
     the parameters.
 
     The per-batch arrays have one (batch, lanes, ...) layout, with the
-    presentation axis in front of the lane axis: x (batch, lanes, n_in),
-    p_hidden (batch, lanes, n_hidden), the bits proposed_hidden and
+    presentation axis in front of the lane axis: propose's inputs x (batch,
+    lanes, n_in), p_hidden (batch, lanes, n_hidden), the bits proposed_hidden and
     y_hidden (batch, lanes, n_hidden) and y_out (batch, lanes), and r_bar,
     p_flip and p_out (batch, lanes). propose allocates them afresh for
     every batch, so each presentation's slice [t] is one contiguous row
     that forward reads and fills in place. An array forward returns
-    therefore keeps its values for good. The bits stay bool until
-    accumulate turns them into floats, once per batch.
+    therefore keeps its values for good.
+
+    Every broadcast, cast and strided gather runs once per batch, so the
+    ufuncs of forward, like those of accumulate, have C-contiguous
+    operands of one shape. propose forms -x broadcast along the hidden
+    units, (batch, lanes, n_in, n_hidden), for its own products and for
+    accumulate's w_hidden terms, and copies the flip and output uniforms
+    into contiguous arrays. forward copies its hidden bits into a float
+    row, which the output unit and accumulate read; its one broadcast,
+    p_flip along the hidden units, is a copy into scratch. These scratch
+    arrays are sized to the batch by propose and kept from batch to batch.
     """
 
     def __init__(
@@ -252,19 +282,43 @@ class ActorNetwork:
 
     def _size_to_lanes(self) -> None:
         """Per-lane constants and per-presentation scratch for the current lanes."""
-        lanes, _, n_hidden = self.w_hidden.shape
+        lanes, n_in, n_hidden = self.w_hidden.shape
         # every unit's rate: the lane's rate in the hidden layer, and
         # LR_OUT_RATIO of it for the output unit, in column n_hidden
         self._lr_units = np.empty((lanes, n_hidden + 1))
         self._lr_units[:, :n_hidden] = self.lr_hidden[:, None]
         self._lr_units[:, n_hidden] = self.lr_hidden * LR_OUT_RATIO
-        self._linear = ~self.powerlaw[:, None]
-        # a presentation's flips: the hidden units', the output proposal's
-        # column (unused) and the output unit's
-        self._flips = np.empty((lanes, n_hidden + 2), dtype=bool)
+        # the linear lanes' entries of the sums' weight block
+        linear = ~self.powerlaw
+        self._linear = np.concatenate(
+            [np.repeat(linear, n_in * n_hidden), np.repeat(linear, n_hidden)]
+        )
+        self._p_flip_hidden = np.empty((lanes, n_hidden))  # p_flip for every hidden unit
+        self._flips = np.empty((lanes, n_hidden), dtype=bool)
         self._proposed_out = np.empty(lanes, dtype=bool)
+        self._flip_out = np.empty(lanes, dtype=bool)
         self._products = np.empty((lanes, n_hidden))
-        self._scratch = None  # accumulate's, sized to the batch by propose
+        self._batch = 0  # the batch size propose's scratch is sized to
+
+    def _size_to_batch(self, batch: int) -> None:
+        """propose's, forward's and accumulate's scratch for a batch of
+        presentations, kept from batch to batch."""
+        lanes, n_in, n_hidden = self.w_hidden.shape
+        block = (batch, lanes, n_in, n_hidden)
+        units = (batch, lanes, n_hidden + 1)
+        self._batch = batch
+        self._neg_x = np.empty(block)
+        self._inputs = InputProducts(block)  # propose's; accumulate reuses its products
+        self._u_flips = np.empty((batch, lanes, n_hidden))
+        self._u_proposal_out = np.empty((batch, lanes))
+        self._u_flip_out = np.empty((batch, lanes))
+        self._y_hidden = np.empty((batch, lanes, n_hidden))  # the hidden bits as floats
+        self._p, self._y, self._f = np.empty(units), np.empty(units), np.empty(units)
+        self._lr_block = np.empty(units)
+        self._lr_block[...] = self._lr_units
+        self._delta = np.empty((batch, lanes))
+        self._errors = np.empty(units)
+        self._w_out_terms = np.empty((batch, lanes, n_hidden))
 
     @classmethod
     def initialize(
@@ -324,26 +378,30 @@ class ActorNetwork:
                 f"input shape {x.shape} does not match (batch, {lanes}, n_in={n_in})"
             )
         batch = len(x)
-        self.x = x
-        # the uniforms forward reads: the hidden flips', the output
-        # proposal's and the output flip's
-        self._u_flips = u[..., n_hidden : 2 * n_hidden + 2]
-        if self._scratch is None or len(self._scratch[0]) != batch:
-            # accumulate's: two (batch, lanes, n_hidden + 1) unit rows and the terms
-            units = (batch, lanes, n_hidden + 1)
-            terms = (batch, lanes, (n_in + 2) * n_hidden + 1)
-            self._scratch = (np.empty(units), np.empty(units), np.empty(terms))
-        # the products w * -x go where accumulate later puts the w_hidden terms
-        products = self._scratch[2][..., : n_in * n_hidden].reshape(batch, lanes, n_in, n_hidden)
-        p_hidden = affine_negated(self.w_hidden, -x, self.b_hidden, products)
+        if batch != self._batch:
+            self._size_to_batch(batch)
+        neg_x = np.negative(x[..., None], out=self._neg_x)
+        p_hidden = affine_negated(self.w_hidden, neg_x, self.b_hidden, self._inputs)
         self.p_hidden = sigmoid_of_negated(p_hidden, out=p_hidden)
         self.proposed_hidden = np.less(u[..., :n_hidden], p_hidden)
+        # the uniforms forward reads, each in a contiguous array
+        np.copyto(self._u_flips, u[..., n_hidden : 2 * n_hidden])
+        np.copyto(self._u_proposal_out, u[..., 2 * n_hidden])
+        np.copyto(self._u_flip_out, u[..., 2 * n_hidden + 1])
         self.y_hidden = np.empty(p_hidden.shape, dtype=bool)
         self.y_out = np.empty((batch, lanes), dtype=bool)
         self.r_bar = np.empty((batch, lanes))
         self.p_flip = np.empty((batch, lanes))
         self.p_out = np.empty((batch, lanes))
         self._neg_w_out = -self.w_out
+        # every row forward reads or writes, one tuple per presentation
+        self._rows = list(
+            zip(
+                self.r_bar, self.p_flip, self.p_flip[..., None], self.p_out,
+                self._u_flips, self.proposed_hidden, self.y_hidden, self._y_hidden,
+                self._u_proposal_out, self._u_flip_out, self.y_out,
+            )
+        )
 
     def forward(self, t: int, r_bar) -> np.ndarray:
         """Sample every lane's output bit at presentation t of the batch,
@@ -355,18 +413,20 @@ class ActorNetwork:
         probability. Every step writes into row t of the batch's arrays
         or into scratch rows; the returned bits are y_out[t].
         """
-        # (indexing each buffer is several times faster than unpacking a row)
-        rb, p_flip, p_out = self.r_bar[t], self.p_flip[t], self.p_out[t]
-        y_hidden, u = self.y_hidden[t], self._u_flips[t]
+        (rb, p_flip, p_flip_column, p_out, u_flips, proposed_hidden, y_hidden, y,
+         u_proposal_out, u_flip_out, y_out) = self._rows[t]
         np.minimum(np.maximum(r_bar, _ZERO, out=rb), _ONE, out=rb)
         np.multiply(self._alpha_flip, np.subtract(_ONE, rb, out=p_flip), out=p_flip)
-        flips = np.less(u, p_flip[:, None], out=self._flips)
-        np.not_equal(self.proposed_hidden[t], flips[:, :-2], out=y_hidden)
+        np.copyto(self._p_flip_hidden, p_flip_column)
+        flips = np.less(u_flips, self._p_flip_hidden, out=self._flips)
+        np.not_equal(proposed_hidden, flips, out=y_hidden)
+        np.copyto(y, y_hidden)  # the bits as floats
         # the output unit's negated pre-activation
-        np.add.reduce(np.multiply(self._neg_w_out, y_hidden, out=self._products), axis=-1, out=p_out)
+        np.add.reduce(np.multiply(self._neg_w_out, y, out=self._products), axis=-1, out=p_out)
         sigmoid_of_negated(np.subtract(p_out, self.b_out, out=p_out), out=p_out)
-        proposed_out = np.less(u[:, -2], p_out, out=self._proposed_out)
-        return np.not_equal(proposed_out, flips[:, -1], out=self.y_out[t])
+        proposed_out = np.less(u_proposal_out, p_out, out=self._proposed_out)
+        flip_out = np.less(u_flip_out, p_flip, out=self._flip_out)
+        return np.not_equal(proposed_out, flip_out, out=y_out)
 
     def accumulate(self, r) -> None:
         """Sum the batch's proposed changes, given its rewards r (batch, lanes).
@@ -379,59 +439,59 @@ class ActorNetwork:
 
         The error terms eta * (R - r_bar) * (y_i - p_i) of the hidden units
         and the output unit are formed together, over (batch, lanes,
-        n_hidden + 1). Every presentation's terms go into one row of a
-        contiguous (batch, lanes, (n_in + 2) * n_hidden + 1) buffer, laid
-        out weights first: w_hidden, w_out, b_hidden, b_out. The rows are
-        summed from zero, in presentation order, by one reduction over the
-        batch axis (an outer axis, so numpy adds whole rows in turn, never
-        pairwise). The sums are views of that one (lanes, ...) result with
-        the parameters' shapes: acc_w_hidden (lanes, n_in, n_hidden),
-        input-major like w_hidden, acc_w_out, acc_b_hidden and acc_b_out.
+        n_hidden + 1), after p_flip and R - r_bar are broadcast to that
+        shape once; they are the bias terms. The weight terms go into two
+        more arrays, each C-contiguous: (batch, lanes, n_in, n_hidden) for
+        w_hidden, the hidden errors negated and broadcast along the inputs
+        times propose's -x (the bits of error times x), and (batch, lanes,
+        n_hidden) for w_out. So every ufunc writes a whole array. Each
+        array's rows are summed from zero, in presentation order
+        (sum_rows), into its block of one fresh sums array, which
+        load_sums takes.
         """
         lanes, n_in, n_hidden = self.w_hidden.shape
-        n_w = n_in * n_hidden
-        p, y, terms = self._scratch
-        batch = len(terms)
+        p, y, f, errors = self._p, self._y, self._f, self._errors
         # every unit's firing probability, the output unit's last, becomes
         # the emission probability p (1 - f) + (1 - p) f; y holds p (1 - f)
         # until it takes the bits as floats
         p[..., :n_hidden], p[..., n_hidden] = self.p_hidden, self.p_out
-        f = self.p_flip[..., None]
-        np.multiply(p, np.subtract(_ONE, f), out=y)
+        np.copyto(f, self.p_flip[..., None])
+        np.multiply(p, np.subtract(_ONE, f, out=y), out=y)
         np.add(y, np.multiply(np.subtract(_ONE, p, out=p), f, out=p), out=p)
-        y[..., :n_hidden], y[..., n_hidden] = self.y_hidden, self.y_out
+        y[..., :n_hidden], y[..., n_hidden] = self._y_hidden, self.y_out
         np.subtract(y, p, out=p)
-        # p becomes the errors eta * (R - r_bar) * (y - p_emit), which are
-        # the bias terms; the weight terms read them from p, because an
-        # operand that shares memory with the output makes numpy copy it
-        bias_terms = terms[..., n_w + n_hidden :]
-        delta = np.subtract(r, self.r_bar)
-        np.multiply(np.multiply(self._lr_units, delta[..., None], out=bias_terms), p, out=p)
-        bias_terms[...] = p
-        np.multiply(
-            p[:, :, None, :n_hidden],
-            self.x[..., None],
-            out=terms[..., :n_w].reshape(batch, lanes, n_in, n_hidden),  # a view
-        )
-        np.multiply(p[..., n_hidden:], y[..., :n_hidden], out=terms[..., n_w : n_w + n_hidden])
-        self.load_sums(np.add.reduce(terms, axis=0, initial=0.0))
+        np.copyto(f, np.subtract(r, self.r_bar, out=self._delta)[..., None])
+        np.multiply(np.multiply(self._lr_block, f, out=errors), p, out=errors)
+        w_hidden_terms = np.negative(errors[..., None, :n_hidden], out=self._inputs.products)
+        np.multiply(w_hidden_terms, self._neg_x, out=w_hidden_terms)
+        np.multiply(errors[..., n_hidden:], self._y_hidden, out=self._w_out_terms)
+        n_w, n_o = lanes * n_in * n_hidden, lanes * n_hidden
+        sums = np.empty(n_w + n_o + errors[0].size)
+        sum_rows(w_hidden_terms, out=sums[:n_w].reshape(lanes, n_in, n_hidden))
+        sum_rows(self._w_out_terms, out=sums[n_w : n_w + n_o].reshape(lanes, n_hidden))
+        sum_rows(errors, out=sums[n_w + n_o :].reshape(lanes, n_hidden + 1))
+        self.load_sums(sums)
 
     def load_sums(self, sums: np.ndarray) -> None:
-        """Take sums (lanes, (n_in + 2) * n_hidden + 1), laid out as
-        accumulate's, as the batch sums that apply_batch_update adds.
+        """Take sums, lanes * ((n_in + 2) * n_hidden + 1) values in
+        accumulate's layout, as the batch sums that apply_batch_update adds.
 
-        acc_w_hidden, acc_w_out, acc_b_hidden and acc_b_out become views of
-        sums with the parameters' shapes.
+        The layout is in blocks, each lanes-major: the w_hidden sums, the
+        w_out sums, then the bias sums (each lane's n_hidden hidden units,
+        then its output unit).
+
+        acc_w_hidden (lanes, n_in, n_hidden), acc_w_out, acc_b_hidden and
+        acc_b_out become views of sums with the parameters' shapes.
         """
         lanes, n_in, n_hidden = self.w_hidden.shape
-        n_w = n_in * n_hidden
-        if sums.shape != (lanes, n_w + 2 * n_hidden + 1):
-            raise ValueError(f"sums shape {sums.shape} != {(lanes, n_w + 2 * n_hidden + 1)}")
+        n_w, n_o = lanes * n_in * n_hidden, lanes * n_hidden
+        if sums.shape != (n_w + n_o + lanes * (n_hidden + 1),):
+            raise ValueError(f"sums shape {sums.shape} != {(n_w + n_o + lanes * (n_hidden + 1),)}")
         self._sums = sums
-        self.acc_w_hidden = sums[:, :n_w].reshape(lanes, n_in, n_hidden)
-        self.acc_w_out = sums[:, n_w : n_w + n_hidden]
-        self.acc_b_hidden = sums[:, n_w + n_hidden : -1]
-        self.acc_b_out = sums[:, -1]
+        self.acc_w_hidden = sums[:n_w].reshape(lanes, n_in, n_hidden)
+        self.acc_w_out = sums[n_w : n_w + n_o].reshape(lanes, n_hidden)
+        biases = sums[n_w + n_o :].reshape(lanes, n_hidden + 1)
+        self.acc_b_hidden, self.acc_b_out = biases[:, :n_hidden], biases[:, n_hidden]
 
     def apply_batch_update(self) -> None:
         """Add the last accumulate's sums to the parameters.
@@ -445,12 +505,11 @@ class ActorNetwork:
         batch sums from zero again.
         """
         cfg = self.config
-        lanes, n_in, n_hidden = self.w_hidden.shape
-        n_w = n_in * n_hidden
-        weights = self._sums[:, : n_w + n_hidden]
+        n_w = self.w_hidden.size
+        weights = self._sums[: n_w + self.w_out.size]
         step = threshold_power_update(weights, cfg.dw_min, cfg.power_exponent)
         np.copyto(step, weights, where=self._linear)
-        self.w_hidden += step[:, :n_w].reshape(lanes, n_in, n_hidden)
-        self.w_out += step[:, n_w:]
-        self.b_hidden += self._sums[:, n_w + n_hidden : -1]
-        self.b_out += self._sums[:, -1]
+        self.w_hidden += step[:n_w].reshape(self.w_hidden.shape)
+        self.w_out += step[n_w:].reshape(self.w_out.shape)
+        self.b_hidden += self.acc_b_hidden
+        self.b_out += self.acc_b_out

@@ -15,7 +15,8 @@ Config files are flat ``section.key = value`` lines with ``#`` comments;
 sections are device, actor, critic, harness, and each section's keys are
 the int and float fields of SpinValveParams, ActorConfig, CriticConfig and
 ExperimentConfig. Unknown and repeated keys are rejected with the
-offending line number. Exit codes: 0 success, 1 runtime failure, 2 usage
+offending line number, and so is a key the subcommand does not read:
+device-map reads only the device section. Exit codes: 0 success, 1 runtime failure, 2 usage
 or config error.
 """
 
@@ -86,14 +87,19 @@ _SCHEMA = {
 
 _LINE_RE = re.compile(r"^([a-z_]+)\.([a-z_0-9]+)\s*=\s*(.*)$")
 
+# subcommand -> the sections it reads, where that is not all of them
+_READS = {"device-map": ("device",)}
 
-def parse_config(path: str | Path | None) -> LoadedConfig:
+
+def parse_config(path: str | Path | None, subcommand: str | None = None) -> LoadedConfig:
     """Load a config file; every omitted key keeps its default.
 
     path=None behaves like an empty file. Raises ConfigError for a missing
-    file, a malformed line, an unknown or repeated key, an unparsable
-    value, or any violated parameter invariant.
+    file, a malformed line, an unknown or repeated key, a key of a section
+    that subcommand (if given) does not read, an unparsable value, or any
+    violated parameter invariant.
     """
+    reads = _READS.get(subcommand, _SECTIONS)
     buckets: dict[str, dict] = {section: {} for section in _SECTIONS}
     first_line: dict[str, int] = {}  # key -> the line that set it
     if path is not None:
@@ -115,6 +121,8 @@ def parse_config(path: str | Path | None) -> LoadedConfig:
             key = f"{section}.{name}"
             if key not in _SCHEMA:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            if section not in reads:
+                raise ConfigError(f"line {lineno}: {subcommand} does not read key {key!r}")
             if key in first_line:
                 raise ConfigError(
                     f"line {lineno}: key {key!r} repeats line {first_line[key]}"
@@ -291,7 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run_cli(args: argparse.Namespace) -> int:
-    loaded = parse_config(args.config)
+    loaded = parse_config(args.config, args.subcommand)
     # --seed and --lr replace config fields, so ExperimentConfig checks them
     overrides = {} if args.seed is None else {"master_seed": args.seed}
     if args.subcommand == "train":

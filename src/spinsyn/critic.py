@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actor import affine_negated, sigmoid_of_negated
+from .actor import InputProducts, affine_negated, sigmoid_of_negated
 from .env import N_INPUTS
 
 
@@ -61,6 +61,15 @@ class CriticNetwork:
     b_hidden), its sigmoid is formed negated, and the output's negated
     pre-activation is then sum(w_out * -y_hidden) - b_out. Rounding is
     symmetric in sign, so every bit is that of the plain chain.
+
+    Every ufunc of forward and update has C-contiguous operands of one
+    shape, so numpy runs it without its buffered iterator. The negated
+    inputs come already broadcast along the hidden units, as a
+    (lanes, n_in, n_hidden) row of negate_inputs, which run_epoch calls
+    once per batch. Two broadcasts stay per presentation, because they
+    read the prediction: the error along the hidden units and the gain
+    along the inputs. Each is a copy into scratch, which allocates
+    nothing, followed by a multiply of whole arrays.
     """
 
     def __init__(
@@ -92,12 +101,17 @@ class CriticNetwork:
     def _size_to_lanes(self) -> None:
         """Per-presentation scratch for the current lanes."""
         lanes, n_in, n_hidden = self.w_hidden.shape
-        self._products = np.empty((lanes, n_in, n_hidden))
+        self._inputs = InputProducts((lanes, n_in, n_hidden))
         self._hidden = np.empty((lanes, n_hidden))
         self._error = np.empty(lanes)
         self._gain = np.empty((lanes, n_hidden))
         self._step = np.empty((lanes, n_in, n_hidden))
+        # the views update broadcasts from: the error along the hidden
+        # units, the gain along the inputs
+        self._error_column = self._error[:, None]
+        self._gain_rows = self._gain[:, None, :]
         self._l1 = np.empty((lanes, n_in, n_hidden))
+        self._neg_inputs = None  # negate_inputs's, sized to the batch
 
     @classmethod
     def initialize(
@@ -129,26 +143,37 @@ class CriticNetwork:
             setattr(self, name, getattr(self, name)[lanes])
         self._size_to_lanes()
 
-    def forward(self, x, neg_x=None) -> np.ndarray:
+    def negate_inputs(self, x) -> np.ndarray:
+        """-x for a batch of inputs x (batch, lanes, n_in), broadcast along
+        the hidden units to (batch, lanes, n_in, n_hidden) and C-contiguous:
+        row t is forward's neg_x for presentation t. The critic keeps the
+        array from batch to batch, so the rows hold until the next call."""
+        shape = x.shape + (self.w_hidden.shape[-1],)
+        if self._neg_inputs is None or self._neg_inputs.shape != shape:
+            self._neg_inputs = np.empty(shape)
+        return np.negative(x[..., None], out=self._neg_inputs)
+
+    def forward(self, x=None, neg_x=None) -> np.ndarray:
         """Predicted reward of every lane for inputs x (lanes, n_in), inside [0, 1].
 
-        neg_x, if given, must be -x: an epoch's caller negates all its
-        inputs in one step.
+        A caller may pass neg_x instead of x: -x broadcast to w_hidden's
+        shape (lanes, n_in, n_hidden), C-contiguous, as a row of
+        negate_inputs. It is taken as it is, unchecked, and update reads it.
         """
-        x = np.asarray(x, dtype=float)
-        lanes, n_in, _ = self.w_hidden.shape
-        if x.shape != (lanes, n_in):
-            raise ValueError(f"input shape {x.shape} does not match ({lanes}, n_in={n_in})")
         if neg_x is None:
-            neg_x = -x
+            x = np.asarray(x, dtype=float)
+            lanes, n_in, _ = self.w_hidden.shape
+            if x.shape != (lanes, n_in):
+                raise ValueError(f"input shape {x.shape} does not match ({lanes}, n_in={n_in})")
+            neg_x = np.negative(np.broadcast_to(x[..., None], self.w_hidden.shape))
         hidden = affine_negated(
-            self.w_hidden, neg_x, self.b_hidden, self._products, out=self._hidden
+            self.w_hidden, neg_x, self.b_hidden, self._inputs, out=self._hidden
         )
         sigmoid_of_negated(hidden, out=hidden, negated=True)  # -y_hidden
         # -(w_out . y_hidden) - b_out, the output's negated pre-activation
         prediction = np.add.reduce(np.multiply(self.w_out, hidden, out=hidden), axis=-1)
         np.subtract(prediction, self.b_out, out=prediction)
-        self.x = x
+        self._neg_x = neg_x
         self.prediction = sigmoid_of_negated(prediction, out=prediction)
         return prediction
 
@@ -158,12 +183,16 @@ class CriticNetwork:
         Uses the input and the prediction of the last forward call. Hidden
         weights and biases move by the simplified rule; the output layer
         is untouched. sign(0) is 0, so exactly-zero weights receive no L1
-        drift.
+        drift. The step is formed from the negated input and the negated
+        gain (prediction - r) * w_out: negation is exact, so it has the
+        bits of gain * x, and subtracting lr * -gain adds lr * gain.
         """
-        gain = np.multiply(
-            np.subtract(r, self.prediction, out=self._error)[:, None], self.w_out, out=self._gain
-        )
-        step = np.multiply(gain[:, None, :], self.x[:, :, None], out=self._step)
+        np.copyto(self._error, r)
+        np.subtract(self.prediction, self._error, out=self._error)
+        np.copyto(self._gain, self._error_column)
+        neg_gain = np.multiply(self._gain, self.w_out, out=self._gain)
+        np.copyto(self._step, self._gain_rows)
+        step = np.multiply(self._neg_x, self._step, out=self._step)
         l1 = np.multiply(self._l1_coeff, np.sign(self.w_hidden, out=self._l1), out=self._l1)
         self.w_hidden += np.multiply(self._lr, np.subtract(step, l1, out=step), out=step)
-        self.b_hidden += np.multiply(self._lr, gain, out=gain)
+        self.b_hidden -= np.multiply(self._lr, neg_gain, out=neg_gain)

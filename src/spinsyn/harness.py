@@ -44,12 +44,20 @@ is one contiguous (lanes, ...) row. ActorNetwork.propose allocates those
 rows once per batch, and each network sizes its scratch arrays to its
 lanes when it is built and when select drops lanes, so the chain of a
 presentation writes into rows and scratch and chains its ufuncs in place;
-only the critic's prediction is a fresh array. The hidden bits, the
-output bits and the rewards stay bool inside the presentation loop and
-become floats once per batch, in accumulate. The actor's batch sums come from one
-contiguous (batch_size, lanes, (n_in + 2) * n_hidden + 1) buffer of every
-term, laid out weights first, which the actor keeps from batch to batch;
-the end-of-batch update then runs the power law once over the contiguous
+only the critic's prediction is a fresh array. Every broadcast, cast and
+strided gather runs once per batch, so each ufunc of the loop has
+C-contiguous operands of one shape, which numpy runs without its
+buffered iterator: run_epoch has the critic negate the batch's inputs
+and broadcast them to (batch_size, lanes, n_in, n_hidden) once
+(CriticNetwork.negate_inputs), and propose does the same for the actor
+and copies the uniforms that forward reads into contiguous arrays. The
+broadcasts that need a presentation's prediction (p_flip along the
+actor's hidden units; the critic's error and gain) are copies into
+scratch. The rewards stay bool, and the hidden bits are bool rows with a
+float copy for the output unit. The actor's end-of-batch terms go into
+three C-contiguous arrays, the w_hidden, w_out and bias terms, each
+summed over the batch axis into its block of the batch sums; the
+end-of-batch update then runs the power law once over the contiguous
 weight block of the sums.
 
 Random streams. Every lane has its own generator,
@@ -75,12 +83,14 @@ array. A lane that leaves is skipped from then on, so the numbers it
 drew past its last epoch are never used, and the next buffer has no row
 for it.
 
-All arithmetic on lanes is elementwise or reduces over the trailing axis,
-so a lane's results are bit-identical alone, in any batch, and in any
-worker's shard. With parallelism N the lane list is split into
-contiguous chunks, one per worker, each run as one batch, all in one
-Pool. A sweep's lanes come rule by rule, so at parallelism 2 a sweep of
-both rules puts each rule in its own worker.
+All arithmetic on lanes is elementwise or reduces over the trailing axis
+(or over the presentation axis, one row at a time), so a lane's results
+are bit-identical alone, in any batch, and in any worker's shard. With
+parallelism N, lane k goes to worker k mod N, each worker's lanes run as
+one batch, all in one Pool, and the results are put back in lane order.
+Lanes come arm by arm, so every worker gets lanes of every arm: at
+parallelism 2 both workers train both rules of a comparison or a sweep,
+and neither is left with only the slower rule's trials.
 """
 
 from __future__ import annotations
@@ -254,19 +264,6 @@ class SweepResult:
         return self.best_lr in (self.points[0].lr_hidden, self.points[-1].lr_hidden)
 
 
-def filter_reward(prev: float, r: float, keep: float, gain: float) -> float:
-    """One step of the online exponential reward filter keep*prev + gain*R."""
-    return keep * prev + gain * r
-
-
-def epochs_to_goal(filtered_curve, goal: float) -> int | None:
-    """Smallest 1-indexed epoch whose end-of-epoch filtered reward reached goal."""
-    for i, value in enumerate(filtered_curve):
-        if value >= goal:
-            return i + 1
-    return None
-
-
 def run_epoch(
     actor: ActorNetwork,
     critic: CriticNetwork,
@@ -287,13 +284,14 @@ def run_epoch(
     x, target = schedule.next(u[..., :2])
     actor.propose(x, u[..., 2:])
     r = np.empty(target.shape, dtype=bool)  # row t: every lane's reward at t
-    for t, (x_t, neg_x_t, target_t, r_t) in enumerate(zip(x, np.negative(x), target, r)):
-        r_bar = critic.forward(x_t, neg_x_t)
+    for t, (neg_x, target_t, r_t) in enumerate(zip(critic.negate_inputs(x), target, r)):
+        r_bar = critic.forward(neg_x=neg_x)
         reward(actor.forward(t, r_bar), target_t, out=r_t)
         critic.update(r_t)
     actor.accumulate(r)
     actor.apply_batch_update()
-    # filter_reward per presentation, with every gain * R formed at once
+    # the filter keep * state + gain * R, one presentation at a time, with
+    # every gain * R formed at once
     keep = np.array(config.filter_keep)
     filter_state = np.array(filter_state, dtype=float)
     for gain_r in np.multiply(config.filter_gain, r):
@@ -409,9 +407,9 @@ def run_trials(
     """n_trials trials of every (rule, lr) arm, all as lanes of one batch.
 
     Results come arm by arm, each arm's by trial index. parallelism > 1
-    splits the lanes into contiguous chunks, one batch per worker, in one
-    Pool of min(parallelism, lanes) processes; results are identical for
-    any worker count.
+    deals the lanes out to min(parallelism, lanes) processes of one Pool,
+    lane k to worker k mod that count, and runs each worker's lanes as one
+    batch; results are identical for any worker count.
     """
     lanes = [(rule, lr, i) for rule, lr in arms for i in range(config.n_trials)]
     return _run_lanes(config, lanes, parallelism)
@@ -428,12 +426,14 @@ def _run_lanes(
     workers = min(parallelism, len(lanes))
     if workers <= 1:
         return _run_batch(config, lanes)
-    size, extra = divmod(len(lanes), workers)
-    bounds = np.cumsum([0] + [size + (w < extra) for w in range(workers)])
-    chunks = [(config, lanes[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    # lane k goes to worker k mod workers, so every worker gets lanes of
+    # every arm, however long each arm's trials run
     with Pool(processes=workers) as pool:
-        parts = pool.starmap(_run_batch, chunks)
-    return [result for part in parts for result in part]
+        parts = pool.starmap(_run_batch, [(config, lanes[w::workers]) for w in range(workers)])
+    results = [None] * len(lanes)
+    for w, part in enumerate(parts):
+        results[w::workers] = part
+    return results
 
 
 @dataclass

@@ -15,7 +15,6 @@ from spinsyn.actor import (
     ActorConfig,
     ActorNetwork,
     UpdateRule,
-    sigmoid,
     threshold_power_update,
 )
 from spinsyn.cli import DEVICE_MAP_DURATIONS, DEVICE_MAP_VOLTAGES, main
@@ -32,10 +31,9 @@ from spinsyn.device import (
 from spinsyn.harness import (
     ExperimentConfig,
     compare_rules,
-    epochs_to_goal,
-    filter_reward,
     welch_t_test,
 )
+from oracles import epochs_to_goal, filter_reward, sigmoid
 
 PARAMS = SpinValveParams()
 
@@ -179,7 +177,7 @@ def test_criterion_06_policy_gradient_monte_carlo():
         update_rules=[UpdateRule.POWER_LAW],
         lr_hidden=[1.0],
     )
-    p = float(sigmoid(0.8))
+    p = sigmoid(0.8)
     rng = np.random.default_rng(2024)
     n = 100_000
     net.select(np.zeros(n, dtype=int))  # n copies of the lane

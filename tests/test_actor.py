@@ -8,9 +8,11 @@ from spinsyn.actor import (
     ActorConfig,
     ActorNetwork,
     UpdateRule,
-    sigmoid,
+    sigmoid_of_negated,
+    sum_rows,
     threshold_power_update,
 )
+from oracles import sigmoid
 
 
 # the power-law arm's default hidden-layer rate
@@ -57,7 +59,7 @@ def load_sums(net):
     """Zero batch sums in place of an accumulate call, for apply_batch_update;
     the acc_* arrays are views of them."""
     lanes, n_in, n_hidden = net.w_hidden.shape
-    net.load_sums(np.zeros((lanes, (n_in + 2) * n_hidden + 1)))
+    net.load_sums(np.zeros(lanes * ((n_in + 2) * n_hidden + 1)))
 
 
 def copies(net, n):
@@ -66,28 +68,35 @@ def copies(net, n):
     return net
 
 
+def logistic(z, negated=False):
+    """sigmoid_of_negated of -z for a float z, as a float."""
+    return float(sigmoid_of_negated(np.array(-z), out=np.empty(()), negated=negated))
+
+
 class TestSigmoid:
     def test_zero(self):
-        assert sigmoid(0.0) == 0.5
+        assert logistic(0.0) == 0.5
 
     def test_symmetry(self):
         for z in (-3.7, -1.0, 0.2, 5.5):
-            assert sigmoid(z) + sigmoid(-z) == pytest.approx(1.0, abs=1e-15)
+            assert logistic(z) + logistic(-z) == pytest.approx(1.0, abs=1e-15)
+            assert logistic(z, negated=True) == -logistic(z)
 
     def test_reference_value(self):
         # high-precision oracle: 1/(1+exp(-2))
-        assert sigmoid(2.0) == pytest.approx(0.8807970779778823, rel=1e-15)
+        assert logistic(2.0) == pytest.approx(0.8807970779778823, rel=1e-15)
 
     def test_extreme_arguments_do_not_overflow(self):
         with np.errstate(over="raise"):
-            assert sigmoid(1e4) == 1.0
-            assert 0.0 <= sigmoid(-1e4) < 1e-300
+            assert logistic(1e4) == 1.0
+            assert 0.0 < logistic(-1e4) < 1e-300
 
     def test_vectorized(self):
         z = np.array([-1.0, 0.0, 1.0])
-        out = sigmoid(z)
-        assert out.shape == (3,)
+        out = np.empty(3)
+        assert sigmoid_of_negated(-z, out=out) is out
         assert np.all(np.diff(out) > 0)
+        assert out[0] == sigmoid(-1.0)
 
 
 class TestThresholdPowerUpdate:
@@ -246,7 +255,7 @@ class TestForward:
         net.b_hidden[:] = 50.0  # hidden always fires
         net.w_out[:] = 0.31
         net.b_out[:] = 0.4
-        p = float(sigmoid(0.71))
+        p = sigmoid(0.71)
         rng = np.random.default_rng(5)
         n = 100_000
         net = copies(net, n)
@@ -391,10 +400,13 @@ class TestAccumulate:
 
     @pytest.mark.parametrize("lanes", [1, 4, 20, 72, 2000])
     def test_batch_reduction_is_the_ordered_row_sum(self, lanes):
-        # accumulate sums its (batch, lanes, 41) terms with one
-        # np.add.reduce over the batch axis; that must be the sum from +0.0,
-        # one row at a time in presentation order. Terms of mixed magnitude
-        # make the bits depend on the order; rows of -0.0 must sum to +0.0.
+        # accumulate sums its w_hidden, w_out and bias terms, (batch, lanes,
+        # n_in, n_hidden), (batch, lanes, n_hidden) and (batch, lanes,
+        # n_hidden + 1), with sum_rows over the batch axis; that must be the
+        # sum from +0.0, one row at a time in presentation order, also for
+        # rows of one entry (one lane of one input and one hidden unit).
+        # Terms of mixed magnitude make the bits depend on the order; rows
+        # of -0.0 must sum to +0.0.
         def row_sum(rows):
             total = np.zeros(rows.shape[1:])
             for row in rows:
@@ -402,12 +414,13 @@ class TestAccumulate:
             return total
 
         rng = np.random.default_rng(lanes)
-        mixed = rng.normal(size=(10, lanes, 41)) * 10.0 ** rng.integers(-6, 7, (10, lanes, 41))
-        for terms in (mixed, np.full((10, lanes, 41), -0.0)):
-            reduced = np.add.reduce(terms, axis=0, initial=0.0)
-            assert reduced.tobytes() == row_sum(terms).tobytes()
-        # the mixed terms can tell the orders apart
-        assert row_sum(mixed[::-1]).tobytes() != row_sum(mixed).tobytes()
+        for shape in ((10, lanes, 2, 10), (10, lanes, 10), (10, lanes, 11), (10, lanes, 1, 1)):
+            mixed = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 7, shape)
+            for terms in (mixed, np.full(shape, -0.0)):
+                reduced = sum_rows(terms, out=np.empty(shape[1:]))
+                assert reduced.tobytes() == row_sum(terms).tobytes()
+            # the mixed terms can tell the orders apart
+            assert row_sum(mixed[::-1]).tobytes() != row_sum(mixed).tobytes()
 
     def test_per_lane_learning_rate(self):
         # the same draws at two rates: every accumulator scales with the lane's rate
@@ -426,7 +439,7 @@ class TestAccumulate:
         net = one_input_net(alpha_flip=0.0, lr=1.0)
         w = 0.8
         net.w_hidden[:] = w
-        p = float(sigmoid(w))
+        p = sigmoid(w)
         rng = np.random.default_rng(77)
         n = 100_000
         net = copies(net, n)  # one presentation per lane

@@ -634,6 +634,20 @@ class TestExitCodes:
         assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key", ["actor.dw_min = 0.3", "critic.lr = 0.5", "harness.n_trials = 4"]
+    )
+    def test_device_map_rejects_training_keys(self, tmp_path, capsys, key):
+        # device-map reads only device.* keys; any other would be ignored
+        cfg = write_config(tmp_path, f"device.mg_max = 0.1\n{key}\n")
+        out = tmp_path / "o"
+        assert main(["device-map", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        name = key.split(" ")[0]
+        assert f"line 2: device-map does not read key '{name}'" in capsys.readouterr().err
+        # the training subcommands read the key
+        assert parse_config(cfg, "train").experiment != ExperimentConfig()
+
     @pytest.mark.parametrize("flag", [["--seed", "3"], ["--parallelism", "2"]])
     def test_device_map_rejects_trial_flags(self, tmp_path, flag):
         # device-map runs no trials, so it takes neither flag

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from spinsyn.actor import sigmoid
 from spinsyn.critic import CriticConfig, CriticNetwork
+from oracles import sigmoid
 
 
 def make_critic(seed=0, **overrides):
@@ -82,7 +82,7 @@ class TestForward:
         critic.w_out[:] = 0.0
         # output = sigmoid(b_out) = sigmoid(0.5)
         assert read(critic, [1.0, 0.0]) == pytest.approx(
-            float(sigmoid(0.5)), rel=1e-12
+            sigmoid(0.5), rel=1e-12
         )
 
     def test_output_strictly_inside_unit_interval(self):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,6 @@ from spinsyn.harness import (
     StatisticsUnavailableError,
     SweepResult,
     compare_rules,
-    epochs_to_goal,
-    filter_reward,
     lr_sweep,
     run_epoch,
     run_trial,
@@ -30,6 +29,7 @@ from spinsyn.harness import (
     trial_seed,
     welch_t_test,
 )
+from oracles import epochs_to_goal, filter_reward
 
 
 def small_config(**overrides):
@@ -175,6 +175,56 @@ class TestRunEpoch:
             runs.append(seen + [actor.w_hidden.tobytes(), critic.w_hidden.tobytes()])
         assert runs[0] == runs[1]
 
+    def test_presentations_allocate_only_the_prediction_row(self):
+        # Every broadcast, cast and strided gather of the presentation loop
+        # runs once per batch, so a presentation allocates only the critic's
+        # fresh prediction. tracemalloc sees array buffers and the buffers
+        # of numpy's iterator, which a ufunc over broadcast, strided or cast
+        # operands allocates. From one critic read to the next, the traced
+        # peak above the first read's memory must stay within that of one
+        # fresh reduction over the hidden units, plus 512 B for array views.
+        lanes, config = 20, ExperimentConfig()
+        rngs = [np.random.default_rng(s) for s in range(lanes)]
+        rules = [UpdateRule.POWER_LAW, UpdateRule.LINEAR] * (lanes // 2)
+        actor = ActorNetwork.initialize(config.actor, rngs, [1.1] * lanes, rules)
+        critic = CriticNetwork.initialize(config.critic, rngs)
+        schedule, filter_state = InputSchedule(), np.full(lanes, 0.5)
+        draws = np.random.default_rng(7).random((8, config.actor.batch_size, lanes, 24))
+        for u in draws[:3]:  # warm-up: scratch arrays sized to the lanes and the batch
+            _, filter_state = run_epoch(actor, critic, schedule, u, filter_state, config)
+        hidden = np.ones((lanes, config.critic.n_hidden))
+        marks = [None] * 5 * config.actor.batch_size  # (current, peak) at each read
+        calls = [0]
+        forward = critic.forward
+
+        def marked(*args, **kwargs):
+            marks[calls[0]] = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            calls[0] += 1
+            return forward(*args, **kwargs)
+
+        critic.forward = marked
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            prediction = np.add.reduce(hidden, axis=-1)
+            budget = tracemalloc.get_traced_memory()[1] - before + 512
+            del prediction
+            for u in draws[3:]:
+                _, filter_state = run_epoch(actor, critic, schedule, u, filter_state, config)
+        finally:
+            tracemalloc.stop()
+        # the presentation after read k: its last one in an epoch runs on
+        # into the end-of-batch update, which allocates per batch
+        spans = [
+            marks[k + 1][1] - marks[k][0]
+            for k in range(len(marks) - 1)
+            if (k + 1) % config.actor.batch_size
+        ]
+        assert len(spans) == 5 * (config.actor.batch_size - 1)
+        assert max(spans) <= budget, (max(spans), budget)
+
 
 class TestTrialSeed:
     def test_deterministic_and_distinct(self):
@@ -241,6 +291,37 @@ class TestRunTrialsParallel:
         results = run_trials(config, [(UpdateRule.LINEAR, 0.75)], parallelism=64)
         assert started == [2]
         assert len(results) == 2
+
+    def test_every_worker_gets_lanes_of_both_rules(self, monkeypatch):
+        # lane k goes to worker k mod 2; the results come back in lane
+        # order and equal one worker's, with a real Pool and a recording one
+        config = uneven_config(n_trials=3, max_epochs=40)
+        arms = [(UpdateRule.POWER_LAW, 1.1), (UpdateRule.LINEAR, 0.75)]
+        serial = [fingerprint(r) for r in run_trials(config, arms)]
+        assert [fingerprint(r) for r in run_trials(config, arms, parallelism=2)] == serial
+        shards = []
+
+        class RecordingPool:  # runs tasks in-process, records each worker's lanes
+            def __init__(self, processes):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def starmap(self, fn, iterable):
+                tasks = list(iterable)
+                shards.extend(lanes for _, lanes in tasks)
+                return [fn(*args) for args in tasks]
+
+        monkeypatch.setattr(harness, "Pool", RecordingPool)
+        assert [fingerprint(r) for r in run_trials(config, arms, parallelism=2)] == serial
+        assert [[(rule.value, i) for rule, _, i in shard] for shard in shards] == [
+            [("powerlaw", 0), ("powerlaw", 2), ("linear", 1)],
+            [("powerlaw", 1), ("linear", 0), ("linear", 2)],
+        ]
 
 
 BAD_RATES = [math.nan, math.inf, -math.inf, 0.0, -1.0]
