@@ -151,8 +151,10 @@ def main(argv=None) -> int:
         main_runs = [r for r in mine if r["side"] in ("parent", "change")]
         entry = compare_sides(main_runs, "parent", "change")
         entry["correct_all"] = all(r["result"]["correct"] for r in mine)
-        entry["failed_total"] = {side: sum(r["result"]["failed"] for r in mine if r["side"] == side)
-                                 for side in ("parent", "change", "parent_copy")}
+        entry["failed_total"] = {
+            side: sum(r["result"]["failed"] for r in mine if r["side"] == side)
+            for side in ("parent", "change", "parent_copy")
+        }
         entry["csv_digests_equal"] = all(
             len({r["csv_digest"] for r in mine if r["seed"] == seed}) == 1 for seed in seeds
         )
