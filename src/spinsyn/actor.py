@@ -238,8 +238,8 @@ class ActorNetwork:
     therefore keeps its values for good.
 
     Every broadcast, cast and strided gather runs once per batch, so the
-    ufuncs of forward, like those of accumulate, have C-contiguous
-    operands of one shape. propose forms -x broadcast along the hidden
+    elementwise ufuncs of forward, like those of accumulate, have
+    C-contiguous operands of one shape. propose forms -x broadcast along the hidden
     units, (batch, lanes, n_in, n_hidden), for its own products and for
     accumulate's w_hidden terms, and copies the flip and output uniforms
     into contiguous arrays. forward copies its hidden bits into a float

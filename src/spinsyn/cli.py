@@ -16,8 +16,8 @@ sections are device, actor, critic, harness, and each section's keys are
 the int and float fields of SpinValveParams, ActorConfig, CriticConfig and
 ExperimentConfig. Unknown and repeated keys are rejected with the
 offending line number, and so is a key the subcommand does not read:
-device-map reads only the device section. Exit codes: 0 success, 1 runtime failure, 2 usage
-or config error.
+device-map reads only the device section. Exit codes: 0 success, 1
+runtime failure, 2 usage or config error.
 """
 
 from __future__ import annotations

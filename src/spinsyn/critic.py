@@ -62,8 +62,9 @@ class CriticNetwork:
     pre-activation is then sum(w_out * -y_hidden) - b_out. Rounding is
     symmetric in sign, so every bit is that of the plain chain.
 
-    Every ufunc of forward and update has C-contiguous operands of one
-    shape, so numpy runs it without its buffered iterator. The negated
+    Every elementwise ufunc of forward and update has C-contiguous
+    operands of one shape, so numpy runs it without its buffered iterator
+    (only forward's reduction over the hidden units uses it). The negated
     inputs come already broadcast along the hidden units, as a
     (lanes, n_in, n_hidden) row of negate_inputs, which run_epoch calls
     once per batch. Two broadcasts stay per presentation, because they

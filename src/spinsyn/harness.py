@@ -45,9 +45,9 @@ rows once per batch, and each network sizes its scratch arrays to its
 lanes when it is built and when select drops lanes, so the chain of a
 presentation writes into rows and scratch and chains its ufuncs in place;
 only the critic's prediction is a fresh array. Every broadcast, cast and
-strided gather runs once per batch, so each ufunc of the loop has
-C-contiguous operands of one shape, which numpy runs without its
-buffered iterator: run_epoch has the critic negate the batch's inputs
+strided gather runs once per batch, so each elementwise ufunc of the
+loop has C-contiguous operands of one shape, which numpy runs without
+its buffered iterator: run_epoch has the critic negate the batch's inputs
 and broadcast them to (batch_size, lanes, n_in, n_hidden) once
 (CriticNetwork.negate_inputs), and propose does the same for the actor
 and copies the uniforms that forward reads into contiguous arrays. The
