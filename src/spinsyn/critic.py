@@ -148,7 +148,8 @@ class CriticNetwork:
         """-x for a batch of inputs x (batch, lanes, n_in), broadcast along
         the hidden units to (batch, lanes, n_in, n_hidden) and C-contiguous:
         row t is forward's neg_x for presentation t. The critic keeps the
-        array from batch to batch, so the rows hold until the next call."""
+        array from batch to batch, so the rows hold until the next call,
+        which a forward call with x also makes."""
         shape = x.shape + (self.w_hidden.shape[-1],)
         if self._neg_inputs is None or self._neg_inputs.shape != shape:
             self._neg_inputs = np.empty(shape)
@@ -160,13 +161,14 @@ class CriticNetwork:
         A caller may pass neg_x instead of x: -x broadcast to w_hidden's
         shape (lanes, n_in, n_hidden), C-contiguous, as a row of
         negate_inputs. It is taken as it is, unchecked, and update reads it.
+        Given x, forward checks its shape and negates it by negate_inputs.
         """
         if neg_x is None:
             x = np.asarray(x, dtype=float)
             lanes, n_in, _ = self.w_hidden.shape
             if x.shape != (lanes, n_in):
                 raise ValueError(f"input shape {x.shape} does not match ({lanes}, n_in={n_in})")
-            neg_x = np.negative(np.broadcast_to(x[..., None], self.w_hidden.shape))
+            neg_x = self.negate_inputs(x[None])[0]
         hidden = affine_negated(
             self.w_hidden, neg_x, self.b_hidden, self._inputs, out=self._hidden
         )

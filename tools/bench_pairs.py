@@ -19,7 +19,10 @@ median and quartiles, the relative change of the medians and the number of
 pairs in which the change was better; the same for the A/A pairs, the
 second parent copy against the first; whether every run was correct and
 whether the CSV digests matched) and ``runs`` (every run's side, seed,
-order, env line, result JSON and CSV digest).
+position in the seed's run order, whether it ran first in its pair, env
+line, result JSON and CSV digest). ``first_in_pair`` of the parent and
+the change refers to the parent/change pair, that of the parent's second
+copy to the A/A pair; the parent runs first in both or in neither.
 """
 
 from __future__ import annotations
@@ -110,17 +113,14 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="git ref of the parent commit")
     parser.add_argument("--change", required=True, help="git ref of the change")
     parser.add_argument("--out", required=True, help="path of the JSON to write")
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
     parser.add_argument("--seeds", default="21-30", help="first-last: one pair per seed")
     parser.add_argument("--aa-pairs", type=int, default=3,
                         help="A/A pairs per workload, on the first seeds")
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--toy", action="store_true", help="perfbench's tiny inputs")
-    parser.add_argument("--host", default=None, help="host description for the JSON")
     args = parser.parse_args(argv)
     first_seed, _, last_seed = args.seeds.partition("-")
     seeds = list(range(int(first_seed), int(last_seed or first_seed) + 1))
-    workloads = args.workloads.split(",")
     shas = {side: git("rev-parse", "--short", ref)
             for side, ref in (("parent", args.parent), ("change", args.change))}
 
@@ -131,22 +131,26 @@ def main(argv=None) -> int:
             "change": checkout(args.change, Path(tmp) / "change"),
             "parent_copy": checkout(args.parent, Path(tmp) / "parent_copy"),
         }
-        for workload in workloads:
+        for workload in WORKLOADS:
             for k, seed in enumerate(seeds):
-                order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
+                pair = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
+                order = pair
                 if k < args.aa_pairs:  # the copy runs first or last, by turns
-                    order = order + ["parent_copy"] if k % 2 == 0 else ["parent_copy"] + order
+                    order = pair + ["parent_copy"] if k % 2 == 0 else ["parent_copy"] + pair
                 for position, side in enumerate(order):
                     run = run_once(trees[side], workload, seed, args.seconds, args.toy)
+                    # the parent runs first in the A/A pair exactly when it
+                    # runs first in the parent/change pair
+                    first = side == pair[0] or (side == "parent_copy" and position == 0)
                     runs.append({"workload": workload, "side": side, "seed": seed,
-                                 "seconds": args.seconds, "first_in_pair": position == 0,
-                                 **run})
+                                 "seconds": args.seconds, "position": position,
+                                 "first_in_pair": first, **run})
                     print(f"{workload} seed {seed} {side}: "
                           f"{run['result'].get('metrics', {}).get('wall_s', {}).get('value')}",
                           file=sys.stderr)
 
     summary = {}
-    for workload in workloads:
+    for workload in WORKLOADS:
         mine = [r for r in runs if r["workload"] == workload]
         main_runs = [r for r in mine if r["side"] in ("parent", "change")]
         entry = compare_sides(main_runs, "parent", "change")
@@ -177,7 +181,7 @@ def main(argv=None) -> int:
             f"(summary.<workload>.aa, second copy against first); quartiles by "
             f"numpy.percentile (linear)"
         ),
-        "host": args.host or (
+        "host": (
             f"{os.cpu_count()}-CPU {platform.machine()} host, Python {env.get('python')}, "
             f"numpy {env.get('numpy')}, scipy {env.get('scipy')}"
         ),
