@@ -112,7 +112,7 @@ class ActorConfig:
 # Python float operand anew on every call. On numpy 2.4.6 at 12 lanes,
 # np.add(r, 1.0, out=o) took 0.89 us and np.add(r, np.array(1.0), out=o)
 # 0.54 us (best of 15 runs of 10^5 calls). The bits are the same.
-_ZERO, _ONE, _MINUS_ONE = np.array(0.0), np.array(1.0), np.array(-1.0)
+_ONE, _MINUS_ONE = np.array(1.0), np.array(-1.0)
 _EXP_LIMIT = np.array(709.0)
 
 
@@ -202,20 +202,90 @@ def threshold_power_update(acc, dw_min: float, exponent: float):
     return np.where(magnitude > dw_min, transformed, 0.0)
 
 
-class ActorNetwork:
-    """A batch of independent two-layer stochastic binary actors.
+class LaneNetwork:
+    """A batch of independent one-hidden-layer networks: the lane arrays,
+    their draw, lane selection and input negation that the actor and the
+    critic share.
 
     Every array has a leading lane axis: w_hidden (lanes, n_in, n_hidden),
     input-major and C-contiguous, b_hidden (lanes, n_hidden), w_out
-    (lanes, n_hidden), b_out (lanes,); the input width is w_hidden's
-    axis 1. Each lane has its own update rule (the powerlaw mask) and
-    hidden-layer rate (lr_hidden); config holds everything the lanes
-    share. These parameters are all the actor keeps between batches,
-    besides per-lane constants and scratch arrays that the constructor,
-    select and propose size to the lanes and the batch. All arithmetic is
-    elementwise or reduces over the trailing axis (accumulate's sum runs
-    over the presentation axis, in order), so a lane computes the same
-    bits whatever batch it runs in.
+    (lanes, n_hidden) and b_out (lanes,), with the input width n_in taken
+    from w_hidden's axis 1 and n_hidden from config. LANE_ARRAYS names
+    every array that select keeps; a subclass's own ones have shape
+    (lanes,). All arithmetic on lanes is elementwise or reduces over a
+    trailing axis (or over the presentation axis, one row at a time), so
+    a lane computes the same bits whatever batch it runs in.
+    """
+
+    LANE_ARRAYS = ("w_hidden", "b_hidden", "w_out", "b_out")
+
+    def __init__(self, config, w_hidden, b_hidden, w_out, b_out):
+        self.config = config
+        self.w_hidden = np.asarray(w_hidden, dtype=float)
+        self.b_hidden = np.asarray(b_hidden, dtype=float)
+        self.w_out = np.asarray(w_out, dtype=float)
+        self.b_out = np.asarray(b_out, dtype=float)
+        lanes, n_in = self.w_hidden.shape[:2]
+        hidden = (lanes, config.n_hidden)
+        expected = {"w_hidden": (lanes, n_in, config.n_hidden), "b_hidden": hidden, "w_out": hidden}
+        for name in self.LANE_ARRAYS:
+            shape = expected.get(name, (lanes,))
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"{name} shape {getattr(self, name).shape} != {shape}")
+        self._neg_inputs = np.empty(0)  # negate_inputs's, sized to the batch
+        self._size_to_lanes()
+
+    def _size_to_lanes(self) -> None:
+        """Per-lane constants and scratch for the current lanes."""
+
+    @staticmethod
+    def draw_weights(n_hidden: int, rngs: list[np.random.Generator], out_bound: float):
+        """One lane's weights per generator on the N_INPUTS inputs, as
+        (w_hidden, w_out): each lane draws its hidden weights uniform in
+        [-1/sqrt(N_INPUTS), 1/sqrt(N_INPUTS)] as an (n_hidden, N_INPUTS)
+        block, stored transposed, then its output weights uniform in
+        [-out_bound, out_bound]."""
+        bound = 1.0 / np.sqrt(N_INPUTS)
+        w_hidden = np.empty((len(rngs), N_INPUTS, n_hidden))
+        w_out = np.empty((len(rngs), n_hidden))
+        for lane, rng in enumerate(rngs):
+            w_hidden[lane] = rng.uniform(-bound, bound, size=(n_hidden, N_INPUTS)).T
+            w_out[lane] = rng.uniform(-out_bound, out_bound, size=n_hidden)
+        return w_hidden, w_out
+
+    def select(self, lanes: np.ndarray) -> None:
+        """Keep only the given lanes, in the given order."""
+        for name in self.LANE_ARRAYS:
+            setattr(self, name, getattr(self, name)[lanes])
+        self._size_to_lanes()
+
+    def negate_inputs(self, x) -> np.ndarray:
+        """-x for a batch of inputs x (batch, lanes, n_in), broadcast along
+        the hidden units to (batch, lanes, n_in, n_hidden) and C-contiguous.
+
+        Rejects an x of another shape. The network keeps the array from
+        batch to batch, so its rows hold until the next call.
+        """
+        x = np.asarray(x, dtype=float)
+        lanes, n_in, n_hidden = self.w_hidden.shape
+        if x.ndim != 3 or x.shape[1:] != (lanes, n_in):
+            raise ValueError(
+                f"input shape {x.shape} does not match (batch, {lanes}, n_in={n_in})"
+            )
+        shape = x.shape + (n_hidden,)
+        if self._neg_inputs.shape != shape:
+            self._neg_inputs = np.empty(shape)
+        return np.negative(x[..., None], out=self._neg_inputs)
+
+
+class ActorNetwork(LaneNetwork):
+    """A batch of independent two-layer stochastic binary actors.
+
+    Besides LaneNetwork's arrays, each lane has its own update rule (the
+    powerlaw mask) and hidden-layer rate (lr_hidden); config holds
+    everything the lanes share. These parameters are all the actor keeps
+    between batches, besides per-lane constants and scratch arrays sized
+    to the lanes and the batch.
 
     A batch of presentations runs in three stages. The weights change only
     in apply_batch_update, so propose computes the hidden layer's firing
@@ -234,19 +304,11 @@ class ActorNetwork:
     y_hidden (batch, lanes, n_hidden) and y_out (batch, lanes), and r_bar,
     p_flip and p_out (batch, lanes). propose allocates them afresh for
     every batch, so each presentation's slice [t] is one contiguous row
-    that forward reads and fills in place. An array forward returns
-    therefore keeps its values for good.
-
-    Every broadcast, cast and strided gather runs once per batch, so the
-    elementwise ufuncs of forward, like those of accumulate, have
-    C-contiguous operands of one shape. propose forms -x broadcast along the hidden
-    units, (batch, lanes, n_in, n_hidden), for its own products and for
-    accumulate's w_hidden terms, and copies the flip and output uniforms
-    into contiguous arrays. forward copies its hidden bits into a float
-    row, which the output unit and accumulate read; its one broadcast,
-    p_flip along the hidden units, is a copy into scratch. These scratch
-    arrays are sized to the batch by propose and kept from batch to batch.
+    that forward reads and fills in place (harness, "Memory layout"). An
+    array forward returns therefore keeps its values for good.
     """
+
+    LANE_ARRAYS = LaneNetwork.LANE_ARRAYS + ("powerlaw", "lr_hidden")
 
     def __init__(
         self,
@@ -258,27 +320,10 @@ class ActorNetwork:
         update_rules,
         lr_hidden,
     ):
-        self.config = config
-        self.w_hidden = np.asarray(w_hidden, dtype=float)
-        self.b_hidden = np.asarray(b_hidden, dtype=float)
-        self.w_out = np.asarray(w_out, dtype=float)
-        self.b_out = np.asarray(b_out, dtype=float)
-        lanes, n_in = self.w_hidden.shape[:2]
         self.powerlaw = np.array([r is UpdateRule.POWER_LAW for r in update_rules])
         self.lr_hidden = np.asarray(lr_hidden, dtype=float)
-        expected = {
-            "w_hidden": (lanes, n_in, config.n_hidden),
-            "b_hidden": (lanes, config.n_hidden),
-            "w_out": (lanes, config.n_hidden),
-            "b_out": (lanes,),
-            "powerlaw": (lanes,),
-            "lr_hidden": (lanes,),
-        }
-        for name, shape in expected.items():
-            if getattr(self, name).shape != shape:
-                raise ValueError(f"{name} shape {getattr(self, name).shape} != {shape}")
         self._alpha_flip = np.array(config.alpha_flip)
-        self._size_to_lanes()
+        super().__init__(config, w_hidden, b_hidden, w_out, b_out)
 
     def _size_to_lanes(self) -> None:
         """Per-lane constants and per-presentation scratch for the current lanes."""
@@ -307,7 +352,6 @@ class ActorNetwork:
         block = (batch, lanes, n_in, n_hidden)
         units = (batch, lanes, n_hidden + 1)
         self._batch = batch
-        self._neg_x = np.empty(block)
         self._inputs = InputProducts(block)  # propose's; accumulate reuses its products
         self._u_flips = np.empty((batch, lanes, n_hidden))
         self._u_proposal_out = np.empty((batch, lanes))
@@ -328,22 +372,13 @@ class ActorNetwork:
         lr_hidden,
         update_rules=None,
     ) -> "ActorNetwork":
-        """One fresh lane per generator on the N_INPUTS inputs: weights
-        uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)], biases 0.
-
-        Each lane draws its hidden weights as an (n_hidden, N_INPUTS)
-        block, stored transposed, then its output weights. lr_hidden and
-        update_rules give one value per lane; update_rules defaults to
-        config's.
+        """One fresh lane per generator: weights by draw_weights, the
+        output weights uniform in [-1/sqrt(n_hidden), 1/sqrt(n_hidden)],
+        and biases 0. lr_hidden and update_rules give one value per lane;
+        update_rules defaults to config's.
         """
-        bound_h = 1.0 / np.sqrt(N_INPUTS)
-        bound_o = 1.0 / np.sqrt(config.n_hidden)
         lanes = len(rngs)
-        w_hidden = np.empty((lanes, N_INPUTS, config.n_hidden))
-        w_out = np.empty((lanes, config.n_hidden))
-        for lane, rng in enumerate(rngs):
-            w_hidden[lane] = rng.uniform(-bound_h, bound_h, size=(config.n_hidden, N_INPUTS)).T
-            w_out[lane] = rng.uniform(-bound_o, bound_o, size=config.n_hidden)
+        w_hidden, w_out = cls.draw_weights(config.n_hidden, rngs, 1.0 / np.sqrt(config.n_hidden))
         return cls(
             config,
             w_hidden=w_hidden,
@@ -354,33 +389,21 @@ class ActorNetwork:
             lr_hidden=lr_hidden,
         )
 
-    def select(self, lanes: np.ndarray) -> None:
-        """Keep only the given lanes, in the given order."""
-        for name in ("w_hidden", "b_hidden", "w_out", "b_out", "powerlaw", "lr_hidden"):
-            setattr(self, name, getattr(self, name)[lanes])
-        self._size_to_lanes()
-
     def propose(self, x, u) -> None:
         """Hidden-layer pass of a whole batch of presentations.
 
         In the one (batch, lanes, ...) layout, x has shape (batch, lanes,
-        n_in) and u (batch, lanes, 2 * n_hidden + 2): each presentation's
-        uniforms for the hidden proposals, the hidden flips, the output
-        proposal and the output flip, in that order. A hidden unit proposes
-        1 when its uniform lies below its firing probability. Starts a
-        batch: forward then runs its presentations, and accumulate reads
-        all of them.
+        n_in), checked by negate_inputs, and u (batch, lanes, 2 * n_hidden
+        + 2): each presentation's uniforms for the hidden proposals, the
+        hidden flips, the output proposal and the output flip, in that
+        order. A hidden unit proposes 1 when its uniform lies below its
+        firing probability. Starts a batch: forward then runs its
+        presentations, and accumulate reads all of them.
         """
-        x = np.asarray(x, dtype=float)
-        lanes, n_in, n_hidden = self.w_hidden.shape
-        if x.ndim != 3 or x.shape[1:] != (lanes, n_in):
-            raise ValueError(
-                f"input shape {x.shape} does not match (batch, {lanes}, n_in={n_in})"
-            )
-        batch = len(x)
+        neg_x = self.negate_inputs(x)
+        batch, lanes, _, n_hidden = neg_x.shape
         if batch != self._batch:
             self._size_to_batch(batch)
-        neg_x = np.negative(x[..., None], out=self._neg_x)
         p_hidden = affine_negated(self.w_hidden, neg_x, self.b_hidden, self._inputs)
         self.p_hidden = sigmoid_of_negated(p_hidden, out=p_hidden)
         self.proposed_hidden = np.less(u[..., :n_hidden], p_hidden)
@@ -405,17 +428,18 @@ class ActorNetwork:
 
     def forward(self, t: int, r_bar) -> np.ndarray:
         """Sample every lane's output bit at presentation t of the batch,
-        given predicted rewards r_bar (lanes,).
+        given predicted rewards r_bar (lanes,) in [0, 1], such as the
+        critic's forward returns.
 
         A unit flips its proposal when its flip uniform lies below
-        alpha_flip * (1 - r_bar), with r_bar clamped into [0, 1]; the
-        output unit proposes 1 when its uniform lies below its firing
-        probability. Every step writes into row t of the batch's arrays
-        or into scratch rows; the returned bits are y_out[t].
+        alpha_flip * (1 - r_bar); the output unit proposes 1 when its
+        uniform lies below its firing probability. Every step writes into
+        row t of the batch's arrays or into scratch rows; the returned
+        bits are y_out[t].
         """
         (rb, p_flip, p_flip_column, p_out, u_flips, proposed_hidden, y_hidden, y,
          u_proposal_out, u_flip_out, y_out) = self._rows[t]
-        np.minimum(np.maximum(r_bar, _ZERO, out=rb), _ONE, out=rb)
+        np.copyto(rb, r_bar)
         np.multiply(self._alpha_flip, np.subtract(_ONE, rb, out=p_flip), out=p_flip)
         np.copyto(self._p_flip_hidden, p_flip_column)
         flips = np.less(u_flips, self._p_flip_hidden, out=self._flips)
@@ -439,15 +463,12 @@ class ActorNetwork:
 
         The error terms eta * (R - r_bar) * (y_i - p_i) of the hidden units
         and the output unit are formed together, over (batch, lanes,
-        n_hidden + 1), after p_flip and R - r_bar are broadcast to that
-        shape once; they are the bias terms. The weight terms go into two
-        more arrays, each C-contiguous: (batch, lanes, n_in, n_hidden) for
-        w_hidden, the hidden errors negated and broadcast along the inputs
-        times propose's -x (the bits of error times x), and (batch, lanes,
-        n_hidden) for w_out. So every ufunc writes a whole array. Each
-        array's rows are summed from zero, in presentation order
-        (sum_rows), into its block of one fresh sums array, which
-        load_sums takes.
+        n_hidden + 1); they are the bias terms. The weight terms go into
+        two more arrays: (batch, lanes, n_in, n_hidden) for w_hidden, the
+        hidden errors negated times propose's -x (the bits of error times
+        x), and (batch, lanes, n_hidden) for w_out. Each array's rows are
+        summed from zero, in presentation order (sum_rows), into its block
+        of one fresh sums array, which load_sums takes.
         """
         lanes, n_in, n_hidden = self.w_hidden.shape
         p, y, f, errors = self._p, self._y, self._f, self._errors
@@ -463,7 +484,7 @@ class ActorNetwork:
         np.copyto(f, np.subtract(r, self.r_bar, out=self._delta)[..., None])
         np.multiply(np.multiply(self._lr_block, f, out=errors), p, out=errors)
         w_hidden_terms = np.negative(errors[..., None, :n_hidden], out=self._inputs.products)
-        np.multiply(w_hidden_terms, self._neg_x, out=w_hidden_terms)
+        np.multiply(w_hidden_terms, self._neg_inputs, out=w_hidden_terms)
         np.multiply(errors[..., n_hidden:], self._y_hidden, out=self._w_out_terms)
         n_w, n_o = lanes * n_in * n_hidden, lanes * n_hidden
         sums = np.empty(n_w + n_o + errors[0].size)

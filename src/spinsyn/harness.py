@@ -47,13 +47,14 @@ presentation writes into rows and scratch and chains its ufuncs in place;
 only the critic's prediction is a fresh array. Every broadcast, cast and
 strided gather runs once per batch, so each elementwise ufunc of the
 loop has C-contiguous operands of one shape, which numpy runs without
-its buffered iterator: run_epoch has the critic negate the batch's inputs
-and broadcast them to (batch_size, lanes, n_in, n_hidden) once
-(CriticNetwork.negate_inputs), and propose does the same for the actor
-and copies the uniforms that forward reads into contiguous arrays. The
-broadcasts that need a presentation's prediction (p_flip along the
-actor's hidden units; the critic's error and gain) are copies into
-scratch. The rewards stay bool, and the hidden bits are bool rows with a
+its buffered iterator: each network checks the batch's inputs, negates
+them and broadcasts them along its hidden units to (batch_size, lanes,
+n_in, n_hidden) once (LaneNetwork.negate_inputs; run_epoch calls it for
+the critic, propose for the actor), and propose copies the uniforms that
+forward reads into contiguous arrays. The broadcasts that need a
+presentation's prediction (p_flip along the actor's hidden units; the
+critic's error and gain) are copies into scratch, each followed by a
+multiply of whole arrays. The rewards stay bool, and the hidden bits are bool rows with a
 float copy for the output unit. The actor's end-of-batch terms go into
 three C-contiguous arrays, the w_hidden, w_out and bias terms, each
 summed over the batch axis into its block of the batch sums; the
@@ -285,7 +286,7 @@ def run_epoch(
     actor.propose(x, u[..., 2:])
     r = np.empty(target.shape, dtype=bool)  # row t: every lane's reward at t
     for t, (neg_x, target_t, r_t) in enumerate(zip(critic.negate_inputs(x), target, r)):
-        r_bar = critic.forward(neg_x=neg_x)
+        r_bar = critic.forward(neg_x)
         reward(actor.forward(t, r_bar), target_t, out=r_t)
         critic.update(r_t)
     actor.accumulate(r)

@@ -213,7 +213,8 @@ def test_criterion_07_critic_sign_alignment():
         r = float(rng.random())
         w_before = critic.w_hidden.copy()
         b_before = critic.b_hidden.copy()
-        critic.forward(x)
+        neg_x = critic.negate_inputs(x[None])[0]
+        critic.forward(neg_x)
         critic.update(np.array([r]))
         update = (critic.w_hidden - w_before)[0]
         critic.w_hidden[:] = w_before
@@ -224,9 +225,9 @@ def test_criterion_07_critic_sign_alignment():
                     continue
                 w0 = critic.w_hidden[0, j, i]
                 critic.w_hidden[0, j, i] = w0 + h
-                up = (r - critic.forward(x)[0]) ** 2
+                up = (r - critic.forward(neg_x)[0]) ** 2
                 critic.w_hidden[0, j, i] = w0 - h
-                down = (r - critic.forward(x)[0]) ** 2
+                down = (r - critic.forward(neg_x)[0]) ** 2
                 critic.w_hidden[0, j, i] = w0
                 fd = (up - down) / (2 * h)
                 if abs(fd) <= 1e-9:

@@ -12,6 +12,7 @@ from spinsyn.actor import (
     sum_rows,
     threshold_power_update,
 )
+from spinsyn.critic import CriticConfig, CriticNetwork
 from oracles import sigmoid
 
 
@@ -217,23 +218,29 @@ class TestForward:
         assert np.array_equal(proposed_hidden, net.y_hidden == 1.0)
         assert np.array_equal(proposed_out, net.y_out == 1.0)
 
-    def test_rbar_clamped(self):
-        net = make_net()
-        u = step_uniforms(np.random.default_rng(3), net)
-        present(net, [[0.0, 1.0]], [7.5], u)
-        assert np.all(net.p_flip == 0.0)
-        net.forward(0, np.array([-3.0]))
-        assert net.p_flip[0, 0] == pytest.approx(0.1)
+    def test_critic_prediction_meets_the_rbar_contract(self):
+        # forward takes r_bar in [0, 1] unclamped; the critic's prediction,
+        # which run_epoch passes, stays there even at weights of +-1e6
+        lanes = 64
+        critic = CriticNetwork.initialize(
+            CriticConfig(), [np.random.default_rng(s) for s in range(lanes)]
+        )
+        signs = np.random.default_rng(4)
+        critic.w_hidden[:] = 1e6 * signs.choice([-1.0, 1.0], critic.w_hidden.shape)
+        critic.w_out[:] = 1e6 * signs.choice([-1.0, 1.0], critic.w_out.shape)
+        patterns = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+        with np.errstate(over="raise", invalid="raise"):
+            for neg_x in critic.negate_inputs(np.repeat(patterns[:, None], lanes, axis=1)):
+                r_bar = critic.forward(neg_x)
+                assert np.all((r_bar >= 0.0) & (r_bar <= 1.0))
 
-    def test_dimension_mismatch_rejected(self):
-        net = make_net()
-        u = step_uniforms(np.random.default_rng(0), net)
-        with pytest.raises(ValueError):
-            net.propose(np.array([[[1.0, 0.0, 1.0]]]), u)
-        with pytest.raises(ValueError):
-            net.propose(np.array([[1.0, 0.0]]), u)
-        with pytest.raises(ValueError):  # one lane's two presentations, lanes first
-            net.propose(np.ones((1, 2, 2)), step_uniforms(np.random.default_rng(0), net, 2))
+    def test_p_flip_is_alpha_flip_times_one_minus_rbar(self):
+        config = ActorConfig()
+        net = ActorNetwork.initialize(config, [np.random.default_rng(s) for s in range(3)], [LR] * 3)
+        r_bar = [0.0, 0.5, 1.0]
+        u = np.random.default_rng(3).random((1, 3, 2 * config.n_hidden + 2))
+        present(net, np.ones((3, 2)), r_bar, u)
+        assert net.p_flip[0].tolist() == [config.alpha_flip * (1 - r) for r in r_bar]
 
     def test_single_neuron_flip_arithmetic(self):
         # P(y=1) = p*(1-f) + (1-p)*f with p = 0.9, f = alpha*(1-0) = 0.1
