@@ -5,12 +5,12 @@ networks."""
 import numpy as np
 import pytest
 
-from spinsyn.actor import ActorConfig, ActorNetwork, UpdateRule
+from spinsyn.actor import ActorConfig, ActorNetwork, LaneNetwork, UpdateRule
 from spinsyn.critic import CriticConfig, CriticNetwork
 
 # every lane's own rate and rule, by its seed
 RATES = [1.1, 0.75, 0.9]
-RULES = [UpdateRule.POWER_LAW, UpdateRule.LINEAR, UpdateRule.POWER_LAW]
+RULES = [UpdateRule.POWER_LAW, UpdateRule.POWER_LAW, UpdateRule.LINEAR]
 
 
 def make(kind, seeds=(0, 1, 2)):
@@ -54,7 +54,7 @@ def misshaped(value):
 )
 def test_constructor_rejects_a_misshaped_lane_array(kind, name):
     net = make(kind)
-    args = {key: getattr(net, key) for key in ("w_hidden", "b_hidden", "w_out", "b_out")}
+    args = {key: getattr(net, key) for key in LaneNetwork.LANE_ARRAYS}
     if kind == "actor":
         args["update_rules"] = [RULES[s] for s in (0, 1, 2)]
         args["lr_hidden"] = net.lr_hidden

@@ -16,7 +16,8 @@ the script changes no workload and no bound.
 The output JSON holds ``parent``, ``change``, ``command``, ``method``,
 ``host``, ``summary`` (per workload and end-to-end metric: each side's
 median and quartiles, the relative change of the medians and the number of
-pairs in which the change was better; the same for the A/A pairs, the
+pairs in which the change was better, and whether the change's median
+is within the metric's bound; the same for the A/A pairs, the
 second parent copy against the first; whether every run was correct and
 whether the CSV digests matched) and ``runs`` (every run's side, seed,
 position in the seed's run order, whether it ran first in its pair, env
@@ -77,22 +78,19 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, toy: bool) ->
     }
 
 
-def better(name: str, a: float, b: float) -> bool:
-    """Whether value b beats value a on metric name."""
-    lower = next(m["better"] for m in METRICS if m["name"] == name) == "lower"
-    return b < a if lower else b > a
-
-
 def compare_sides(runs: list[dict], first: str, second: str) -> dict:
     """Per metric: both sides' median and quartiles, the relative change of
-    the medians from first to second, and the pairs in which second was
-    better. Runs pair up by seed."""
+    the medians from first to second, the pairs in which second was
+    better, and within_bound: false when second's median is worse than
+    first's by more than the metric's bound in BENCHMARK.json. Runs pair
+    up by seed."""
     by_seed = {}
     for run in runs:
         by_seed.setdefault(run["seed"], {})[run["side"]] = run["result"]["metrics"]
     pairs = [(p[first], p[second]) for p in by_seed.values() if first in p and second in p]
     summary = {"pairs": len(pairs)}
-    for metric in (m["name"] for m in METRICS):
+    for spec in METRICS:
+        metric, lower = spec["name"], spec["better"] == "lower"
         values = [(a[metric]["value"], b[metric]["value"]) for a, b in pairs
                   if metric in a and metric in b]
         if not values:
@@ -103,7 +101,9 @@ def compare_sides(runs: list[dict], first: str, second: str) -> dict:
             q1, median, q3 = np.percentile(data, [25, 50, 75])
             entry.update({f"{side}_median": median, f"{side}_q1": q1, f"{side}_q3": q3})
         entry["rel_change"] = entry[f"{second}_median"] / entry[f"{first}_median"] - 1.0
-        entry[f"{second}_better_pairs"] = sum(better(metric, x, y) for x, y in values)
+        entry[f"{second}_better_pairs"] = sum(y < x if lower else y > x for x, y in values)
+        worse_by = entry["rel_change"] if lower else -entry["rel_change"]
+        entry["within_bound"] = bool(worse_by <= spec["bound"])
         summary[metric] = entry
     return summary
 
