@@ -225,6 +225,8 @@ class LaneNetwork:
         self.b_hidden = np.asarray(b_hidden, dtype=float)
         self.w_out = np.asarray(w_out, dtype=float)
         self.b_out = np.asarray(b_out, dtype=float)
+        if self.w_hidden.ndim != 3:  # before its axes are read as lanes and n_in
+            raise ValueError(f"w_hidden shape {self.w_hidden.shape} is not (lanes, n_in, n_hidden)")
         lanes, n_in = self.w_hidden.shape[:2]
         hidden = (lanes, config.n_hidden)
         expected = {"w_hidden": (lanes, n_in, config.n_hidden), "b_hidden": hidden, "w_out": hidden}

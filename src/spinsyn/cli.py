@@ -16,8 +16,9 @@ sections are device, actor, critic, harness, and each section's keys are
 the int and float fields of SpinValveParams, ActorConfig, CriticConfig and
 ExperimentConfig. Unknown and repeated keys are rejected with the
 offending line number, and so is a key the subcommand does not read:
-device-map reads only the device section. Exit codes: 0 success, 1
-runtime failure, 2 usage or config error.
+train, sweep and compare read actor, critic and harness, and device-map
+reads device. Exit codes: 0 success, 1 runtime failure, 2 usage or
+config error.
 """
 
 from __future__ import annotations
@@ -87,8 +88,9 @@ _SCHEMA = {
 
 _LINE_RE = re.compile(r"^([a-z_]+)\.([a-z_0-9]+)\s*=\s*(.*)$")
 
-# subcommand -> the sections it reads, where that is not all of them
-_READS = {"device-map": ("device",)}
+# subcommand -> the sections it reads; parse_config rejects a key of any other
+_TRAINING = ("actor", "critic", "harness")
+_READS = {"train": _TRAINING, "sweep": _TRAINING, "compare": _TRAINING, "device-map": ("device",)}
 
 
 def parse_config(path: str | Path | None, subcommand: str | None = None) -> LoadedConfig:
@@ -273,7 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Spin-valve synapse simulator and XOR learning benchmark",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in ("train", "sweep", "compare", "device-map"):
+    for name in _READS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="config file path")
         p.add_argument("--out", required=True, help="output directory")
@@ -291,21 +293,13 @@ def _build_parser() -> argparse.ArgumentParser:
                 default=UpdateRule.POWER_LAW.value if name == "train" else None,
                 help="update rule (train default: powerlaw, sweep default: both)",
             )
-        if name == "train":
-            p.add_argument(
-                "--lr", type=float, default=None, help="hidden-layer learning rate"
-            )
     return parser
 
 
 def run_cli(args: argparse.Namespace) -> int:
     loaded = parse_config(args.config, args.subcommand)
-    # --seed and --lr replace config fields, so ExperimentConfig checks them
+    # --seed replaces a config field, so ExperimentConfig checks it
     overrides = {} if args.seed is None else {"master_seed": args.seed}
-    if args.subcommand == "train":
-        rule = UpdateRule(args.rule)
-        if args.lr is not None:
-            overrides[f"lr_{rule.value}"] = args.lr
     try:
         config = replace(loaded.experiment, **overrides)
     except ValueError as exc:
@@ -320,6 +314,7 @@ def run_cli(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     if args.subcommand == "train":
+        rule = UpdateRule(args.rule)
         results = run_trials(config, [(rule, config.lr_for(rule))], parallelism=args.parallelism)
         write_learning_curve_csv(out / "learning_curve.csv", results)
     elif args.subcommand == "sweep":

@@ -1,7 +1,9 @@
-"""tools/bench_pairs.py's summary on synthetic runs: within_bound follows
-each metric's direction and its bound in BENCHMARK.json."""
+"""tools/bench_pairs.py on synthetic runs: within_bound follows each
+metric's direction and its bound in BENCHMARK.json, and every seed runs a
+parent/change pair and an A/A pair of every declared workload."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -45,3 +47,32 @@ def test_within_bound_follows_direction_and_bound(metric, parent, change, within
     assert entry["rel_change"] == pytest.approx(change / parent - 1.0)
     assert entry["change_better_pairs"] == (5 if (change < parent) == (metric == "wall_s") else 0)
     assert entry["within_bound"] is within
+
+
+def test_every_seed_runs_a_pair_and_an_aa_pair(tmp_path, monkeypatch):
+    # every workload and the run length come from BENCHMARK.json, and each
+    # seed runs the parent, the change and the parent's second copy, the
+    # copy last or first by turns
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "0000000")
+    monkeypatch.setattr(bench_pairs, "checkout", lambda ref, dest: dest)
+    calls = []
+
+    def run_once(tree, workload, seed, seconds, toy):
+        calls.append((workload, seed, tree.name, seconds))
+        return {"env": {}, "csv_digest": "same",
+                "result": {"correct": True, "failed": 0, "metrics": {"wall_s": {"value": 1.0}}}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main(["--parent", "A", "--change", "B", "--seeds", "1-4",
+                             "--out", str(out)]) == 0
+    benchmark = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text())
+    workloads = [workload["name"] for workload in benchmark["workloads"]]
+    orders = [["parent", "change", "parent_copy"], ["parent_copy", "change", "parent"]] * 2
+    assert calls == [(workload, seed, side, benchmark["run_seconds"])
+                     for workload in workloads
+                     for seed, order in zip(range(1, 5), orders)
+                     for side in order]
+    summary = json.loads(out.read_text())["summary"]
+    assert list(summary) == workloads
+    assert all(summary[w]["pairs"] == summary[w]["aa"]["pairs"] == 4 for w in workloads)

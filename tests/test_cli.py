@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from spinsyn import cli, harness
-from spinsyn.actor import UpdateRule
+from spinsyn.actor import ActorConfig, UpdateRule
 from spinsyn.cli import (
     _SCHEMA,
     ConfigError,
@@ -20,6 +20,8 @@ from spinsyn.cli import (
     write_stats_csv,
     write_sweep_csv,
 )
+from spinsyn.critic import CriticConfig
+from spinsyn.device import SpinValveParams
 from spinsyn.harness import (
     ComparisonReport,
     ExperimentConfig,
@@ -214,6 +216,22 @@ class TestSchema:
     def test_key_set_and_parsers_are_pinned(self):
         parsers = {int: int, float: cli._parse_float}
         assert _SCHEMA == {key: parsers[kind] for key, kind in self.KEYS.items()}
+
+    @pytest.mark.parametrize("subcommand", [None, "train", "sweep", "compare", "device-map"])
+    def test_each_subcommand_accepts_every_key_it_reads(self, tmp_path, subcommand):
+        # every key of the sections read, each set to its default: all 27
+        # without a subcommand (as perfbench calls parse_config), the 20
+        # actor, critic and harness keys for training, the 7 device keys
+        # for device-map
+        defaults = {"device": SpinValveParams(), "actor": ActorConfig(),
+                    "critic": CriticConfig(), "harness": ExperimentConfig()}
+        sections = {None: defaults, "device-map": ["device"]}.get(
+            subcommand, ["actor", "critic", "harness"])
+        keys = [key.split(".") for key in self.KEYS if key.split(".")[0] in sections]
+        assert len(keys) == {None: 27, "device-map": 7}.get(subcommand, 20)
+        text = "".join(f"{section}.{name} = {getattr(defaults[section], name)!r}\n"
+                       for section, name in keys)
+        assert parse_config(write_config(tmp_path, text), subcommand) == parse_config(None)
 
 
 class TestNumberFormat:
@@ -411,18 +429,17 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("rule", [r.value for r in UpdateRule])
     def test_lr_flag_sets_the_rules_config_rate(self, tmp_path, rule):
-        # the rate enters every trial's seed, so a flag that set the other
-        # rule's rate would give other curves
-        flag = write_config(tmp_path, SMALL_EXPERIMENT)
-        keyed = tmp_path / "keyed.cfg"
-        keyed.write_text(SMALL_EXPERIMENT + f"harness.lr_{rule} = 0.9\n")
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert main(["train", "--rule", rule, "--config", str(flag), "--out", str(out_a),
-                     "--lr", "0.9"]) == 0
-        assert main(["train", "--rule", rule, "--config", str(keyed), "--out", str(out_b)]) == 0
-        assert (out_a / "learning_curve.csv").read_bytes() == (
-            out_b / "learning_curve.csv"
-        ).read_bytes()
+        # harness.lr_<rule> alone sets the trained arm's rate. The rate
+        # enters every trial's seed, so a run at any other rate (the other
+        # rule's, or the default) would give other curves than the arm
+        # (rule, 0.9) run through the library
+        cfg = write_config(tmp_path, SMALL_EXPERIMENT + f"harness.lr_{rule} = 0.9\n")
+        out = tmp_path / "out"
+        assert main(["train", "--rule", rule, "--config", str(cfg), "--out", str(out)]) == 0
+        config = ExperimentConfig(n_trials=2, max_epochs=30, master_seed=7)
+        arm = harness.run_trials(config, [(UpdateRule(rule), 0.9)])
+        write_learning_curve_csv(tmp_path / "arm.csv", arm)
+        assert (out / "learning_curve.csv").read_bytes() == (tmp_path / "arm.csv").read_bytes()
 
     def test_sweep_writes_rows_for_both_rules(self, tmp_path):
         cfg = write_config(
@@ -596,7 +613,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, config",
         [
-            (["train", "--lr", "-1"], None),
+            (["train"], "harness.lr_powerlaw = -1\n"),
             (["train", "--seed", "-1"], None),
             (["sweep"], "harness.lr_sweep_step = 1e-11\n"),
             (["sweep"], "harness.lr_sweep_step = 1e-9\n"),  # 8.5e8 rates
@@ -616,13 +633,12 @@ class TestExitCodes:
         assert main(argv + ["--out", str(out)]) == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("lr", ["nan", "inf"])
-    def test_non_finite_lr_exits_2(self, tmp_path, lr):
-        cfg = write_config(tmp_path, SMALL_EXPERIMENT)
+    def test_lr_flag_is_a_usage_error(self, tmp_path, capsys):
+        # a train run's rate comes only from harness.lr_<rule>
         out = tmp_path / "o"
-        argv = ["train", "--config", str(cfg), "--out", str(out), "--lr", lr]
-        assert main(argv) == 2
+        assert main(["train", "--lr", "0.9", "--out", str(out)]) == 2
         assert not out.exists()
+        assert "unrecognized arguments: --lr 0.9" in capsys.readouterr().err
 
     def test_compare_with_one_trial_exits_2_before_training(self, tmp_path, monkeypatch):
         def no_training(*args, **kwargs):
@@ -635,18 +651,28 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "key", ["actor.dw_min = 0.3", "critic.lr = 0.5", "harness.n_trials = 4"]
+        "subcommand, key",
+        [("device-map", key)
+         for key in ("actor.dw_min = 0.3", "critic.lr = 0.5", "harness.n_trials = 4")]
+        + [(name, key)
+           for name in ("train", "sweep", "compare")
+           for key in ("device.g_th = 2e-6", "device.mg_max = 0.1")],
     )
-    def test_device_map_rejects_training_keys(self, tmp_path, capsys, key):
-        # device-map reads only device.* keys; any other would be ignored
-        cfg = write_config(tmp_path, f"device.mg_max = 0.1\n{key}\n")
+    def test_subcommand_rejects_a_key_it_does_not_read(self, tmp_path, capsys, subcommand, key):
+        # device-map reads only device.* keys and the training subcommands
+        # only the others; a key of the other kind would be ignored. Line 1
+        # holds a key the subcommand reads.
+        read = "device.mg_max = 0.1" if subcommand == "device-map" else "harness.n_trials = 3"
+        cfg = write_config(tmp_path, f"{read}\n{key}\n")
         out = tmp_path / "o"
-        assert main(["device-map", "--config", str(cfg), "--out", str(out)]) == 2
+        assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
         name = key.split(" ")[0]
-        assert f"line 2: device-map does not read key '{name}'" in capsys.readouterr().err
-        # the training subcommands read the key
-        assert parse_config(cfg, "train").experiment != ExperimentConfig()
+        assert f"line 2: {subcommand} does not read key '{name}'" in capsys.readouterr().err
+        # a subcommand that reads the key accepts it
+        reader = "train" if subcommand == "device-map" else "device-map"
+        only_key = write_config(tmp_path, key + "\n")
+        assert parse_config(only_key, reader) != parse_config(None, reader)
 
     @pytest.mark.parametrize("flag", [["--seed", "3"], ["--parallelism", "2"]])
     def test_device_map_rejects_trial_flags(self, tmp_path, flag):

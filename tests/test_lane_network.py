@@ -48,11 +48,17 @@ def misshaped(value):
 
 
 @pytest.mark.parametrize(
-    "kind, name",
-    [("actor", name) for name in ActorNetwork.LANE_ARRAYS]
-    + [("critic", name) for name in CriticNetwork.LANE_ARRAYS],
+    "kind, name, change",
+    [pytest.param(kind, name, misshaped, id=f"{kind}-{name}")
+     for kind, net in (("actor", ActorNetwork), ("critic", CriticNetwork))
+     for name in net.LANE_ARRAYS]
+    # a w_hidden of too few or too many axes: one lane's first input row,
+    # and the array with a trailing axis of one
+    + [pytest.param(kind, "w_hidden", change, id=f"{kind}-w_hidden-{ndim}")
+       for kind in ("actor", "critic")
+       for ndim, change in (("1d", lambda w: w[0, 0]), ("4d", lambda w: w[..., None]))],
 )
-def test_constructor_rejects_a_misshaped_lane_array(kind, name):
+def test_constructor_rejects_a_misshaped_lane_array(kind, name, change):
     net = make(kind)
     args = {key: getattr(net, key) for key in LaneNetwork.LANE_ARRAYS}
     if kind == "actor":
@@ -60,7 +66,7 @@ def test_constructor_rejects_a_misshaped_lane_array(kind, name):
         args["lr_hidden"] = net.lr_hidden
     type(net)(net.config, **args)  # the arguments as they are pass
     argument = "update_rules" if name == "powerlaw" else name
-    args[argument] = misshaped(args[argument])
+    args[argument] = change(args[argument])
     with pytest.raises(ValueError, match=f"^{name} shape"):
         type(net)(net.config, **args)
 

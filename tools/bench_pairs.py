@@ -4,14 +4,15 @@ Run from the repository root:
 
     python tools/bench_pairs.py --parent 0a94fae --change HEAD --out BENCH_21_0a94fae.json
 
-For each workload, the script runs ``perfbench/run.py --workload W --seed S
---seconds T --trace 0`` once per side and seed: one pair per seed, with the
-side that runs first alternating from pair to pair. Each side runs from its
-own fresh ``git archive`` copy, and a second copy of the parent gives an
-A/A pair per seed of the first ``--aa-pairs`` seeds, so the offset that a
+For each workload declared in BENCHMARK.json, the script runs
+``perfbench/run.py --workload W --seed S --seconds T --trace 0`` once per
+side and seed, T defaulting to BENCHMARK.json's ``run_seconds``: one pair
+per seed, with the side that runs first alternating from pair to pair.
+Each side runs from its own fresh ``git archive`` copy, and a second copy
+of the parent gives an A/A pair at every seed, so the offset that a
 checkout alone puts on a metric (setup_s moves by about 10%) is reported
-next to every parent/change comparison. perfbench/run.py runs unedited;
-the script changes no workload and no bound.
+from the same seeds as each parent/change comparison. perfbench/run.py
+runs unedited; the script changes no workload and no bound.
 
 The output JSON holds ``parent``, ``change``, ``command``, ``method``,
 ``host``, ``summary`` (per workload and end-to-end metric: each side's
@@ -40,8 +41,9 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("compare", "sweep", "device_map")
-METRICS = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = [workload["name"] for workload in BENCHMARK["workloads"]]
+METRICS = BENCHMARK["end_to_end"]
 
 
 def git(*args: str) -> str:
@@ -83,7 +85,7 @@ def compare_sides(runs: list[dict], first: str, second: str) -> dict:
     the medians from first to second, the pairs in which second was
     better, and within_bound: false when second's median is worse than
     first's by more than the metric's bound in BENCHMARK.json. Runs pair
-    up by seed."""
+    up by seed; runs of any other side are ignored."""
     by_seed = {}
     for run in runs:
         by_seed.setdefault(run["seed"], {})[run["side"]] = run["result"]["metrics"]
@@ -114,9 +116,7 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True, help="git ref of the change")
     parser.add_argument("--out", required=True, help="path of the JSON to write")
     parser.add_argument("--seeds", default="21-30", help="first-last: one pair per seed")
-    parser.add_argument("--aa-pairs", type=int, default=3,
-                        help="A/A pairs per workload, on the first seeds")
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seconds", type=float, default=float(BENCHMARK["run_seconds"]))
     parser.add_argument("--toy", action="store_true", help="perfbench's tiny inputs")
     args = parser.parse_args(argv)
     first_seed, _, last_seed = args.seeds.partition("-")
@@ -134,9 +134,8 @@ def main(argv=None) -> int:
         for workload in WORKLOADS:
             for k, seed in enumerate(seeds):
                 pair = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
-                order = pair
-                if k < args.aa_pairs:  # the copy runs first or last, by turns
-                    order = pair + ["parent_copy"] if k % 2 == 0 else ["parent_copy"] + pair
+                # the copy runs last or first, by turns
+                order = pair + ["parent_copy"] if k % 2 == 0 else ["parent_copy"] + pair
                 for position, side in enumerate(order):
                     run = run_once(trees[side], workload, seed, args.seconds, args.toy)
                     # the parent runs first in the A/A pair exactly when it
@@ -152,8 +151,7 @@ def main(argv=None) -> int:
     summary = {}
     for workload in WORKLOADS:
         mine = [r for r in runs if r["workload"] == workload]
-        main_runs = [r for r in mine if r["side"] in ("parent", "change")]
-        entry = compare_sides(main_runs, "parent", "change")
+        entry = compare_sides(mine, "parent", "change")
         entry["correct_all"] = all(r["result"]["correct"] for r in mine)
         entry["failed_total"] = {
             side: sum(r["result"]["failed"] for r in mine if r["side"] == side)
@@ -162,9 +160,7 @@ def main(argv=None) -> int:
         entry["csv_digests_equal"] = all(
             len({r["csv_digest"] for r in mine if r["seed"] == seed}) == 1 for seed in seeds
         )
-        aa = [r for r in mine if r["seed"] in seeds[: args.aa_pairs]
-              and r["side"] in ("parent", "parent_copy")]
-        entry["aa"] = compare_sides(aa, "parent", "parent_copy")
+        entry["aa"] = compare_sides(mine, "parent", "parent_copy")
         summary[workload] = entry
 
     env = next((r["env"] for r in runs if r["env"]), {})
@@ -177,9 +173,8 @@ def main(argv=None) -> int:
             f"tools/bench_pairs.py: fresh git-archive copies of the parent, the change and a "
             f"second copy of the parent; one pair per seed {args.seeds}, one run at a time, "
             f"alternating which side runs first; the parent's second copy runs last or first, "
-            f"by turns, with each of the first {args.aa_pairs} pairs per workload "
-            f"(summary.<workload>.aa, second copy against first); quartiles by "
-            f"numpy.percentile (linear)"
+            f"by turns, with each pair (summary.<workload>.aa, second copy against "
+            f"first); quartiles by numpy.percentile (linear)"
         ),
         "host": (
             f"{os.cpu_count()}-CPU {platform.machine()} host, Python {env.get('python')}, "
