@@ -650,18 +650,9 @@ class TestExitCodes:
         assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "subcommand, key",
-        [("device-map", key)
-         for key in ("actor.dw_min = 0.3", "critic.lr = 0.5", "harness.n_trials = 4")]
-        + [(name, key)
-           for name in ("train", "sweep", "compare")
-           for key in ("device.g_th = 2e-6", "device.mg_max = 0.1")],
-    )
-    def test_subcommand_rejects_a_key_it_does_not_read(self, tmp_path, capsys, subcommand, key):
-        # device-map reads only device.* keys and the training subcommands
-        # only the others; a key of the other kind would be ignored. Line 1
-        # holds a key the subcommand reads.
+    @staticmethod
+    def _assert_rejects_unread_key(tmp_path, capsys, subcommand, key):
+        # line 1 holds a key the subcommand reads, line 2 one it would ignore
         read = "device.mg_max = 0.1" if subcommand == "device-map" else "harness.n_trials = 3"
         cfg = write_config(tmp_path, f"{read}\n{key}\n")
         out = tmp_path / "o"
@@ -673,6 +664,23 @@ class TestExitCodes:
         reader = "train" if subcommand == "device-map" else "device-map"
         only_key = write_config(tmp_path, key + "\n")
         assert parse_config(only_key, reader) != parse_config(None, reader)
+
+    @pytest.mark.parametrize(
+        "key", ["actor.dw_min = 0.3", "critic.lr = 0.5", "harness.n_trials = 4"]
+    )
+    def test_device_map_rejects_training_keys(self, tmp_path, capsys, key):
+        # device-map reads only device.* keys; any other would be ignored
+        self._assert_rejects_unread_key(tmp_path, capsys, "device-map", key)
+
+    @pytest.mark.parametrize(
+        "subcommand, key",
+        [(name, key)
+         for name in ("train", "sweep", "compare")
+         for key in ("device.g_th = 2e-6", "device.mg_max = 0.1")],
+    )
+    def test_subcommand_rejects_a_key_it_does_not_read(self, tmp_path, capsys, subcommand, key):
+        # the training subcommands read no device.* key; one would be ignored
+        self._assert_rejects_unread_key(tmp_path, capsys, subcommand, key)
 
     @pytest.mark.parametrize("flag", [["--seed", "3"], ["--parallelism", "2"]])
     def test_device_map_rejects_trial_flags(self, tmp_path, flag):
