@@ -20,7 +20,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actor import InputProducts, LaneNetwork, affine_negated, sigmoid_of_negated
+from .actor import (
+    InputProducts,
+    LaneNetwork,
+    _add,
+    _copyto,
+    _multiply,
+    _sign,
+    _subtract,
+    _sum_along,
+    affine_negated,
+    sigmoid_of_negated,
+)
 
 
 @dataclass
@@ -53,9 +64,11 @@ class CriticNetwork(LaneNetwork):
     negated, and the output's negated pre-activation is then
     sum(w_out * -y_hidden) - b_out. Rounding is symmetric in sign, so every
     bit is that of the plain chain. forward and update chain their ufuncs
-    in place on scratch sized to the lanes (harness, "Memory layout"); only
-    the prediction is fresh on every forward call, so the array forward
-    returns keeps its values for good.
+    in place on scratch sized to the lanes (harness, "Memory layout").
+    forward writes the prediction into the row it is given: run_epoch
+    gives it the actor's r_bar row, so a presentation allocates nothing.
+    Without a row the prediction is a fresh array, which keeps its values
+    for good.
     """
 
     def __init__(
@@ -100,20 +113,20 @@ class CriticNetwork(LaneNetwork):
             b_out=np.full(lanes, 0.5),
         )
 
-    def forward(self, neg_x) -> np.ndarray:
+    def forward(self, neg_x, out=None) -> np.ndarray:
         """Predicted reward of every lane, inside [0, 1], for negated
         inputs neg_x (lanes, n_in, n_hidden): a row of negate_inputs,
-        which checks the batch's shape. update reads neg_x too.
+        which checks the batch's shape. The prediction goes into out, a
+        C-contiguous float row (lanes,), if given, else into a fresh
+        array. update reads neg_x and the prediction too.
         """
-        hidden = affine_negated(
-            self.w_hidden, neg_x, self.b_hidden, self._inputs, out=self._hidden
-        )
-        sigmoid_of_negated(hidden, out=hidden, negated=True)  # -y_hidden
+        hidden = affine_negated(self.w_hidden, neg_x, self.b_hidden, self._inputs, self._hidden)
+        sigmoid_of_negated(hidden, hidden, True)  # -y_hidden
         # -(w_out . y_hidden) - b_out, the output's negated pre-activation
-        prediction = np.add.reduce(np.multiply(self.w_out, hidden, out=hidden), axis=-1)
-        np.subtract(prediction, self.b_out, out=prediction)
+        prediction = _sum_along(_multiply(self.w_out, hidden, hidden), -1, None, out)
+        _subtract(prediction, self.b_out, prediction)
         self._neg_x = neg_x
-        self.prediction = sigmoid_of_negated(prediction, out=prediction)
+        self.prediction = sigmoid_of_negated(prediction, prediction)
         return prediction
 
     def update(self, r) -> None:
@@ -126,12 +139,12 @@ class CriticNetwork(LaneNetwork):
         gain (prediction - r) * w_out: negation is exact, so it has the
         bits of gain * x, and subtracting lr * -gain adds lr * gain.
         """
-        np.copyto(self._error, r)
-        np.subtract(self.prediction, self._error, out=self._error)
-        np.copyto(self._gain, self._error_column)
-        neg_gain = np.multiply(self._gain, self.w_out, out=self._gain)
-        np.copyto(self._step, self._gain_rows)
-        step = np.multiply(self._neg_x, self._step, out=self._step)
-        l1 = np.multiply(self._l1_coeff, np.sign(self.w_hidden, out=self._l1), out=self._l1)
-        self.w_hidden += np.multiply(self._lr, np.subtract(step, l1, out=step), out=step)
-        self.b_hidden -= np.multiply(self._lr, neg_gain, out=neg_gain)
+        _copyto(self._error, r)  # a float copy: subtracting the bools would allocate
+        _subtract(self.prediction, self._error, self._error)
+        _copyto(self._gain, self._error_column)
+        neg_gain = _multiply(self._gain, self.w_out, self._gain)
+        _copyto(self._step, self._gain_rows)
+        step = _multiply(self._neg_x, self._step, self._step)
+        l1 = _multiply(self._l1_coeff, _sign(self.w_hidden, self._l1), self._l1)
+        _add(self.w_hidden, _multiply(self._lr, _subtract(step, l1, step), step), self.w_hidden)
+        _subtract(self.b_hidden, _multiply(self._lr, neg_gain, neg_gain), self.b_hidden)

@@ -6,11 +6,13 @@ import numpy as np
 
 N_INPUTS = 2  # every network reads a pattern's two bits
 
+_equal = np.equal  # bound once, called with out positional (see spinsyn.actor)
+
 
 def reward(y, target, out=None):
     """True (a reward of 1) where the emitted bit matches the target, else
     False (a reward of 0), elementwise, into out if given."""
-    return np.equal(y, target, out=out)
+    return _equal(y, target, out)
 
 
 class InputSchedule:

@@ -43,8 +43,11 @@ Memory layout. Every per-presentation array has one (batch_size, lanes,
 is one contiguous (lanes, ...) row. ActorNetwork.propose allocates those
 rows once per batch, and each network sizes its scratch arrays to its
 lanes when it is built and when select drops lanes, so the chain of a
-presentation writes into rows and scratch and chains its ufuncs in place;
-only the critic's prediction is a fresh array. Every broadcast, cast and
+presentation writes into rows and scratch and chains its ufuncs in place,
+each called through a name bound once with its output passed
+positionally (spinsyn.actor). The critic writes its read into the actor's
+row r_bar[t], which ActorNetwork.forward then uses in place, so a
+presentation allocates no array. Every broadcast, cast and
 strided gather runs once per batch, so each elementwise ufunc of the
 loop has C-contiguous operands of one shape, which numpy runs without
 its buffered iterator: each network checks the batch's inputs, negates
@@ -58,8 +61,9 @@ multiply of whole arrays. The rewards stay bool, and the hidden bits are bool ro
 float copy for the output unit. The actor's end-of-batch terms go into
 three C-contiguous arrays, the w_hidden, w_out and bias terms, each
 summed over the batch axis into its block of the batch sums; the
-end-of-batch update then runs the power law once over the contiguous
-weight block of the sums.
+end-of-batch update then evaluates the power law only on the power-law
+entries of the contiguous weight block that pass dw_min: on compare
+about one in ten.
 
 Random streams. Every lane has its own generator,
 default_rng(trial_seed(master_seed, rule, lr, trial index)). It first
@@ -103,7 +107,7 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .actor import ActorConfig, ActorNetwork, UpdateRule
+from .actor import ActorConfig, ActorNetwork, UpdateRule, _add, _multiply
 from .critic import CriticConfig, CriticNetwork
 from .env import InputSchedule, reward
 
@@ -285,9 +289,11 @@ def run_epoch(
     x, target = schedule.next(u[..., :2])
     actor.propose(x, u[..., 2:])
     r = np.empty(target.shape, dtype=bool)  # row t: every lane's reward at t
-    for t, (neg_x, target_t, r_t) in enumerate(zip(critic.negate_inputs(x), target, r)):
-        r_bar = critic.forward(neg_x)
-        reward(actor.forward(t, r_bar), target_t, out=r_t)
+    # the critic reads into the actor's r_bar row, which the actor then uses in place
+    rows = zip(critic.negate_inputs(x), actor.r_bar_rows, target, r)
+    for t, (neg_x, r_bar, target_t, r_t) in enumerate(rows):
+        critic.forward(neg_x, r_bar)
+        reward(actor.forward(t, r_bar), target_t, r_t)
         critic.update(r_t)
     actor.accumulate(r)
     actor.apply_batch_update()
@@ -295,8 +301,8 @@ def run_epoch(
     # every gain * R formed at once
     keep = np.array(config.filter_keep)
     filter_state = np.array(filter_state, dtype=float)
-    for gain_r in np.multiply(config.filter_gain, r):
-        np.add(np.multiply(keep, filter_state, out=filter_state), gain_r, out=filter_state)
+    for gain_r in _multiply(config.filter_gain, r):
+        _add(_multiply(keep, filter_state, filter_state), gain_r, filter_state)
     return r.sum(axis=0) / batch_size, filter_state
 
 

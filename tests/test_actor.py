@@ -527,3 +527,39 @@ class TestApplyBatchUpdate:
         assert net.w_hidden[1, 0, 1] == pytest.approx(0.29730177875068026, abs=1e-10)
         assert np.all(net.w_hidden[:, 0, 2:] == 0.0)
         assert np.all(net.w_hidden[:, 1] == 0.0)
+
+    @pytest.mark.parametrize("exponent", [1.75, 2.0, 0.5, 3.0])
+    def test_masked_power_law_has_the_oracles_bits(self, exponent):
+        # apply_batch_update evaluates the power law only on the power-law
+        # entries that fire; it must add the bits threshold_power_update
+        # gives over the whole block. numpy special-cases ** at 2.0 and 0.5.
+        # Power-law and linear lanes interleave, and every weight-block
+        # value below lands in lanes of both rules. Some weights are -0.0,
+        # which a step of -0.0 in place of 0.0 would leave negative.
+        config = ActorConfig(power_exponent=exponent)
+        lanes, dw_min = 6, config.dw_min
+        rules = [UpdateRule.POWER_LAW, UpdateRule.LINEAR] * (lanes // 2)
+        rngs = [np.random.default_rng(seed) for seed in range(lanes)]
+        net = ActorNetwork.initialize(config, rngs, [LR] * lanes, rules)
+        net.w_hidden[:, 0, :3] = -0.0
+        net.w_out[:, :2] = -0.0
+        above = np.nextafter(dw_min, np.inf)
+        special = [dw_min, -dw_min, above, -above, np.nextafter(dw_min, 0.0), 0.0, -0.0,
+                   -0.7, -2.5, 1e3, -1e3, 0.5, 1.0, -1.0]
+        n_weights = net.w_hidden.size + net.w_out.size
+        n_sums = n_weights + net.b_hidden.size + net.b_out.size
+        sums = np.random.default_rng(7).uniform(-3.0, 3.0, n_sums)
+        # runs of the special values, one random sum between runs
+        for start in range(0, n_weights - len(special), len(special) + 1):
+            sums[start : start + len(special)] = special
+        net.load_sums(sums)
+        acc = {name: getattr(net, "acc_" + name).copy() for name in ActorNetwork.LANE_ARRAYS[:4]}
+        before = {name: getattr(net, name).copy() for name in acc}
+        net.apply_batch_update()
+        powerlaw = np.array([rule is UpdateRule.POWER_LAW for rule in rules])
+        for name in ("w_hidden", "w_out"):
+            mask = powerlaw.reshape((lanes,) + (1,) * (acc[name].ndim - 1))
+            step = np.where(mask, threshold_power_update(acc[name], dw_min, exponent), acc[name])
+            assert (before[name] + step).tobytes() == getattr(net, name).tobytes(), name
+        for name in ("b_hidden", "b_out"):
+            assert (before[name] + acc[name]).tobytes() == getattr(net, name).tobytes(), name
