@@ -119,8 +119,9 @@ _EXP_LIMIT = np.array(709.0)
 # once, with each ufunc's output passed positionally: a call then skips the
 # attribute lookup on np and the parsing of an out keyword. On numpy 2.4.6,
 # for a (20, 10) array, np.add(a, b, out=o) took 0.84 us and _add(a, b, o)
-# 0.69 us (best of 5 runs of 10^5 calls). np.minimum and np.maximum are the exception and
-# keep out=: numpy 2.4 deprecates a third positional argument to them.
+# 0.69 us (best of 5 runs of 10^5 calls). np.minimum and np.maximum are the
+# exception and keep out=: numpy 2.4 deprecates a third positional argument
+# to them.
 _absolute, _add, _copysign, _copyto = np.absolute, np.add, np.copysign, np.copyto
 _divide, _exp, _greater = np.divide, np.exp, np.greater
 _less, _multiply, _negative, _not_equal = np.less, np.multiply, np.negative, np.not_equal
