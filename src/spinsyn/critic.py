@@ -24,7 +24,6 @@ from .actor import (
     InputProducts,
     LaneNetwork,
     _add,
-    _copyto,
     _multiply,
     _sign,
     _subtract,
@@ -67,8 +66,6 @@ class CriticNetwork(LaneNetwork):
     in place on scratch sized to the lanes (harness, "Memory layout").
     forward writes the prediction into the row it is given: run_epoch
     gives it the actor's r_bar row, so a presentation allocates nothing.
-    Without a row the prediction is a fresh array, which keeps its values
-    for good.
     """
 
     def __init__(
@@ -113,12 +110,12 @@ class CriticNetwork(LaneNetwork):
             b_out=np.full(lanes, 0.5),
         )
 
-    def forward(self, neg_x, out=None) -> np.ndarray:
+    def forward(self, neg_x, out) -> np.ndarray:
         """Predicted reward of every lane, inside [0, 1], for negated
         inputs neg_x (lanes, n_in, n_hidden): a row of negate_inputs,
         which checks the batch's shape. The prediction goes into out, a
-        C-contiguous float row (lanes,), if given, else into a fresh
-        array. update reads neg_x and the prediction too.
+        C-contiguous float row (lanes,), which it returns. update reads
+        neg_x and the prediction too.
         """
         hidden = affine_negated(self.w_hidden, neg_x, self.b_hidden, self._inputs, self._hidden)
         sigmoid_of_negated(hidden, hidden, True)  # -y_hidden
@@ -139,11 +136,11 @@ class CriticNetwork(LaneNetwork):
         gain (prediction - r) * w_out: negation is exact, so it has the
         bits of gain * x, and subtracting lr * -gain adds lr * gain.
         """
-        _copyto(self._error, r)  # a float copy: subtracting the bools would allocate
+        self._error[...] = r  # a float copy: subtracting the bools would allocate
         _subtract(self.prediction, self._error, self._error)
-        _copyto(self._gain, self._error_column)
+        self._gain[...] = self._error_column
         neg_gain = _multiply(self._gain, self.w_out, self._gain)
-        _copyto(self._step, self._gain_rows)
+        self._step[...] = self._gain_rows
         step = _multiply(self._neg_x, self._step, self._step)
         l1 = _multiply(self._l1_coeff, _sign(self.w_hidden, self._l1), self._l1)
         _add(self.w_hidden, _multiply(self._lr, _subtract(step, l1, step), step), self.w_hidden)

@@ -45,31 +45,32 @@ rows once per batch, and each network sizes its scratch arrays to its
 lanes when it is built and when select drops lanes, so the chain of a
 presentation writes into rows and scratch and chains its ufuncs in place,
 each called through a name bound once with its output passed
-positionally (spinsyn.actor). The critic writes its read into the actor's
-row r_bar[t], which ActorNetwork.forward then uses in place, so a
-presentation allocates no array. Every broadcast, cast and
-strided gather runs once per batch, so each elementwise ufunc of the
-loop has C-contiguous operands of one shape, which numpy runs without
-its buffered iterator: each network checks the batch's inputs, negates
-them and broadcasts them along its hidden units to (batch_size, lanes,
-n_in, n_hidden) once (LaneNetwork.negate_inputs; run_epoch calls it for
-the critic, propose for the actor), and propose copies the uniforms that
-forward reads into contiguous arrays. The broadcasts that need a
-presentation's prediction (p_flip along the actor's hidden units; the
-critic's error and gain) are copies into scratch, each followed by a
-multiply of whole arrays. The rewards stay bool, and the hidden bits are bool rows with a
-float copy for the output unit. The actor's end-of-batch terms go into
-three C-contiguous arrays, the w_hidden, w_out and bias terms, each
-summed over the batch axis into its block of the batch sums; the
-end-of-batch update then evaluates the power law only on the power-law
-entries of the contiguous weight block that pass dw_min: on compare
-about one in ten.
+positionally, and copies by slice assignment (spinsyn.actor). The critic
+writes its read into the actor's row r_bar[t], the row that
+ActorNetwork.forward(t) reads, so a presentation allocates no array.
+Every broadcast, cast and strided gather runs once per batch, so each
+elementwise ufunc of the loop has C-contiguous operands of one shape,
+which numpy runs without its buffered iterator: each network checks the
+batch's inputs, negates them and broadcasts them along its hidden units
+to (batch_size, lanes, n_in, n_hidden) once (LaneNetwork.negate_inputs;
+run_epoch calls it for the critic, propose for the actor), and propose
+copies the uniforms that forward reads into contiguous arrays. The
+broadcasts that need a presentation's prediction (p_flip along the
+actor's hidden units; the critic's error and gain) are copies into
+scratch, each followed by a multiply of whole arrays. The rewards stay
+bool, and the hidden bits are bool rows with a float copy for the output
+unit. The actor's end-of-batch terms go into three C-contiguous arrays,
+the w_hidden, w_out and bias terms, each summed over the batch axis into
+its block of the batch sums; the end-of-batch update then runs
+threshold_power_update only on the power-law entries of the contiguous
+weight block that pass dw_min: on compare about one in ten.
 
 Random streams. Every lane has its own generator,
 default_rng(trial_seed(master_seed, rule, lr, trial index)). It first
 draws the actor's initial weights, then the critic's. Then, per epoch, it
-draws one block of shape (batch_size, 2 + 2 * n_hidden + 2); row t
-serves presentation t, and its columns are, in order:
+draws one block of shape (batch_size, N_INPUTS + 2 * n_hidden + 2), with
+N_INPUTS = 2 (spinsyn.env); row t serves presentation t, and its columns
+are, in order:
 
 * 0-1: the input bits, bit j = (u < 0.5);
 * 2 .. 2 + n_hidden - 1: the hidden units' proposals;
@@ -109,7 +110,7 @@ import numpy as np
 
 from .actor import ActorConfig, ActorNetwork, UpdateRule, _add, _multiply
 from .critic import CriticConfig, CriticNetwork
-from .env import InputSchedule, reward
+from .env import N_INPUTS, InputSchedule, reward
 
 
 class StatisticsUnavailableError(RuntimeError):
@@ -279,21 +280,21 @@ def run_epoch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One batch of presentations for every lane plus the closing actor update.
 
-    u (batch_size, lanes, 2 + 2 * n_hidden + 2) holds each lane's uniforms
-    of the epoch (see the module docstring), in the one (batch_size, lanes,
-    ...) layout of every per-presentation array, so u[t] serves
-    presentation t. Returns every lane's mean batch reward and its filter
+    u (batch_size, lanes, N_INPUTS + 2 * n_hidden + 2) holds each lane's
+    uniforms of the epoch (see the module docstring), in the one
+    (batch_size, lanes, ...) layout of every per-presentation array, so
+    u[t] serves presentation t. Returns every lane's mean batch reward and its filter
     state after the last presentation.
     """
     batch_size = len(u)
-    x, target = schedule.next(u[..., :2])
-    actor.propose(x, u[..., 2:])
+    x, target = schedule.next(u[..., :N_INPUTS])
+    actor.propose(x, u[..., N_INPUTS:])
     r = np.empty(target.shape, dtype=bool)  # row t: every lane's reward at t
-    # the critic reads into the actor's r_bar row, which the actor then uses in place
-    rows = zip(critic.negate_inputs(x), actor.r_bar_rows, target, r)
+    # the critic reads into the actor's r_bar row t, which actor.forward(t) reads
+    rows = zip(critic.negate_inputs(x), actor.r_bar, target, r)
     for t, (neg_x, r_bar, target_t, r_t) in enumerate(rows):
         critic.forward(neg_x, r_bar)
-        reward(actor.forward(t, r_bar), target_t, r_t)
+        reward(actor.forward(t), target_t, r_t)
         critic.update(r_t)
     actor.accumulate(r)
     actor.apply_batch_update()
@@ -356,7 +357,7 @@ def _run_batch(
     raw = np.empty((len(lanes), config.max_epochs))
     filtered = np.empty((len(lanes), config.max_epochs))
     n_epochs = np.empty(len(lanes), dtype=int)
-    block = (config.actor.batch_size, 2 + 2 * config.actor.n_hidden + 2)
+    block = (config.actor.batch_size, N_INPUTS + 2 * config.actor.n_hidden + 2)
     epoch = 0
     while live.size:
         n_chunk = chunk_epochs(live.size, block[0] * block[1], config.max_epochs - epoch)

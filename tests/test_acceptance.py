@@ -182,7 +182,8 @@ def test_criterion_06_policy_gradient_monte_carlo():
     n = 100_000
     net.select(np.zeros(n, dtype=int))  # n copies of the lane
     net.propose(np.ones((1, n, 1)), rng.random((1, n, 2 * config.n_hidden + 2)))
-    net.forward(0, np.full(n, 0.5))
+    net.r_bar[0] = 0.5
+    net.forward(0)
     net.accumulate(net.y_hidden[..., 0])
     increments = net.acc_w_hidden[:, 0, 0]
     expected = p * (1 - p)
@@ -214,7 +215,8 @@ def test_criterion_07_critic_sign_alignment():
         w_before = critic.w_hidden.copy()
         b_before = critic.b_hidden.copy()
         neg_x = critic.negate_inputs(x[None])[0]
-        critic.forward(neg_x)
+        prediction = np.empty(1)
+        critic.forward(neg_x, prediction)
         critic.update(np.array([r]))
         update = (critic.w_hidden - w_before)[0]
         critic.w_hidden[:] = w_before
@@ -225,9 +227,9 @@ def test_criterion_07_critic_sign_alignment():
                     continue
                 w0 = critic.w_hidden[0, j, i]
                 critic.w_hidden[0, j, i] = w0 + h
-                up = (r - critic.forward(neg_x)[0]) ** 2
+                up = (r - critic.forward(neg_x, prediction)[0]) ** 2
                 critic.w_hidden[0, j, i] = w0 - h
-                down = (r - critic.forward(neg_x)[0]) ** 2
+                down = (r - critic.forward(neg_x, prediction)[0]) ** 2
                 critic.w_hidden[0, j, i] = w0
                 fd = (up - down) / (2 * h)
                 if abs(fd) <= 1e-9:

@@ -49,11 +49,19 @@ def step_uniforms(rng, net, batch=1):
     return rng.random((batch, 1, 2 * net.config.n_hidden + 2))
 
 
+def forward_at(net, t, r_bar):
+    """forward at presentation t of the batch after a critic read r_bar,
+    written into row t of the actor's r_bar as run_epoch has the critic
+    do; returns the output bits."""
+    net.r_bar[t] = r_bar
+    return net.forward(t)
+
+
 def present(net, x, r_bar, u):
     """A batch of one presentation: inputs x (lanes, n_in), uniforms u
     (1, lanes, 2 * n_hidden + 2); returns the output bits."""
     net.propose(np.asarray(x, dtype=float)[None], u)
-    return net.forward(0, np.asarray(r_bar, dtype=float))
+    return forward_at(net, 0, r_bar)
 
 
 def load_sums(net):
@@ -211,7 +219,7 @@ class TestForward:
         u = step_uniforms(rng, net, batch=200)
         net.propose(np.ones((200, 1, 2)), u)
         for t in range(200):
-            net.forward(t, np.array([1.0]))
+            forward_at(net, t, 1.0)
         assert np.all(net.p_flip == 0.0)
         proposed_hidden = u[..., :n_hidden] < net.p_hidden
         proposed_out = u[..., 2 * n_hidden] < net.p_out
@@ -231,7 +239,7 @@ class TestForward:
         patterns = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         with np.errstate(over="raise", invalid="raise"):
             for neg_x in critic.negate_inputs(np.repeat(patterns[:, None], lanes, axis=1)):
-                r_bar = critic.forward(neg_x)
+                r_bar = critic.forward(neg_x, np.empty(lanes))
                 assert np.all((r_bar >= 0.0) & (r_bar <= 1.0))
 
     def test_p_flip_is_alpha_flip_times_one_minus_rbar(self):
@@ -303,7 +311,7 @@ class TestForward:
         expected = {name: np.zeros_like(getattr(single, name)) for name in names}
         batched.propose(x, u)
         for t in range(10):
-            y = batched.forward(t, r_bar[t])
+            y = forward_at(batched, t, r_bar[t])
             assert np.array_equal(y, present(single, x[t], r_bar[t], u[t : t + 1]))
             single.accumulate(r[t : t + 1])
             for name in names:
@@ -319,11 +327,11 @@ class TestForward:
         u = np.zeros((2, 1, 4))
         u[1, 0, 2] = 1.0  # output proposal: 1 at presentation 0, 0 at presentation 1
         net.propose(np.ones((2, 1, 1)), u)
-        first = net.forward(0, np.array([0.5]))
+        first = forward_at(net, 0, 0.5)
         assert first[0] == 1.0
-        assert net.forward(1, np.array([0.5]))[0] == 0.0
+        assert forward_at(net, 1, 0.5)[0] == 0.0
         net.propose(np.ones((2, 1, 1)), u[::-1])
-        assert net.forward(0, np.array([0.5]))[0] == 0.0
+        assert forward_at(net, 0, 0.5)[0] == 0.0
         assert first[0] == 1.0
 
     def test_batch_arrays_are_presentation_major(self):
@@ -335,7 +343,7 @@ class TestForward:
             (draws.random((10, 3, 2)) < 0.5).astype(float),
             draws.random((10, 3, 2 * config.n_hidden + 2)),
         )
-        net.forward(0, np.full(3, 0.5))
+        forward_at(net, 0, 0.5)
         for name in ("p_hidden", "proposed_hidden", "y_hidden", "r_bar", "p_flip", "p_out", "y_out"):
             array = getattr(net, name)
             assert array.shape[:2] == (10, 3)
@@ -396,11 +404,11 @@ class TestAccumulate:
             r = np.full((10, 1), r_value)
             net.propose(x, u)
             for t in range(10):
-                net.forward(t, r_bar[t])
+                forward_at(net, t, r_bar[t])
             net.accumulate(r)
         fresh.propose(x, u)
         for t in range(10):
-            fresh.forward(t, r_bar[t])
+            forward_at(fresh, t, r_bar[t])
         fresh.accumulate(r)
         for name in ("acc_w_hidden", "acc_b_hidden", "acc_w_out", "acc_b_out"):
             assert getattr(net, name).tobytes() == getattr(fresh, name).tobytes()

@@ -16,8 +16,8 @@ def make_critic(seed=0, **overrides):
 
 def predict(critic, x):
     """Every lane's prediction for inputs x (lanes, n_in), one pattern per
-    lane, through negate_inputs as run_epoch does."""
-    return critic.forward(critic.negate_inputs([x])[0])
+    lane, through negate_inputs as run_epoch does, into a fresh row."""
+    return critic.forward(critic.negate_inputs([x])[0], np.empty(len(x)))
 
 
 def read(critic, x):

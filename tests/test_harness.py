@@ -91,8 +91,9 @@ def test_xor_actor_is_exact_on_all_patterns():
     rng = np.random.default_rng(1)
     patterns = ((0, 0), (0, 1), (1, 0), (1, 1))
     net.propose(np.array(patterns, dtype=float)[:, None], rng.random((4, 1, 6)))
+    net.r_bar[...] = 1.0
     for t, (x0, x1) in enumerate(patterns):
-        assert net.forward(t, np.array([1.0]))[0] == x0 ^ x1
+        assert net.forward(t)[0] == x0 ^ x1
 
 
 class CountingSchedule(InputSchedule):
@@ -174,6 +175,31 @@ class TestRunEpoch:
                 seen += [mean.tobytes(), filter_state.tobytes()]
             runs.append(seen + [actor.w_hidden.tobytes(), critic.w_hidden.tobytes()])
         assert runs[0] == runs[1]
+
+    def test_critic_reads_reach_the_actor_through_its_r_bar_rows(self):
+        # run_epoch has the critic write each read into the actor's r_bar
+        # row t, which actor.forward(t) turns into p_flip[t]
+        config = small_config()
+        lanes, cfg = 5, config.actor
+        rngs = [np.random.default_rng(s) for s in range(lanes)]
+        actor = ActorNetwork.initialize(cfg, rngs, [1.1, 0.75, 0.5, 1.2, 0.9])
+        critic = CriticNetwork.initialize(config.critic, rngs)
+        reads = []
+        forward = critic.forward
+
+        def recorded(neg_x, out):
+            prediction = forward(neg_x, out)
+            reads.append(prediction.copy())
+            return prediction
+
+        critic.forward = recorded
+        u = np.random.default_rng(4).random((cfg.batch_size, lanes, 2 + 2 * cfg.n_hidden + 2))
+        run_epoch(actor, critic, InputSchedule(), u, np.full(lanes, 0.5), config)
+        # the critic learns after every presentation, so every read differs
+        assert len({read.tobytes() for read in reads}) == cfg.batch_size
+        assert actor.r_bar.tobytes() == np.array(reads).tobytes()
+        for t, read in enumerate(reads):
+            assert actor.p_flip[t].tobytes() == (cfg.alpha_flip * (1 - read)).tobytes()
 
     @staticmethod
     def presentation_peak(lanes: int) -> int:

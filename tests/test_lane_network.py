@@ -30,13 +30,15 @@ def run_batch(net, x, u):
     r = u[..., 0] < 0.5
     if isinstance(net, ActorNetwork):
         net.propose(x, u)
+        net.r_bar[...] = 0.5
         for t in range(len(x)):
-            net.forward(t, np.full(x.shape[1], 0.5))
+            net.forward(t)
         net.accumulate(r)
         net.apply_batch_update()
     else:
+        prediction = np.empty(x.shape[1])
         for neg_x, r_t in zip(net.negate_inputs(x), r):
-            net.forward(neg_x)
+            net.forward(neg_x, prediction)
             net.update(r_t)
 
 
