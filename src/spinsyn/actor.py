@@ -321,10 +321,12 @@ class ActorNetwork(LaneNetwork):
     presentation axis in front of the lane axis: propose's inputs x (batch,
     lanes, n_in), p_hidden (batch, lanes, n_hidden), the bits proposed_hidden and
     y_hidden (batch, lanes, n_hidden) and y_out (batch, lanes), and r_bar,
-    p_flip and p_out (batch, lanes). propose allocates them afresh for
-    every batch, so each presentation's slice [t] is one contiguous row
-    that forward reads and fills in place (harness, "Memory layout"). An
-    array forward returns therefore keeps its values for good. forward
+    p_flip and p_out (batch, lanes). Each presentation's slice [t] is one
+    contiguous row that forward reads and fills in place (harness, "Memory
+    layout"). The actor allocates these arrays, the rows forward reads and
+    the batch sums once per lane set and batch size, and propose and
+    accumulate overwrite them batch by batch; only y_out is new for every
+    batch, so the bits forward returns keep their values for good. forward
     reads row t of r_bar, into which the critic has written its read.
     """
 
@@ -343,6 +345,7 @@ class ActorNetwork(LaneNetwork):
         self.powerlaw = np.array([r is UpdateRule.POWER_LAW for r in update_rules])
         self.lr_hidden = np.asarray(lr_hidden, dtype=float)
         self._alpha_flip = np.array(config.alpha_flip)
+        self._sums = None  # the sums load_sums took last
         super().__init__(config, w_hidden, b_hidden, w_out, b_out)
 
     def _size_to_lanes(self) -> None:
@@ -366,26 +369,41 @@ class ActorNetwork(LaneNetwork):
         self._proposed_out = np.empty(lanes, dtype=bool)
         self._flip_out = np.empty(lanes, dtype=bool)
         self._products = np.empty((lanes, n_hidden))
-        self._batch = 0  # the batch size propose's scratch is sized to
+        self._neg_w_out = np.empty((lanes, n_hidden))  # -w_out, formed by propose
+        self._batch = 0  # the batch size propose's arrays are sized to
 
     def _size_to_batch(self, batch: int) -> None:
-        """propose's, forward's and accumulate's scratch for a batch of
-        presentations, kept from batch to batch."""
+        """The batch arrays and scratch of propose, forward and accumulate
+        for a batch of presentations, kept from batch to batch."""
         lanes, n_in, n_hidden = self.w_hidden.shape
         block = (batch, lanes, n_in, n_hidden)
+        hidden = (batch, lanes, n_hidden)
         units = (batch, lanes, n_hidden + 1)
         self._batch = batch
         self._inputs = InputProducts(block)  # propose's; accumulate reuses its products
-        self._u_flips = np.empty((batch, lanes, n_hidden))
+        self.p_hidden = np.empty(hidden)
+        self.proposed_hidden = np.empty(hidden, dtype=bool)
+        self.y_hidden = np.empty(hidden, dtype=bool)
+        self._y_hidden = np.empty(hidden)  # the hidden bits as floats
+        self.r_bar, self.p_flip, self.p_out = (np.empty((batch, lanes)) for _ in range(3))
+        self._u_flips = np.empty(hidden)
         self._u_proposal_out = np.empty((batch, lanes))
         self._u_flip_out = np.empty((batch, lanes))
-        self._y_hidden = np.empty((batch, lanes, n_hidden))  # the hidden bits as floats
         self._p, self._y, self._f = np.empty(units), np.empty(units), np.empty(units)
         self._lr_block = np.empty(units)
         self._lr_block[...] = self._lr_units
         self._delta = np.empty((batch, lanes))
         self._errors = np.empty(units)
-        self._w_out_terms = np.empty((batch, lanes, n_hidden))
+        self._w_out_terms = np.empty(hidden)
+        self._batch_sums = np.empty(lanes * ((n_in + 2) * n_hidden + 1))  # accumulate's
+        # every row forward reads or writes but y_out's, one tuple per presentation
+        self._rows = list(
+            zip(
+                self.r_bar, self.p_flip, self.p_flip[..., None], self.p_out,
+                self._u_flips, self.proposed_hidden, self.y_hidden, self._y_hidden,
+                self._u_proposal_out, self._u_flip_out,
+            )
+        )
 
     @classmethod
     def initialize(
@@ -421,33 +439,24 @@ class ActorNetwork(LaneNetwork):
         hidden flips, the output proposal and the output flip, in that
         order. A hidden unit proposes 1 when its uniform lies below its
         firing probability. Starts a batch: forward then runs its
-        presentations, and accumulate reads all of them.
+        presentations, and accumulate reads all of them. propose writes
+        into the batch arrays it keeps for the lanes and batch size, and
+        sizes them anew when either changes; only y_out it allocates
+        afresh.
         """
         neg_x = self.negate_inputs(x)
         batch, lanes, _, n_hidden = neg_x.shape
         if batch != self._batch:
             self._size_to_batch(batch)
-        p_hidden = affine_negated(self.w_hidden, neg_x, self.b_hidden, self._inputs)
-        self.p_hidden = sigmoid_of_negated(p_hidden, p_hidden)
-        self.proposed_hidden = _less(u[..., :n_hidden], p_hidden)
+        p_hidden = affine_negated(self.w_hidden, neg_x, self.b_hidden, self._inputs, self.p_hidden)
+        sigmoid_of_negated(p_hidden, p_hidden)
+        _less(u[..., :n_hidden], p_hidden, self.proposed_hidden)
         # the uniforms forward reads, each in a contiguous array
         self._u_flips[...] = u[..., n_hidden : 2 * n_hidden]
         self._u_proposal_out[...] = u[..., 2 * n_hidden]
         self._u_flip_out[...] = u[..., 2 * n_hidden + 1]
-        self.y_hidden = np.empty(p_hidden.shape, dtype=bool)
         self.y_out = np.empty((batch, lanes), dtype=bool)
-        self.r_bar = np.empty((batch, lanes))
-        self.p_flip = np.empty((batch, lanes))
-        self.p_out = np.empty((batch, lanes))
-        self._neg_w_out = _negative(self.w_out)
-        # every row forward reads or writes, one tuple per presentation
-        self._rows = list(
-            zip(
-                self.r_bar, self.p_flip, self.p_flip[..., None], self.p_out,
-                self._u_flips, self.proposed_hidden, self.y_hidden, self._y_hidden,
-                self._u_proposal_out, self._u_flip_out, self.y_out,
-            )
-        )
+        _negative(self.w_out, self._neg_w_out)
 
     def forward(self, t: int) -> np.ndarray:
         """Sample every lane's output bit at presentation t of the batch,
@@ -461,7 +470,7 @@ class ActorNetwork(LaneNetwork):
         bits are y_out[t].
         """
         (r_bar, p_flip, p_flip_column, p_out, u_flips, proposed_hidden, y_hidden, y,
-         u_proposal_out, u_flip_out, y_out) = self._rows[t]
+         u_proposal_out, u_flip_out) = self._rows[t]
         _multiply(self._alpha_flip, _subtract(_ONE, r_bar, p_flip), p_flip)
         self._p_flip_hidden[...] = p_flip_column
         flips = _less(u_flips, self._p_flip_hidden, self._flips)
@@ -472,7 +481,7 @@ class ActorNetwork(LaneNetwork):
         sigmoid_of_negated(_subtract(p_out, self.b_out, p_out), p_out)
         proposed_out = _less(u_proposal_out, p_out, self._proposed_out)
         flip_out = _less(u_flip_out, p_flip, self._flip_out)
-        return _not_equal(proposed_out, flip_out, y_out)
+        return _not_equal(proposed_out, flip_out, self.y_out[t])
 
     def accumulate(self, r) -> None:
         """Sum the batch's proposed changes, given its rewards r (batch, lanes).
@@ -490,9 +499,10 @@ class ActorNetwork(LaneNetwork):
         hidden errors negated times propose's -x (the bits of error times
         x), and (batch, lanes, n_hidden) for w_out. Each array's rows are
         summed from zero, in presentation order (sum_rows), into its block
-        of one fresh sums array, which load_sums takes.
+        of the sums array the actor keeps for its lanes, whose blocks the
+        acc_* views show (load_sums).
         """
-        lanes, n_in, n_hidden = self.w_hidden.shape
+        n_hidden = self.config.n_hidden
         p, y, f, errors = self._p, self._y, self._f, self._errors
         # every unit's firing probability, the output unit's last, becomes
         # the emission probability p (1 - f) + (1 - p) f; y holds p (1 - f)
@@ -508,12 +518,11 @@ class ActorNetwork(LaneNetwork):
         w_hidden_terms = _negative(errors[..., None, :n_hidden], self._inputs.products)
         _multiply(w_hidden_terms, self._neg_inputs, w_hidden_terms)
         _multiply(errors[..., n_hidden:], self._y_hidden, self._w_out_terms)
-        n_w, n_o = lanes * n_in * n_hidden, lanes * n_hidden
-        sums = np.empty(n_w + n_o + errors[0].size)
-        sum_rows(w_hidden_terms, out=sums[:n_w].reshape(lanes, n_in, n_hidden))
-        sum_rows(self._w_out_terms, out=sums[n_w : n_w + n_o].reshape(lanes, n_hidden))
-        sum_rows(errors, out=sums[n_w + n_o :].reshape(lanes, n_hidden + 1))
-        self.load_sums(sums)
+        if self._sums is not self._batch_sums:  # load_sums took another array
+            self.load_sums(self._batch_sums)
+        sum_rows(w_hidden_terms, self.acc_w_hidden)
+        sum_rows(self._w_out_terms, self.acc_w_out)
+        sum_rows(errors, self._acc_biases)
 
     def load_sums(self, sums: np.ndarray) -> None:
         """Take sums, lanes * ((n_in + 2) * n_hidden + 1) values in
@@ -533,7 +542,7 @@ class ActorNetwork(LaneNetwork):
         self._sums = sums
         self.acc_w_hidden = sums[:n_w].reshape(lanes, n_in, n_hidden)
         self.acc_w_out = sums[n_w : n_w + n_o].reshape(lanes, n_hidden)
-        biases = sums[n_w + n_o :].reshape(lanes, n_hidden + 1)
+        self._acc_biases = biases = sums[n_w + n_o :].reshape(lanes, n_hidden + 1)
         self.acc_b_hidden, self.acc_b_out = biases[:, :n_hidden], biases[:, n_hidden]
 
     def apply_batch_update(self) -> None:

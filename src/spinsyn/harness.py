@@ -40,11 +40,13 @@ reward is a plain sum, exact because each reward is 0 or 1.
 
 Memory layout. Every per-presentation array has one (batch_size, lanes,
 ...) layout, in the API and in memory, so each presentation's slice [t]
-is one contiguous (lanes, ...) row. ActorNetwork.propose allocates those
-rows once per batch, and each network sizes its scratch arrays to its
-lanes when it is built and when select drops lanes, so the chain of a
-presentation writes into rows and scratch and chains its ufuncs in place,
-each called through a name bound once with its output passed
+is one contiguous (lanes, ...) row. An epoch only computes: each network
+sizes its batch arrays, scratch and lists of rows to its lanes and the
+batch once, and keeps them until select drops lanes
+(ActorNetwork._size_to_batch), and run_epoch keeps its rows, targets,
+rewards and filter products per lane set too. So the chain of a
+presentation writes into rows and scratch and chains its ufuncs in
+place, each called through a name bound once with its output passed
 positionally, and copies by slice assignment (spinsyn.actor). The critic
 writes its read into the actor's row r_bar[t], the row that
 ActorNetwork.forward(t) reads, so a presentation allocates no array.
@@ -79,15 +81,17 @@ are, in order:
 * 2 + 2 * n_hidden + 1: the output flip.
 
 A lane draws the blocks of several epochs, K, in one rng.random call into
-a lane-major (lanes, K, batch_size, ...) buffer. A generator fills its
-output in order, so these are the numbers of K calls of one block each.
-chunk_epochs picks K: at most CHUNK_MAX_EPOCHS and the epochs left before
-max_epochs, and small enough that the buffer stays within CHUNK_BYTES
-(13 epochs at compare's 20 lanes, 3 at a sweep's 72). Each epoch, the
-live lanes' blocks are copied out into one (batch_size, lanes, ...)
-array. A lane that leaves is skipped from then on, so the numbers it
-drew past its last epoch are never used, and the next buffer has no row
-for it.
+a (K, batch_size, ...) buffer. A generator fills its output in order, so
+these are the numbers of K calls of one block each. chunk_epochs picks
+K: at most CHUNK_MAX_EPOCHS and the epochs left before max_epochs, and
+small enough that the batch's draws stay within CHUNK_BYTES (13 epochs
+at compare's 20 lanes, 3 at a sweep's 72). draw_epochs copies each
+lane's buffer, right after its fill, into the lane's column of one
+presentation-major (K, batch_size, lanes, ...) array, so each epoch
+reads the contiguous block [k]. When lanes leave, the epochs left of
+that array are compacted to the remaining lanes once, so the numbers a
+lane drew past its last epoch are never used, and the next draw has no
+row for it.
 
 All arithmetic on lanes is elementwise or reduces over the trailing axis
 (or over the presentation axis, one row at a time), so a lane's results
@@ -103,6 +107,7 @@ from __future__ import annotations
 
 import math
 import struct
+import weakref
 from dataclasses import dataclass, field, fields
 from multiprocessing import Pool
 
@@ -270,6 +275,36 @@ class SweepResult:
         return self.best_lr in (self.points[0].lr_hidden, self.points[-1].lr_hidden)
 
 
+class _EpochArrays:
+    """run_epoch's arrays for one lane set and batch size: the targets and
+    rewards, the filter's gain * R products and 0-d constants, and the
+    rows of every presentation, on the critic's negated inputs and the
+    actor's r_bar, which the networks keep from batch to batch."""
+
+    def __init__(self, neg_x, r_bar, config):
+        self.neg_x, self.r_bar = neg_x, r_bar
+        self.filter = (config.filter_keep, config.filter_gain)
+        self.keep, self.gain = np.array(config.filter_keep), np.array(config.filter_gain)
+        self.target = np.empty(r_bar.shape, dtype=bool)
+        self.r = np.empty(r_bar.shape, dtype=bool)  # row t: every lane's reward at t
+        self.gain_r = np.empty(r_bar.shape)
+        self.gain_r_rows = tuple(self.gain_r)
+        self.rows = list(zip(neg_x, r_bar, self.target, self.r))
+
+    def fit(self, neg_x, r_bar, config) -> bool:
+        """Whether these are the arrays of the given rows and filter."""
+        return (
+            self.neg_x is neg_x
+            and self.r_bar is r_bar
+            and self.filter == (config.filter_keep, config.filter_gain)
+        )
+
+
+# run_epoch's arrays, kept per actor for as long as the actor lives: its
+# callers pass the networks and nothing else that lasts from epoch to epoch
+_epoch_arrays: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def run_epoch(
     actor: ActorNetwork,
     critic: CriticNetwork,
@@ -283,32 +318,37 @@ def run_epoch(
     u (batch_size, lanes, N_INPUTS + 2 * n_hidden + 2) holds each lane's
     uniforms of the epoch (see the module docstring), in the one
     (batch_size, lanes, ...) layout of every per-presentation array, so
-    u[t] serves presentation t. Returns every lane's mean batch reward and its filter
-    state after the last presentation.
+    u[t] serves presentation t. filter_state, a float array (lanes,), is
+    updated in place. Returns every lane's mean batch reward and
+    filter_state, which holds the state after the last presentation.
     """
     batch_size = len(u)
     x, target = schedule.next(u[..., :N_INPUTS])
     actor.propose(x, u[..., N_INPUTS:])
-    r = np.empty(target.shape, dtype=bool)  # row t: every lane's reward at t
+    neg_x = critic.negate_inputs(x)
+    arrays = _epoch_arrays.get(actor)
+    if arrays is None or not arrays.fit(neg_x, actor.r_bar, config):
+        arrays = _epoch_arrays[actor] = _EpochArrays(neg_x, actor.r_bar, config)
+    arrays.target[...] = target
+    r = arrays.r
     # the critic reads into the actor's r_bar row t, which actor.forward(t) reads
-    rows = zip(critic.negate_inputs(x), actor.r_bar, target, r)
-    for t, (neg_x, r_bar, target_t, r_t) in enumerate(rows):
-        critic.forward(neg_x, r_bar)
+    for t, (neg_x_t, r_bar, target_t, r_t) in enumerate(arrays.rows):
+        critic.forward(neg_x_t, r_bar)
         reward(actor.forward(t), target_t, r_t)
         critic.update(r_t)
     actor.accumulate(r)
     actor.apply_batch_update()
     # the filter keep * state + gain * R, one presentation at a time, with
     # every gain * R formed at once
-    keep = np.array(config.filter_keep)
-    filter_state = np.array(filter_state, dtype=float)
-    for gain_r in _multiply(config.filter_gain, r):
+    keep = arrays.keep
+    _multiply(arrays.gain, r, arrays.gain_r)
+    for gain_r in arrays.gain_r_rows:
         _add(_multiply(keep, filter_state, filter_state), gain_r, filter_state)
     return r.sum(axis=0) / batch_size, filter_state
 
 
 # Bounds of one draw (module docstring, "Random streams"): the batch's
-# draw buffer stays within CHUNK_BYTES and spans at most CHUNK_MAX_EPOCHS.
+# draws stay within CHUNK_BYTES and span at most CHUNK_MAX_EPOCHS.
 CHUNK_BYTES = 512 * 1024
 CHUNK_MAX_EPOCHS = 16
 
@@ -316,9 +356,23 @@ CHUNK_MAX_EPOCHS = 16
 def chunk_epochs(lanes: int, epoch_uniforms: int, epochs_left: int) -> int:
     """Epochs per draw for lanes that each use epoch_uniforms float64
     uniforms per epoch: at least 1, at most CHUNK_MAX_EPOCHS and
-    epochs_left, and otherwise the most whose buffer fits CHUNK_BYTES."""
+    epochs_left, and otherwise the most whose draws fit CHUNK_BYTES."""
     fits = CHUNK_BYTES // (8 * lanes * epoch_uniforms)
     return max(1, min(CHUNK_MAX_EPOCHS, epochs_left, fits))
+
+
+def draw_epochs(rngs: list[np.random.Generator], n_epochs: int, block: tuple[int, int]):
+    """n_epochs epochs' uniforms of every generator's lane, presentation-major:
+    (n_epochs, batch_size, lanes, block[1]) for blocks of shape block =
+    (batch_size, uniforms per presentation), C-contiguous, so that [k] is
+    epoch k's u of run_epoch. Each lane fills all its epochs in one call
+    into one lane's buffer, which is then copied into the lane's column."""
+    draws = np.empty((n_epochs, block[0], len(rngs), block[1]))
+    lane = np.empty((n_epochs,) + block)
+    for row, rng in enumerate(rngs):
+        rng.random(out=lane)
+        draws[:, :, row] = lane
+    return draws
 
 
 _RULE_IDS = {UpdateRule.LINEAR: 0, UpdateRule.POWER_LAW: 1}
@@ -360,29 +414,30 @@ def _run_batch(
     block = (config.actor.batch_size, N_INPUTS + 2 * config.actor.n_hidden + 2)
     epoch = 0
     while live.size:
+        draws = None  # free the spent draws before the next ones
         n_chunk = chunk_epochs(live.size, block[0] * block[1], config.max_epochs - epoch)
-        chunk = None  # free the spent draws before the next ones
-        chunk = np.empty((live.size, n_chunk) + block)
-        for row, rng in enumerate(rngs):
-            rng.random(out=chunk[row])
-        rows = np.arange(live.size)  # the chunk row of every live lane
-        for k in range(n_chunk):
-            # the live lanes' blocks of this epoch, copied presentation-major
-            u = np.take(chunk[:, k].transpose(1, 0, 2), rows, axis=1)
-            mean_r, filter_state = run_epoch(actor, critic, schedule, u, filter_state, config)
+        draws = draw_epochs(rngs, n_chunk, block)
+        k = 0
+        while k < len(draws):
+            mean_r, filter_state = run_epoch(
+                actor, critic, schedule, draws[k], filter_state, config
+            )
             raw[live, epoch] = mean_r
             filtered[live, epoch] = filter_state
             epoch += 1
+            k += 1
             done = (filter_state >= config.goal) | (epoch == config.max_epochs)
             if done.any():
                 n_epochs[live[done]] = epoch
                 keep = np.flatnonzero(~done)
-                live, filter_state, rows = live[keep], filter_state[keep], rows[keep]
+                live, filter_state = live[keep], filter_state[keep]
+                if not live.size:
+                    break
                 rngs = [rngs[i] for i in keep]
                 actor.select(keep)
                 critic.select(keep)
-                if not live.size:
-                    break
+                # the draws of the epochs left, of the lanes that stay
+                draws, k = np.take(draws[k:], keep, axis=2), 0
     # A lane leaves at the first epoch whose filter reaches the goal, or at
     # max_epochs: it reached the goal iff its last filter value did.
     reached = filtered[np.arange(len(lanes)), n_epochs - 1] >= config.goal

@@ -76,3 +76,22 @@ def test_every_seed_runs_a_pair_and_an_aa_pair(tmp_path, monkeypatch):
     summary = json.loads(out.read_text())["summary"]
     assert list(summary) == workloads
     assert all(summary[w]["pairs"] == summary[w]["aa"]["pairs"] == 4 for w in workloads)
+
+
+@pytest.mark.parametrize("seeds", ["5-3", "3-x", "", "-3"])
+def test_a_bad_seed_range_exits_2_before_any_checkout(monkeypatch, tmp_path, capsys, seeds):
+    # a reversed range is empty: it must not make the checkouts and write a
+    # record of 0 pairs that passes
+    checkouts = []
+    monkeypatch.setattr(bench_pairs, "checkout", lambda ref, dest: checkouts.append(ref))
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--parent", "A", "--change", "B", "--seeds", seeds,
+                          "--out", str(tmp_path / "pairs.json")])
+    assert exit_info.value.code == 2
+    assert "--seeds" in capsys.readouterr().err
+    assert checkouts == [] and not (tmp_path / "pairs.json").exists()
+
+
+def test_seed_range_is_inclusive():
+    assert bench_pairs.seed_range("91-100") == list(range(91, 101))
+    assert bench_pairs.seed_range("7") == [7]

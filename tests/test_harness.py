@@ -255,6 +255,44 @@ class TestRunEpoch:
         growth = self.presentation_peak(wide) - self.presentation_peak(narrow)
         assert growth <= 512, growth
 
+    def test_epochs_reuse_the_arrays_of_their_lane_set(self):
+        # run_epoch, propose, forward and accumulate allocate their batch
+        # arrays, sums and row lists once per lane set; select resizes them
+        config = small_config()
+        lanes, cfg = 4, config.actor
+        rngs = [np.random.default_rng(s) for s in range(lanes)]
+        actor = ActorNetwork.initialize(cfg, rngs, [1.1, 0.75, 0.5, 1.2])
+        critic = CriticNetwork.initialize(config.critic, rngs)
+        schedule, filter_state = InputSchedule(), np.full(lanes, 0.5)
+        u = np.random.default_rng(5).random((3, cfg.batch_size, lanes, 2 + 2 * cfg.n_hidden + 2))
+        names = ("p_hidden", "proposed_hidden", "y_hidden", "r_bar", "p_flip", "p_out")
+
+        def owned():
+            return [getattr(actor, name) for name in names] + [
+                actor._sums, actor.acc_w_hidden, actor.acc_b_out, actor._rows,
+                harness._epoch_arrays[actor].rows,
+            ]
+
+        _, state = run_epoch(actor, critic, schedule, u[0], filter_state, config)
+        assert state is filter_state  # the filter runs in place
+        first, first_y_out = owned(), actor.y_out
+        run_epoch(actor, critic, schedule, u[1], filter_state, config)
+        assert all(now is then for now, then in zip(owned(), first))
+        assert actor.y_out is not first_y_out  # the returned bits keep their values
+
+        kept = np.array([2, 0])
+        actor.select(kept)
+        critic.select(kept)
+        run_epoch(actor, critic, schedule, u[2][:, kept], filter_state[kept], config)
+        assert not any(now is then for now, then in zip(owned(), first))
+        for name in names:
+            assert getattr(actor, name).shape[:2] == (cfg.batch_size, 2), name
+        assert actor.acc_w_hidden.shape == (2, 2, cfg.n_hidden)
+        assert actor.acc_b_out.shape == (2,)
+        for rows in (actor._rows, harness._epoch_arrays[actor].rows):
+            assert len(rows) == cfg.batch_size
+            assert all(len(row) == 2 for row in rows[0])
+
 
 class TestTrialSeed:
     def test_deterministic_and_distinct(self):
@@ -536,6 +574,41 @@ class TestChunkedDraws:
             assert 31 % sizes[0]
         for result, reference in zip(batch, alone):
             assert fingerprint(result) == fingerprint(reference)
+
+
+    def test_a_draw_holds_its_uniforms_at_most_twice(self, monkeypatch):
+        # Sweep-shaped: 72 lanes that all run 20 epochs, 3 epochs per draw.
+        # From the start of a draw to the first epoch that reads it, the
+        # traced memory may grow by at most two copies of the draw's
+        # uniforms, each within CHUNK_BYTES, plus a little for Python
+        # objects; draw_epochs holds one copy and one lane's block.
+        config = uneven_config(
+            n_trials=36, max_epochs=20, goal=0.975, filter_keep=0.999, filter_gain=0.001
+        )
+        marks = []  # per draw: traced memory at its start, peak up to its first epoch
+        chunk_epochs, run_epoch = harness.chunk_epochs, harness.run_epoch
+
+        def marked_chunk(*args):
+            marks.append([tracemalloc.get_traced_memory()[0], None])
+            tracemalloc.reset_peak()
+            return chunk_epochs(*args)
+
+        def marked_epoch(*args):
+            if marks[-1][1] is None:
+                marks[-1][1] = tracemalloc.get_traced_memory()[1]
+            return run_epoch(*args)
+
+        monkeypatch.setattr(harness, "chunk_epochs", marked_chunk)
+        monkeypatch.setattr(harness, "run_epoch", marked_epoch)
+        tracemalloc.start()
+        try:
+            results = run_trials(config, [(UpdateRule.POWER_LAW, 1.1), (UpdateRule.LINEAR, 0.75)])
+        finally:
+            tracemalloc.stop()
+        assert len(results) == 72 and all(len(r.raw_curve) == 20 for r in results)
+        assert len(marks) == 7  # 3 epochs per draw at 72 lanes
+        growth = max(peak - start for start, peak in marks)
+        assert growth <= 2 * harness.CHUNK_BYTES + 4096, growth
 
 
 def trials_digest(results):

@@ -110,17 +110,29 @@ def compare_sides(runs: list[dict], first: str, second: str) -> dict:
     return summary
 
 
+def seed_range(text: str) -> list[int]:
+    """The seeds of "first-last" (or of one "seed"), first <= last."""
+    first, _, last = text.partition("-")
+    try:
+        seeds = list(range(int(first), int(last or first) + 1))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a seed range first-last: {text!r}") from None
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"empty seed range: {text!r} (first > last)")
+    return seeds
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git ref of the parent commit")
     parser.add_argument("--change", required=True, help="git ref of the change")
     parser.add_argument("--out", required=True, help="path of the JSON to write")
-    parser.add_argument("--seeds", default="21-30", help="first-last: one pair per seed")
+    parser.add_argument("--seeds", default="21-30", type=seed_range,
+                        help="first-last, first <= last: one pair per seed")
     parser.add_argument("--seconds", type=float, default=float(BENCHMARK["run_seconds"]))
     parser.add_argument("--toy", action="store_true", help="perfbench's tiny inputs")
     args = parser.parse_args(argv)
-    first_seed, _, last_seed = args.seeds.partition("-")
-    seeds = list(range(int(first_seed), int(last_seed or first_seed) + 1))
+    seeds = args.seeds
     shas = {side: git("rev-parse", "--short", ref)
             for side, ref in (("parent", args.parent), ("change", args.change))}
 
@@ -171,10 +183,11 @@ def main(argv=None) -> int:
                    f"--trace 0" + (" --toy" if args.toy else ""),
         "method": (
             f"tools/bench_pairs.py: fresh git-archive copies of the parent, the change and a "
-            f"second copy of the parent; one pair per seed {args.seeds}, one run at a time, "
-            f"alternating which side runs first; the parent's second copy runs last or first, "
-            f"by turns, with each pair (summary.<workload>.aa, second copy against "
-            f"first); quartiles by numpy.percentile (linear)"
+            f"second copy of the parent; one pair per seed {seeds[0]}-{seeds[-1]}, one run "
+            f"at a time, alternating which side runs first; the parent's second copy runs "
+            f"last or first, "
+            f"by turns, with each pair (summary.<workload>.aa, second copy against first); "
+            f"quartiles by numpy.percentile (linear)"
         ),
         "host": (
             f"{os.cpu_count()}-CPU {platform.machine()} host, Python {env.get('python')}, "
