@@ -575,7 +575,6 @@ class TestChunkedDraws:
         for result, reference in zip(batch, alone):
             assert fingerprint(result) == fingerprint(reference)
 
-
     def test_a_draw_holds_its_uniforms_at_most_twice(self, monkeypatch):
         # Sweep-shaped: 72 lanes that all run 20 epochs, 3 epochs per draw.
         # From the start of a draw to the first epoch that reads it, the
