@@ -232,6 +232,11 @@ class LaneNetwork:
     (lanes,). All arithmetic on lanes is elementwise or reduces over a
     trailing axis (or over the presentation axis, one row at a time), so
     a lane computes the same bits whatever batch it runs in.
+
+    LANE_ARRAYS and config are all a network keeps from batch to batch:
+    every other array, constant or row tuple is derived from them when
+    the lanes are set (_size_to_lanes) or a batch of a new size comes in,
+    so a copy or a pickle keeps those alone and derives the rest anew.
     """
 
     LANE_ARRAYS = ("w_hidden", "b_hidden", "w_out", "b_out")
@@ -251,11 +256,18 @@ class LaneNetwork:
             shape = expected.get(name, (lanes,))
             if getattr(self, name).shape != shape:
                 raise ValueError(f"{name} shape {getattr(self, name).shape} != {shape}")
-        self._neg_inputs = np.empty(0)  # negate_inputs's, sized to the batch
+        self._size_to_lanes()
+
+    def __getstate__(self) -> dict:
+        return {name: getattr(self, name) for name in ("config",) + self.LANE_ARRAYS}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
         self._size_to_lanes()
 
     def _size_to_lanes(self) -> None:
         """Per-lane constants and scratch for the current lanes."""
+        self._neg_inputs = np.empty(0)  # negate_inputs's, sized to the batch
 
     @staticmethod
     def draw_weights(n_hidden: int, rngs: list[np.random.Generator], out_bound: float):
@@ -282,8 +294,9 @@ class LaneNetwork:
         """-x for a batch of inputs x (batch, lanes, n_in), broadcast along
         the hidden units to (batch, lanes, n_in, n_hidden) and C-contiguous.
 
-        Rejects an x of another shape. The network keeps the array from
-        batch to batch, so its rows hold until the next call.
+        Rejects an x of another shape. The network keeps the array, and
+        the tuple of its presentation rows, neg_input_rows, from batch to
+        batch, so its rows hold until the next call.
         """
         x = np.asarray(x, dtype=float)
         lanes, n_in, n_hidden = self.w_hidden.shape
@@ -294,6 +307,7 @@ class LaneNetwork:
         shape = x.shape + (n_hidden,)
         if self._neg_inputs.shape != shape:
             self._neg_inputs = np.empty(shape)
+            self.neg_input_rows = tuple(self._neg_inputs)
         return _negative(x[..., None], self._neg_inputs)
 
 
@@ -303,8 +317,10 @@ class ActorNetwork(LaneNetwork):
     Besides LaneNetwork's arrays, each lane has its own update rule (the
     powerlaw mask) and hidden-layer rate (lr_hidden); config holds
     everything the lanes share. These parameters are all the actor keeps
-    between batches, besides per-lane constants and scratch arrays sized
-    to the lanes and the batch.
+    between batches, and all that a copy or a pickle of it holds: the
+    per-lane constants, the batch sums and the scratch arrays are sized to
+    the lanes (_size_to_lanes) and the batch (_size_to_batch) and derived
+    anew.
 
     A batch of presentations runs in three stages. The weights change only
     in apply_batch_update, so propose computes the hidden layer's firing
@@ -323,11 +339,14 @@ class ActorNetwork(LaneNetwork):
     y_hidden (batch, lanes, n_hidden) and y_out (batch, lanes), and r_bar,
     p_flip and p_out (batch, lanes). Each presentation's slice [t] is one
     contiguous row that forward reads and fills in place (harness, "Memory
-    layout"). The actor allocates these arrays, the rows forward reads and
-    the batch sums once per lane set and batch size, and propose and
-    accumulate overwrite them batch by batch; only y_out is new for every
-    batch, so the bits forward returns keep their values for good. forward
-    reads row t of r_bar, into which the critic has written its read.
+    layout"). The actor allocates these arrays, the rows forward reads,
+    the rewards (batch, lanes) and critic_rows, each presentation's r_bar
+    and rewards rows, which run_epoch hands the critic, once per lane set
+    and batch size, and propose overwrites them batch by batch; only y_out
+    is new for every batch, so the bits forward returns keep their values
+    for good. forward reads row t of r_bar, into which the critic has
+    written its read. The batch sums, and the acc_* views that show them
+    with the parameters' shapes, are sized with the lanes.
     """
 
     LANE_ARRAYS = LaneNetwork.LANE_ARRAYS + ("powerlaw", "lr_hidden")
@@ -344,13 +363,14 @@ class ActorNetwork(LaneNetwork):
     ):
         self.powerlaw = np.array([r is UpdateRule.POWER_LAW for r in update_rules])
         self.lr_hidden = np.asarray(lr_hidden, dtype=float)
-        self._alpha_flip = np.array(config.alpha_flip)
-        self._sums = None  # the sums load_sums took last
         super().__init__(config, w_hidden, b_hidden, w_out, b_out)
 
     def _size_to_lanes(self) -> None:
-        """Per-lane constants and per-presentation scratch for the current lanes."""
+        """Per-lane constants, the batch sums and per-presentation scratch
+        for the current lanes."""
+        super()._size_to_lanes()
         lanes, n_in, n_hidden = self.w_hidden.shape
+        self._alpha_flip = np.array(self.config.alpha_flip)
         # every unit's rate: the lane's rate in the hidden layer, and
         # LR_OUT_RATIO of it for the output unit, in column n_hidden
         self._lr_units = np.empty((lanes, n_hidden + 1))
@@ -370,11 +390,22 @@ class ActorNetwork(LaneNetwork):
         self._flip_out = np.empty(lanes, dtype=bool)
         self._products = np.empty((lanes, n_hidden))
         self._neg_w_out = np.empty((lanes, n_hidden))  # -w_out, formed by propose
+        # the batch sums accumulate writes, in blocks, each lanes-major: the
+        # w_hidden sums, the w_out sums, then the bias sums (each lane's
+        # n_hidden hidden units, then its output unit); the acc_* views show
+        # each block with its parameters' shape
+        n_w, n_o = lanes * n_in * n_hidden, lanes * n_hidden
+        self._sums = sums = np.zeros(n_w + n_o + lanes * (n_hidden + 1))
+        self.acc_w_hidden = sums[:n_w].reshape(lanes, n_in, n_hidden)
+        self.acc_w_out = sums[n_w : n_w + n_o].reshape(lanes, n_hidden)
+        self._acc_biases = biases = sums[n_w + n_o :].reshape(lanes, n_hidden + 1)
+        self.acc_b_hidden, self.acc_b_out = biases[:, :n_hidden], biases[:, n_hidden]
         self._batch = 0  # the batch size propose's arrays are sized to
 
     def _size_to_batch(self, batch: int) -> None:
         """The batch arrays and scratch of propose, forward and accumulate
-        for a batch of presentations, kept from batch to batch."""
+        for a batch of presentations, kept from batch to batch, and the
+        rewards, whose row t run_epoch fills at presentation t."""
         lanes, n_in, n_hidden = self.w_hidden.shape
         block = (batch, lanes, n_in, n_hidden)
         hidden = (batch, lanes, n_hidden)
@@ -386,6 +417,9 @@ class ActorNetwork(LaneNetwork):
         self.y_hidden = np.empty(hidden, dtype=bool)
         self._y_hidden = np.empty(hidden)  # the hidden bits as floats
         self.r_bar, self.p_flip, self.p_out = (np.empty((batch, lanes)) for _ in range(3))
+        self.rewards = np.empty((batch, lanes), dtype=bool)
+        # per presentation, the row the critic reads into and the rewards it learns from
+        self.critic_rows = tuple(zip(self.r_bar, self.rewards))
         self._u_flips = np.empty(hidden)
         self._u_proposal_out = np.empty((batch, lanes))
         self._u_flip_out = np.empty((batch, lanes))
@@ -395,7 +429,6 @@ class ActorNetwork(LaneNetwork):
         self._delta = np.empty((batch, lanes))
         self._errors = np.empty(units)
         self._w_out_terms = np.empty(hidden)
-        self._batch_sums = np.empty(lanes * ((n_in + 2) * n_hidden + 1))  # accumulate's
         # every row forward reads or writes but y_out's, one tuple per presentation
         self._rows = list(
             zip(
@@ -499,8 +532,9 @@ class ActorNetwork(LaneNetwork):
         hidden errors negated times propose's -x (the bits of error times
         x), and (batch, lanes, n_hidden) for w_out. Each array's rows are
         summed from zero, in presentation order (sum_rows), into its block
-        of the sums array the actor keeps for its lanes, whose blocks the
-        acc_* views show (load_sums).
+        of the batch sums the actor sizes with its lanes, through the
+        acc_* views of the blocks: the w_hidden sums, the w_out sums, then
+        the bias sums (each lane's hidden units, then its output unit).
         """
         n_hidden = self.config.n_hidden
         p, y, f, errors = self._p, self._y, self._f, self._errors
@@ -518,35 +552,13 @@ class ActorNetwork(LaneNetwork):
         w_hidden_terms = _negative(errors[..., None, :n_hidden], self._inputs.products)
         _multiply(w_hidden_terms, self._neg_inputs, w_hidden_terms)
         _multiply(errors[..., n_hidden:], self._y_hidden, self._w_out_terms)
-        if self._sums is not self._batch_sums:  # load_sums took another array
-            self.load_sums(self._batch_sums)
         sum_rows(w_hidden_terms, self.acc_w_hidden)
         sum_rows(self._w_out_terms, self.acc_w_out)
         sum_rows(errors, self._acc_biases)
 
-    def load_sums(self, sums: np.ndarray) -> None:
-        """Take sums, lanes * ((n_in + 2) * n_hidden + 1) values in
-        accumulate's layout, as the batch sums that apply_batch_update adds.
-
-        The layout is in blocks, each lanes-major: the w_hidden sums, the
-        w_out sums, then the bias sums (each lane's n_hidden hidden units,
-        then its output unit).
-
-        acc_w_hidden (lanes, n_in, n_hidden), acc_w_out, acc_b_hidden and
-        acc_b_out become views of sums with the parameters' shapes.
-        """
-        lanes, n_in, n_hidden = self.w_hidden.shape
-        n_w, n_o = lanes * n_in * n_hidden, lanes * n_hidden
-        if sums.shape != (n_w + n_o + lanes * (n_hidden + 1),):
-            raise ValueError(f"sums shape {sums.shape} != {(n_w + n_o + lanes * (n_hidden + 1),)}")
-        self._sums = sums
-        self.acc_w_hidden = sums[:n_w].reshape(lanes, n_in, n_hidden)
-        self.acc_w_out = sums[n_w : n_w + n_o].reshape(lanes, n_hidden)
-        self._acc_biases = biases = sums[n_w + n_o :].reshape(lanes, n_hidden + 1)
-        self.acc_b_hidden, self.acc_b_out = biases[:, :n_hidden], biases[:, n_hidden]
-
     def apply_batch_update(self) -> None:
-        """Add the last accumulate's sums to the parameters.
+        """Add the batch sums to the parameters: the last accumulate's,
+        or whatever was written through the acc_* views since.
 
         Biases, and every weight of a linear lane, take their sum verbatim.
         A power-law lane's weights take threshold_power_update of it:

@@ -68,20 +68,11 @@ class CriticNetwork(LaneNetwork):
     gives it the actor's r_bar row, so a presentation allocates nothing.
     """
 
-    def __init__(
-        self,
-        config: CriticConfig,
-        w_hidden: np.ndarray,
-        b_hidden: np.ndarray,
-        w_out: np.ndarray,
-        b_out: np.ndarray,
-    ):
-        self._lr, self._l1_coeff = np.array(config.lr), np.array(config.l1_coeff)
-        super().__init__(config, w_hidden, b_hidden, w_out, b_out)
-
     def _size_to_lanes(self) -> None:
-        """Per-presentation scratch for the current lanes."""
+        """The rates' 0-d constants and per-presentation scratch for the current lanes."""
+        super()._size_to_lanes()
         lanes, n_in, n_hidden = self.w_hidden.shape
+        self._lr, self._l1_coeff = np.array(self.config.lr), np.array(self.config.l1_coeff)
         self._inputs = InputProducts((lanes, n_in, n_hidden))
         self._hidden = np.empty((lanes, n_hidden))
         self._error = np.empty(lanes)

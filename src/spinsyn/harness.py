@@ -40,12 +40,16 @@ reward is a plain sum, exact because each reward is 0 or 1.
 
 Memory layout. Every per-presentation array has one (batch_size, lanes,
 ...) layout, in the API and in memory, so each presentation's slice [t]
-is one contiguous (lanes, ...) row. An epoch only computes: each network
-sizes its batch arrays, scratch and lists of rows to its lanes and the
-batch once, and keeps them until select drops lanes
-(ActorNetwork._size_to_batch), and run_epoch keeps its rows, targets,
-rewards and filter products per lane set too. So the chain of a
-presentation writes into rows and scratch and chains its ufuncs in
+is one contiguous (lanes, ...) row. Every array that lasts for a lane set
+lives in the network that sizes it, and run_epoch keeps nothing: each
+network sizes its batch arrays, scratch and tuples of rows to its lanes
+and the batch once, and keeps them until select drops lanes
+(ActorNetwork._size_to_lanes and _size_to_batch,
+LaneNetwork.negate_inputs). The actor's include the rewards, and the
+r_bar and rewards rows of every presentation; run_epoch zips those with
+the critic's negated-input rows and the epoch's targets, and forms the
+filter's constants and gain * R products once per epoch. So the chain of
+a presentation writes into rows and scratch and chains its ufuncs in
 place, each called through a name bound once with its output passed
 positionally, and copies by slice assignment (spinsyn.actor). The critic
 writes its read into the actor's row r_bar[t], the row that
@@ -107,7 +111,6 @@ from __future__ import annotations
 
 import math
 import struct
-import weakref
 from dataclasses import dataclass, field, fields
 from multiprocessing import Pool
 
@@ -275,36 +278,6 @@ class SweepResult:
         return self.best_lr in (self.points[0].lr_hidden, self.points[-1].lr_hidden)
 
 
-class _EpochArrays:
-    """run_epoch's arrays for one lane set and batch size: the targets and
-    rewards, the filter's gain * R products and 0-d constants, and the
-    rows of every presentation, on the critic's negated inputs and the
-    actor's r_bar, which the networks keep from batch to batch."""
-
-    def __init__(self, neg_x, r_bar, config):
-        self.neg_x, self.r_bar = neg_x, r_bar
-        self.filter = (config.filter_keep, config.filter_gain)
-        self.keep, self.gain = np.array(config.filter_keep), np.array(config.filter_gain)
-        self.target = np.empty(r_bar.shape, dtype=bool)
-        self.r = np.empty(r_bar.shape, dtype=bool)  # row t: every lane's reward at t
-        self.gain_r = np.empty(r_bar.shape)
-        self.gain_r_rows = tuple(self.gain_r)
-        self.rows = list(zip(neg_x, r_bar, self.target, self.r))
-
-    def fit(self, neg_x, r_bar, config) -> bool:
-        """Whether these are the arrays of the given rows and filter."""
-        return (
-            self.neg_x is neg_x
-            and self.r_bar is r_bar
-            and self.filter == (config.filter_keep, config.filter_gain)
-        )
-
-
-# run_epoch's arrays, kept per actor for as long as the actor lives: its
-# callers pass the networks and nothing else that lasts from epoch to epoch
-_epoch_arrays: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def run_epoch(
     actor: ActorNetwork,
     critic: CriticNetwork,
@@ -325,14 +298,11 @@ def run_epoch(
     batch_size = len(u)
     x, target = schedule.next(u[..., :N_INPUTS])
     actor.propose(x, u[..., N_INPUTS:])
-    neg_x = critic.negate_inputs(x)
-    arrays = _epoch_arrays.get(actor)
-    if arrays is None or not arrays.fit(neg_x, actor.r_bar, config):
-        arrays = _epoch_arrays[actor] = _EpochArrays(neg_x, actor.r_bar, config)
-    arrays.target[...] = target
-    r = arrays.r
+    critic.negate_inputs(x)
+    r = actor.rewards
     # the critic reads into the actor's r_bar row t, which actor.forward(t) reads
-    for t, (neg_x_t, r_bar, target_t, r_t) in enumerate(arrays.rows):
+    rows = zip(critic.neg_input_rows, actor.critic_rows, target)
+    for t, (neg_x_t, (r_bar, r_t), target_t) in enumerate(rows):
         critic.forward(neg_x_t, r_bar)
         reward(actor.forward(t), target_t, r_t)
         critic.update(r_t)
@@ -340,9 +310,8 @@ def run_epoch(
     actor.apply_batch_update()
     # the filter keep * state + gain * R, one presentation at a time, with
     # every gain * R formed at once
-    keep = arrays.keep
-    _multiply(arrays.gain, r, arrays.gain_r)
-    for gain_r in arrays.gain_r_rows:
+    keep = np.array(config.filter_keep)
+    for gain_r in _multiply(np.array(config.filter_gain), r):
         _add(_multiply(keep, filter_state, filter_state), gain_r, filter_state)
     return r.sum(axis=0) / batch_size, filter_state
 

@@ -64,11 +64,11 @@ def present(net, x, r_bar, u):
     return forward_at(net, 0, r_bar)
 
 
-def load_sums(net):
-    """Zero batch sums in place of an accumulate call, for apply_batch_update;
-    the acc_* arrays are views of them."""
-    lanes, n_in, n_hidden = net.w_hidden.shape
-    net.load_sums(np.zeros(lanes * ((n_in + 2) * n_hidden + 1)))
+def zero_sums(net):
+    """Zero batch sums in place of an accumulate call, for
+    apply_batch_update, written through the acc_* views."""
+    for name in ("acc_w_hidden", "acc_b_hidden", "acc_w_out", "acc_b_out"):
+        getattr(net, name)[...] = 0.0
 
 
 def copies(net, n):
@@ -168,9 +168,11 @@ class TestInitialize:
         assert np.all(np.abs(net.w_out) <= 1 / np.sqrt(10))
         assert np.all(net.b_hidden == 0.0)
         assert np.all(net.b_out == 0.0)
-        # a fresh network holds its parameters and no batch sums
+        # the batch sums are sized with the lanes and start at zero
         for name in ("acc_w_hidden", "acc_b_hidden", "acc_w_out", "acc_b_out"):
-            assert not hasattr(net, name)
+            param = getattr(net, name[len("acc_"):])
+            assert getattr(net, name).shape == param.shape
+            assert np.all(getattr(net, name) == 0.0)
 
     def test_hidden_weights_are_each_draw_transposed_and_contiguous(self):
         # each lane draws (n_hidden, 2) hidden weights, then its output
@@ -472,7 +474,7 @@ class TestApplyBatchUpdate:
         zero except acc_value in hidden weight (0, 0)."""
         net = make_net(**overrides)
         net.w_hidden[:] = 0.0
-        load_sums(net)
+        zero_sums(net)
         net.acc_w_hidden[0, 0, 0] = acc_value
         return net
 
@@ -512,7 +514,7 @@ class TestApplyBatchUpdate:
     def test_bias_update_linear_by_default(self):
         net = make_net()
         net.b_hidden[:] = 0.0
-        load_sums(net)
+        zero_sums(net)
         net.acc_b_hidden[0, 0] = 0.3  # below dw_min, applied anyway
         net.apply_batch_update()
         assert net.b_hidden[0, 0] == pytest.approx(0.3)
@@ -525,7 +527,7 @@ class TestApplyBatchUpdate:
             ActorConfig(), rngs, [LR, LR], update_rules=[UpdateRule.LINEAR, UpdateRule.POWER_LAW]
         )
         net.w_hidden[:] = 0.0
-        load_sums(net)
+        zero_sums(net)
         net.acc_w_hidden[:, 0, 0] = [0.3, 0.3]
         net.acc_w_hidden[:, 0, 1] = [0.5, 0.5]
         net.apply_batch_update()
@@ -560,7 +562,13 @@ class TestApplyBatchUpdate:
         # runs of the special values, one random sum between runs
         for start in range(0, n_weights - len(special), len(special) + 1):
             sums[start : start + len(special)] = special
-        net.load_sums(sums)
+        # into the sums' blocks: w_hidden, w_out, then each lane's hidden
+        # and output biases
+        n_w = net.w_hidden.size
+        net.acc_w_hidden[...] = sums[:n_w].reshape(net.w_hidden.shape)
+        net.acc_w_out[...] = sums[n_w:n_weights].reshape(net.w_out.shape)
+        biases = sums[n_weights:].reshape(lanes, config.n_hidden + 1)
+        net.acc_b_hidden[...], net.acc_b_out[...] = biases[:, :-1], biases[:, -1]
         acc = {name: getattr(net, "acc_" + name).copy() for name in ActorNetwork.LANE_ARRAYS[:4]}
         before = {name: getattr(net, name).copy() for name in acc}
         net.apply_batch_update()

@@ -1,6 +1,8 @@
 """tools/bench_pairs.py on synthetic runs: within_bound follows each
-metric's direction and its bound in BENCHMARK.json, and every seed runs a
-parent/change pair and an A/A pair of every declared workload."""
+metric's direction and its bound in BENCHMARK.json, gain_claim needs
+enough pairs, enough wins and a gap wider than the parent's spread, and
+every seed runs a parent/change pair and an A/A pair of every declared
+workload."""
 
 import importlib.util
 import json
@@ -49,6 +51,60 @@ def test_within_bound_follows_direction_and_bound(metric, parent, change, within
     assert entry["within_bound"] is within
 
 
+def paired(metric: str, parent: list, change: list) -> list[dict]:
+    """Synthetic runs of one metric: pair k has parent[k] and change[k]."""
+    return [
+        {"seed": seed, "side": side, "result": {"metrics": {metric: {"value": value}}}}
+        for seed, values in enumerate(zip(parent, change))
+        for side, value in zip(("parent", "change"), values)
+    ]
+
+
+# a parent's wall_s in ten pairs: median 1.0, quartiles 0.99125 and 1.00875
+PARENT = [0.97, 0.98, 0.99, 0.995, 1.0, 1.0, 1.005, 1.01, 1.02, 1.03]
+
+
+@pytest.mark.parametrize(
+    "change, claim",
+    [
+        # 10 of 10 pairs better, medians 0.9 against 1.0 (parent IQR 0.0175)
+        ([v - 0.1 for v in PARENT], True),
+        # 9 of 10 better and one tie
+        ([v - 0.1 for v in PARENT[:9]] + [PARENT[9]], True),
+        # 8 of 10 better, 2 ties: the ties count for neither side
+        ([v - 0.1 for v in PARENT[:8]] + PARENT[8:], False),
+        # 10 of 10 better, but the medians are 0.01 apart, inside the IQR
+        ([v - 0.01 for v in PARENT], False),
+        # 10 of 10 worse
+        ([v + 0.1 for v in PARENT], False),
+    ],
+)
+def test_gain_claim_needs_nine_tenths_of_the_pairs_and_a_gap_past_the_iqr(change, claim):
+    entry = bench_pairs.compare_sides(paired("wall_s", PARENT, change), "parent", "change")["wall_s"]
+    assert entry["gain_claim"] is claim
+
+
+def test_gain_claim_needs_ten_pairs_and_follows_the_direction():
+    # 9 pairs, every one better by far: too few to claim
+    entry = bench_pairs.compare_sides(
+        paired("wall_s", PARENT[:9], [v / 2 for v in PARENT[:9]]), "parent", "change"
+    )["wall_s"]
+    assert entry["change_better_pairs"] == 9 and entry["gain_claim"] is False
+    # sim_steps_per_s: higher is better
+    rates = [100 * v for v in PARENT]
+    for change, claim in (([v * 1.2 for v in rates], True), ([v * 0.8 for v in rates], False)):
+        entry = bench_pairs.compare_sides(paired("sim_steps_per_s", rates, change), "parent", "change")
+        assert entry["sim_steps_per_s"]["gain_claim"] is claim
+
+
+def test_pair_rel_change_range_spans_the_seeds():
+    # the medians agree, but single pairs differ by -10% and +20%
+    change = [1.0, 0.9, 1.2, 1.0, 1.0]
+    entry = bench_pairs.compare_sides(paired("wall_s", [1.0] * 5, change), "parent", "change")["wall_s"]
+    assert entry["rel_change"] == 0.0
+    assert entry["pair_rel_change_range"] == pytest.approx([-0.1, 0.2])
+
+
 def test_every_seed_runs_a_pair_and_an_aa_pair(tmp_path, monkeypatch):
     # every workload and the run length come from BENCHMARK.json, and each
     # seed runs the parent, the change and the parent's second copy, the
@@ -76,6 +132,11 @@ def test_every_seed_runs_a_pair_and_an_aa_pair(tmp_path, monkeypatch):
     summary = json.loads(out.read_text())["summary"]
     assert list(summary) == workloads
     assert all(summary[w]["pairs"] == summary[w]["aa"]["pairs"] == 4 for w in workloads)
+    # the A/A summary carries the per-seed range, and 4 equal pairs claim nothing
+    for w in workloads:
+        for entry in (summary[w]["wall_s"], summary[w]["aa"]["wall_s"]):
+            assert entry["pair_rel_change_range"] == [0.0, 0.0]
+            assert entry["gain_claim"] is False
 
 
 @pytest.mark.parametrize("seeds", ["5-3", "3-x", "", "-3"])

@@ -201,6 +201,7 @@ class TestUpdate:
         # negative central difference of the squared error (step 1e-6)
         rng = np.random.default_rng(12)
         cfg = CriticConfig(l1_coeff=0.0)
+        compared = 0
         for _ in range(100):
             critic = CriticNetwork.initialize(cfg, [rng])
             critic.w_hidden[:] = rng.normal(scale=1.0, size=critic.w_hidden.shape)
@@ -225,6 +226,10 @@ class TestUpdate:
                     if abs(fd) <= 1e-9:
                         continue
                     assert np.sign(update[j, i]) == np.sign(-fd)
+                    compared += 1
+        # the reference is a copy of the critic, which must read with its
+        # own weights: a copy whose read ignored them would compare nothing
+        assert compared >= 1000
 
 
 class TestFixedTableFit:

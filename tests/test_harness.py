@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -256,8 +257,8 @@ class TestRunEpoch:
         assert growth <= 512, growth
 
     def test_epochs_reuse_the_arrays_of_their_lane_set(self):
-        # run_epoch, propose, forward and accumulate allocate their batch
-        # arrays, sums and row lists once per lane set; select resizes them
+        # the networks allocate their batch arrays, sums and row tuples once
+        # per lane set, and run_epoch reads them; select resizes them
         config = small_config()
         lanes, cfg = 4, config.actor
         rngs = [np.random.default_rng(s) for s in range(lanes)]
@@ -265,12 +266,12 @@ class TestRunEpoch:
         critic = CriticNetwork.initialize(config.critic, rngs)
         schedule, filter_state = InputSchedule(), np.full(lanes, 0.5)
         u = np.random.default_rng(5).random((3, cfg.batch_size, lanes, 2 + 2 * cfg.n_hidden + 2))
-        names = ("p_hidden", "proposed_hidden", "y_hidden", "r_bar", "p_flip", "p_out")
+        names = ("p_hidden", "proposed_hidden", "y_hidden", "r_bar", "p_flip", "p_out", "rewards")
 
         def owned():
             return [getattr(actor, name) for name in names] + [
                 actor._sums, actor.acc_w_hidden, actor.acc_b_out, actor._rows,
-                harness._epoch_arrays[actor].rows,
+                actor.critic_rows, critic.neg_input_rows,
             ]
 
         _, state = run_epoch(actor, critic, schedule, u[0], filter_state, config)
@@ -289,9 +290,62 @@ class TestRunEpoch:
             assert getattr(actor, name).shape[:2] == (cfg.batch_size, 2), name
         assert actor.acc_w_hidden.shape == (2, 2, cfg.n_hidden)
         assert actor.acc_b_out.shape == (2,)
-        for rows in (actor._rows, harness._epoch_arrays[actor].rows):
+        for rows in (actor._rows, actor.critic_rows):
             assert len(rows) == cfg.batch_size
             assert all(len(row) == 2 for row in rows[0])
+        assert len(critic.neg_input_rows) == cfg.batch_size
+        assert critic.neg_input_rows[0].shape[0] == 2
+
+    @staticmethod
+    def lane_set(config, lanes, epochs=4):
+        """A fresh actor and critic of lanes lanes of both rules, their
+        filter state and epochs epochs of uniforms."""
+        cfg = config.actor
+        rngs = [np.random.default_rng([lanes, k]) for k in range(lanes)]
+        rules = [(UpdateRule.POWER_LAW, UpdateRule.LINEAR)[k % 2] for k in range(lanes)]
+        actor = ActorNetwork.initialize(cfg, rngs, [0.5 + 0.1 * k for k in range(lanes)], rules)
+        critic = CriticNetwork.initialize(config.critic, rngs)
+        width = 2 + 2 * cfg.n_hidden + 2
+        draws = np.random.default_rng(lanes).random((epochs, cfg.batch_size, lanes, width))
+        return actor, critic, np.full(lanes, config.filter_init), draws
+
+    @staticmethod
+    def trained_bits(actor, critic, filter_state, draws, config):
+        """Yields each run_epoch's means and filter state over draws, then
+        both networks' lane arrays, as bytes."""
+        for u in draws:
+            mean, filter_state = run_epoch(actor, critic, InputSchedule(), u, filter_state, config)
+            yield mean.tobytes() + filter_state.tobytes()
+        yield b"".join(getattr(net, name).tobytes() for net in (actor, critic) for name in net.LANE_ARRAYS)
+
+    @pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+    def test_a_copy_between_epochs_continues_with_the_originals_bits(self, how):
+        # a copy keeps config and the lane arrays and derives its scratch,
+        # views and rows anew, so it trains on with the original's bits
+        config = small_config()
+        actor, critic, filter_state, draws = self.lane_set(config, 3)
+        for u in draws[:2]:
+            run_epoch(actor, critic, InputSchedule(), u, filter_state, config)
+        if how == "deepcopy":
+            twin = copy.deepcopy((actor, critic))
+        else:
+            twin = pickle.loads(pickle.dumps((actor, critic)))
+        original = list(self.trained_bits(actor, critic, filter_state.copy(), draws[2:], config))
+        assert list(self.trained_bits(*twin, filter_state.copy(), draws[2:], config)) == original
+
+    def test_lane_sets_run_by_turns_keep_the_bits_they_have_alone(self):
+        # run_epoch keeps nothing outside the networks: the epochs of two
+        # lane sets of other widths and filters, run by turns, give each
+        # set the bits it has when run alone
+        configs = [small_config(), small_config(filter_keep=0.99, filter_gain=0.01)]
+
+        def runs():
+            return [self.trained_bits(*self.lane_set(config, lanes), config)
+                    for config, lanes in zip(configs, (3, 5))]
+
+        alone = [list(bits) for bits in runs()]
+        by_turns = list(zip(*runs()))  # zip runs one epoch of each set in turn
+        assert [list(bits) for bits in zip(*by_turns)] == alone
 
 
 class TestTrialSeed:

@@ -16,9 +16,10 @@ runs unedited; the script changes no workload and no bound.
 
 The output JSON holds ``parent``, ``change``, ``command``, ``method``,
 ``host``, ``summary`` (per workload and end-to-end metric: each side's
-median and quartiles, the relative change of the medians and the number of
-pairs in which the change was better, and whether the change's median
-is within the metric's bound; the same for the A/A pairs, the
+median and quartiles, the relative change of the medians, the range of
+the per-seed relative changes and the number of pairs in which the change
+was better, whether the change's median is within the metric's bound, and
+whether the runs support a claimed gain; the same for the A/A pairs, the
 second parent copy against the first; whether every run was correct and
 whether the CSV digests matched) and ``runs`` (every run's side, seed,
 position in the seed's run order, whether it ran first in its pair, env
@@ -44,6 +45,7 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [workload["name"] for workload in BENCHMARK["workloads"]]
 METRICS = BENCHMARK["end_to_end"]
+CLAIM_PAIRS = 10  # the fewest pairs a gain may be claimed from
 
 
 def git(*args: str) -> str:
@@ -82,10 +84,14 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, toy: bool) ->
 
 def compare_sides(runs: list[dict], first: str, second: str) -> dict:
     """Per metric: both sides' median and quartiles, the relative change of
-    the medians from first to second, the pairs in which second was
-    better, and within_bound: false when second's median is worse than
-    first's by more than the metric's bound in BENCHMARK.json. Runs pair
-    up by seed; runs of any other side are ignored."""
+    the medians from first to second, the [min, max] of the pairs' own
+    relative changes, the pairs in which second was better, within_bound:
+    false when second's median is worse than first's by more than the
+    metric's bound in BENCHMARK.json, and gain_claim: true only when there
+    are at least CLAIM_PAIRS pairs, second is better in at least nine
+    tenths of them (ties counting for neither), and its median is better
+    than first's by more than first's interquartile range. Runs pair up by
+    seed; runs of any other side are ignored."""
     by_seed = {}
     for run in runs:
         by_seed.setdefault(run["seed"], {})[run["side"]] = run["result"]["metrics"]
@@ -103,9 +109,18 @@ def compare_sides(runs: list[dict], first: str, second: str) -> dict:
             q1, median, q3 = np.percentile(data, [25, 50, 75])
             entry.update({f"{side}_median": median, f"{side}_q1": q1, f"{side}_q3": q3})
         entry["rel_change"] = entry[f"{second}_median"] / entry[f"{first}_median"] - 1.0
-        entry[f"{second}_better_pairs"] = sum(y < x if lower else y > x for x, y in values)
+        pair_changes = ys / xs - 1.0
+        entry["pair_rel_change_range"] = [float(pair_changes.min()), float(pair_changes.max())]
+        better = sum(y < x if lower else y > x for x, y in values)
+        entry[f"{second}_better_pairs"] = better
         worse_by = entry["rel_change"] if lower else -entry["rel_change"]
         entry["within_bound"] = bool(worse_by <= spec["bound"])
+        gain = entry[f"{first}_median"] - entry[f"{second}_median"]
+        entry["gain_claim"] = bool(
+            len(values) >= CLAIM_PAIRS
+            and 10 * better >= 9 * len(values)
+            and (gain if lower else -gain) > entry[f"{first}_q3"] - entry[f"{first}_q1"]
+        )
         summary[metric] = entry
     return summary
 
