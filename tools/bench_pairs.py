@@ -45,7 +45,6 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [workload["name"] for workload in BENCHMARK["workloads"]]
 METRICS = BENCHMARK["end_to_end"]
-CLAIM_PAIRS = 10  # the fewest pairs a gain may be claimed from
 
 
 def git(*args: str) -> str:
@@ -88,10 +87,10 @@ def compare_sides(runs: list[dict], first: str, second: str) -> dict:
     relative changes, the pairs in which second was better, within_bound:
     false when second's median is worse than first's by more than the
     metric's bound in BENCHMARK.json, and gain_claim: true only when there
-    are at least CLAIM_PAIRS pairs, second is better in at least nine
-    tenths of them (ties counting for neither), and its median is better
-    than first's by more than first's interquartile range. Runs pair up by
-    seed; runs of any other side are ignored."""
+    are at least ten pairs, second is better in at least nine tenths of
+    them (ties counting for neither), and its median is better than
+    first's by more than first's interquartile range. Runs pair up by seed;
+    runs of any other side are ignored."""
     by_seed = {}
     for run in runs:
         by_seed.setdefault(run["seed"], {})[run["side"]] = run["result"]["metrics"]
@@ -117,7 +116,7 @@ def compare_sides(runs: list[dict], first: str, second: str) -> dict:
         entry["within_bound"] = bool(worse_by <= spec["bound"])
         gain = entry[f"{first}_median"] - entry[f"{second}_median"]
         entry["gain_claim"] = bool(
-            len(values) >= CLAIM_PAIRS
+            len(values) >= 10
             and 10 * better >= 9 * len(values)
             and (gain if lower else -gain) > entry[f"{first}_q3"] - entry[f"{first}_q1"]
         )
