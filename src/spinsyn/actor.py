@@ -221,8 +221,8 @@ def threshold_power_update(acc, dw_min: float, exponent: float):
 
 class LaneNetwork:
     """A batch of independent one-hidden-layer networks: the lane arrays,
-    their draw, lane selection and input negation that the actor and the
-    critic share.
+    their draw, lane selection, input negation and batch sizing that the
+    actor and the critic share.
 
     Every array has a leading lane axis: w_hidden (lanes, n_in, n_hidden),
     input-major and C-contiguous, b_hidden (lanes, n_hidden), w_out
@@ -235,8 +235,10 @@ class LaneNetwork:
 
     LANE_ARRAYS and config are all a network keeps from batch to batch:
     every other array, constant or row tuple is derived from them when
-    the lanes are set (_size_to_lanes) or a batch of a new size comes in,
-    so a copy or a pickle keeps those alone and derives the rest anew.
+    the lanes are set (_size_to_lanes), or when negate_inputs meets a
+    batch of a new shape (_size_to_batch, which a subclass extends with
+    its own batch arrays). So a copy or a pickle keeps those alone and
+    derives the rest anew.
     """
 
     LANE_ARRAYS = ("w_hidden", "b_hidden", "w_out", "b_out")
@@ -267,7 +269,14 @@ class LaneNetwork:
 
     def _size_to_lanes(self) -> None:
         """Per-lane constants and scratch for the current lanes."""
-        self._neg_inputs = np.empty(0)  # negate_inputs's, sized to the batch
+        self._neg_inputs = np.empty(0)  # sized to the batch by negate_inputs
+
+    def _size_to_batch(self, shape) -> None:
+        """The batch arrays for negated inputs of shape (batch, lanes, n_in,
+        n_hidden), kept from batch to batch: the array negate_inputs
+        writes, and the tuple of its presentation rows, neg_input_rows."""
+        self._neg_inputs = np.empty(shape)
+        self.neg_input_rows = tuple(self._neg_inputs)
 
     @staticmethod
     def draw_weights(n_hidden: int, rngs: list[np.random.Generator], out_bound: float):
@@ -296,7 +305,9 @@ class LaneNetwork:
 
         Rejects an x of another shape. The network keeps the array, and
         the tuple of its presentation rows, neg_input_rows, from batch to
-        batch, so its rows hold until the next call.
+        batch, so its rows hold until the next call. A batch of a new
+        shape, in its presentations or its lanes, sizes them anew, and
+        every batch array of the network with them (_size_to_batch).
         """
         x = np.asarray(x, dtype=float)
         lanes, n_in, n_hidden = self.w_hidden.shape
@@ -306,8 +317,7 @@ class LaneNetwork:
             )
         shape = x.shape + (n_hidden,)
         if self._neg_inputs.shape != shape:
-            self._neg_inputs = np.empty(shape)
-            self.neg_input_rows = tuple(self._neg_inputs)
+            self._size_to_batch(shape)
         return _negative(x[..., None], self._neg_inputs)
 
 
@@ -339,14 +349,15 @@ class ActorNetwork(LaneNetwork):
     y_hidden (batch, lanes, n_hidden) and y_out (batch, lanes), and r_bar,
     p_flip and p_out (batch, lanes). Each presentation's slice [t] is one
     contiguous row that forward reads and fills in place (harness, "Memory
-    layout"). The actor allocates these arrays, the rows forward reads,
-    the rewards (batch, lanes) and critic_rows, each presentation's r_bar
-    and rewards rows, which run_epoch hands the critic, once per lane set
-    and batch size, and propose overwrites them batch by batch; only y_out
-    is new for every batch, so the bits forward returns keep their values
-    for good. forward reads row t of r_bar, into which the critic has
-    written its read. The batch sums, and the acc_* views that show them
-    with the parameters' shapes, are sized with the lanes.
+    layout"). _size_to_batch allocates these arrays, the rows forward
+    reads, the rewards (batch, lanes) and critic_rows, each presentation's
+    r_bar and rewards rows, which run_epoch hands the critic, once per
+    lane set and batch size: negate_inputs calls it from propose when the
+    inputs come in a new shape. propose overwrites them batch by batch;
+    only y_out is new for every batch, so the bits forward returns keep
+    their values for good. forward reads row t of r_bar, into which the
+    critic has written its read. The batch sums, and the acc_* views that
+    show them with the parameters' shapes, are sized with the lanes.
     """
 
     LANE_ARRAYS = LaneNetwork.LANE_ARRAYS + ("powerlaw", "lr_hidden")
@@ -371,11 +382,6 @@ class ActorNetwork(LaneNetwork):
         super()._size_to_lanes()
         lanes, n_in, n_hidden = self.w_hidden.shape
         self._alpha_flip = np.array(self.config.alpha_flip)
-        # every unit's rate: the lane's rate in the hidden layer, and
-        # LR_OUT_RATIO of it for the output unit, in column n_hidden
-        self._lr_units = np.empty((lanes, n_hidden + 1))
-        self._lr_units[:, :n_hidden] = self.lr_hidden[:, None]
-        self._lr_units[:, n_hidden] = self.lr_hidden * LR_OUT_RATIO
         # the linear lanes' entries of the sums' weight block, and the
         # magnitude above which each entry fires: dw_min for a power-law
         # lane, inf (never) for a linear one
@@ -400,18 +406,17 @@ class ActorNetwork(LaneNetwork):
         self.acc_w_out = sums[n_w : n_w + n_o].reshape(lanes, n_hidden)
         self._acc_biases = biases = sums[n_w + n_o :].reshape(lanes, n_hidden + 1)
         self.acc_b_hidden, self.acc_b_out = biases[:, :n_hidden], biases[:, n_hidden]
-        self._batch = 0  # the batch size propose's arrays are sized to
 
-    def _size_to_batch(self, batch: int) -> None:
-        """The batch arrays and scratch of propose, forward and accumulate
-        for a batch of presentations, kept from batch to batch, and the
-        rewards, whose row t run_epoch fills at presentation t."""
-        lanes, n_in, n_hidden = self.w_hidden.shape
-        block = (batch, lanes, n_in, n_hidden)
+    def _size_to_batch(self, shape) -> None:
+        """LaneNetwork's negated inputs, and the batch arrays and scratch
+        of propose, forward and accumulate for a batch of presentations,
+        kept from batch to batch, with the rewards, whose row t run_epoch
+        fills at presentation t."""
+        super()._size_to_batch(shape)
+        batch, lanes, _, n_hidden = shape
         hidden = (batch, lanes, n_hidden)
         units = (batch, lanes, n_hidden + 1)
-        self._batch = batch
-        self._inputs = InputProducts(block)  # propose's; accumulate reuses its products
+        self._inputs = InputProducts(shape)  # propose's; accumulate reuses its products
         self.p_hidden = np.empty(hidden)
         self.proposed_hidden = np.empty(hidden, dtype=bool)
         self.y_hidden = np.empty(hidden, dtype=bool)
@@ -424,8 +429,11 @@ class ActorNetwork(LaneNetwork):
         self._u_proposal_out = np.empty((batch, lanes))
         self._u_flip_out = np.empty((batch, lanes))
         self._p, self._y, self._f = np.empty(units), np.empty(units), np.empty(units)
+        # every unit's rate: the lane's rate in the hidden layer, and
+        # LR_OUT_RATIO of it for the output unit, in column n_hidden
         self._lr_block = np.empty(units)
-        self._lr_block[...] = self._lr_units
+        self._lr_block[..., :n_hidden] = self.lr_hidden[:, None]
+        self._lr_block[..., n_hidden] = self.lr_hidden * LR_OUT_RATIO
         self._delta = np.empty((batch, lanes))
         self._errors = np.empty(units)
         self._w_out_terms = np.empty(hidden)
@@ -473,14 +481,12 @@ class ActorNetwork(LaneNetwork):
         order. A hidden unit proposes 1 when its uniform lies below its
         firing probability. Starts a batch: forward then runs its
         presentations, and accumulate reads all of them. propose writes
-        into the batch arrays it keeps for the lanes and batch size, and
-        sizes them anew when either changes; only y_out it allocates
-        afresh.
+        into the batch arrays the actor keeps for the lanes and batch
+        size, which negate_inputs sizes anew when either changes; only
+        y_out it allocates afresh.
         """
         neg_x = self.negate_inputs(x)
         batch, lanes, _, n_hidden = neg_x.shape
-        if batch != self._batch:
-            self._size_to_batch(batch)
         p_hidden = affine_negated(self.w_hidden, neg_x, self.b_hidden, self._inputs, self.p_hidden)
         sigmoid_of_negated(p_hidden, p_hidden)
         _less(u[..., :n_hidden], p_hidden, self.proposed_hidden)

@@ -43,10 +43,11 @@ Memory layout. Every per-presentation array has one (batch_size, lanes,
 is one contiguous (lanes, ...) row. Every array that lasts for a lane set
 lives in the network that sizes it, and run_epoch keeps nothing: each
 network sizes its batch arrays, scratch and tuples of rows to its lanes
-and the batch once, and keeps them until select drops lanes
-(ActorNetwork._size_to_lanes and _size_to_batch,
-LaneNetwork.negate_inputs). The actor's include the rewards, and the
-r_bar and rewards rows of every presentation; run_epoch zips those with
+(_size_to_lanes) and to the batch (_size_to_batch) once, and keeps them
+until select drops lanes. Only LaneNetwork.negate_inputs checks the
+batch: it calls _size_to_batch when the inputs' shape changes. The
+actor's batch arrays include the rewards, and the r_bar and rewards
+rows of every presentation; run_epoch zips those with
 the critic's negated-input rows and the epoch's targets, and forms the
 filter's constants and gain * R products once per epoch. So the chain of
 a presentation writes into rows and scratch and chains its ufuncs in
@@ -87,15 +88,16 @@ are, in order:
 A lane draws the blocks of several epochs, K, in one rng.random call into
 a (K, batch_size, ...) buffer. A generator fills its output in order, so
 these are the numbers of K calls of one block each. chunk_epochs picks
-K: at most CHUNK_MAX_EPOCHS and the epochs left before max_epochs, and
-small enough that the batch's draws stay within CHUNK_BYTES (13 epochs
-at compare's 20 lanes, 3 at a sweep's 72). draw_epochs copies each
-lane's buffer, right after its fill, into the lane's column of one
-presentation-major (K, batch_size, lanes, ...) array, so each epoch
-reads the contiguous block [k]. When lanes leave, the epochs left of
-that array are compacted to the remaining lanes once, so the numbers a
-lane drew past its last epoch are never used, and the next draw has no
-row for it.
+K: the most epochs whose draws, over the whole batch, stay within
+CHUNK_BYTES, but at least 1 and at most the epochs left before
+max_epochs (13 epochs at compare's 20 lanes, 3 at a sweep's 72, 273 at
+one lane). draw_epochs copies each lane's buffer, right after its fill,
+into the lane's column of one presentation-major (K, batch_size, lanes,
+...) array. Each epoch reads the contiguous block at the front of the
+epochs left, and the batch draws again once they are spent. When lanes
+leave, the epochs left are compacted to the remaining lanes once, so the
+numbers a lane drew past its last epoch are never used, and the next
+draw has no row for it.
 
 All arithmetic on lanes is elementwise or reduces over the trailing axis
 (or over the presentation axis, one row at a time), so a lane's results
@@ -316,18 +318,16 @@ def run_epoch(
     return r.sum(axis=0) / batch_size, filter_state
 
 
-# Bounds of one draw (module docstring, "Random streams"): the batch's
-# draws stay within CHUNK_BYTES and span at most CHUNK_MAX_EPOCHS.
+# The bound of one draw's memory (module docstring, "Random streams"): the
+# batch's draws of one epoch or more stay within CHUNK_BYTES.
 CHUNK_BYTES = 512 * 1024
-CHUNK_MAX_EPOCHS = 16
 
 
 def chunk_epochs(lanes: int, epoch_uniforms: int, epochs_left: int) -> int:
     """Epochs per draw for lanes that each use epoch_uniforms float64
-    uniforms per epoch: at least 1, at most CHUNK_MAX_EPOCHS and
-    epochs_left, and otherwise the most whose draws fit CHUNK_BYTES."""
-    fits = CHUNK_BYTES // (8 * lanes * epoch_uniforms)
-    return max(1, min(CHUNK_MAX_EPOCHS, epochs_left, fits))
+    uniforms per epoch: at least 1, at most epochs_left, and otherwise the
+    most whose draws fit CHUNK_BYTES."""
+    return max(1, min(epochs_left, CHUNK_BYTES // (8 * lanes * epoch_uniforms)))
 
 
 def draw_epochs(rngs: list[np.random.Generator], n_epochs: int, block: tuple[int, int]):
@@ -381,32 +381,26 @@ def _run_batch(
     filtered = np.empty((len(lanes), config.max_epochs))
     n_epochs = np.empty(len(lanes), dtype=int)
     block = (config.actor.batch_size, N_INPUTS + 2 * config.actor.n_hidden + 2)
-    epoch = 0
+    epoch, draws = 0, ()  # draws: the uniforms of the epochs left of the last draw
     while live.size:
-        draws = None  # free the spent draws before the next ones
-        n_chunk = chunk_epochs(live.size, block[0] * block[1], config.max_epochs - epoch)
-        draws = draw_epochs(rngs, n_chunk, block)
-        k = 0
-        while k < len(draws):
-            mean_r, filter_state = run_epoch(
-                actor, critic, schedule, draws[k], filter_state, config
-            )
-            raw[live, epoch] = mean_r
-            filtered[live, epoch] = filter_state
-            epoch += 1
-            k += 1
-            done = (filter_state >= config.goal) | (epoch == config.max_epochs)
-            if done.any():
-                n_epochs[live[done]] = epoch
-                keep = np.flatnonzero(~done)
-                live, filter_state = live[keep], filter_state[keep]
-                if not live.size:
-                    break
-                rngs = [rngs[i] for i in keep]
-                actor.select(keep)
-                critic.select(keep)
-                # the draws of the epochs left, of the lanes that stay
-                draws, k = np.take(draws[k:], keep, axis=2), 0
+        if not len(draws):
+            draws = None  # free the spent draw before the next one
+            n_chunk = chunk_epochs(live.size, block[0] * block[1], config.max_epochs - epoch)
+            draws = draw_epochs(rngs, n_chunk, block)
+        mean_r, filter_state = run_epoch(actor, critic, schedule, draws[0], filter_state, config)
+        draws = draws[1:]
+        raw[live, epoch] = mean_r
+        filtered[live, epoch] = filter_state
+        epoch += 1
+        done = (filter_state >= config.goal) | (epoch == config.max_epochs)
+        if done.any():
+            n_epochs[live[done]] = epoch
+            keep = np.flatnonzero(~done)
+            live, filter_state = live[keep], filter_state[keep]
+            rngs = [rngs[i] for i in keep]
+            actor.select(keep)
+            critic.select(keep)
+            draws = np.take(draws, keep, axis=2)  # the lanes that stay
     # A lane leaves at the first epoch whose filter reaches the goal, or at
     # max_epochs: it reached the goal iff its last filter value did.
     reached = filtered[np.arange(len(lanes)), n_epochs - 1] >= config.goal

@@ -156,3 +156,48 @@ def test_a_bad_seed_range_exits_2_before_any_checkout(monkeypatch, tmp_path, cap
 def test_seed_range_is_inclusive():
     assert bench_pairs.seed_range("91-100") == list(range(91, 101))
     assert bench_pairs.seed_range("7") == [7]
+
+
+def main_summary(monkeypatch, tmp_path, values: dict) -> dict:
+    """bench_pairs.main's summary over seeds 1-10, every run's wall_s from
+    values[side][k] at the k-th seed, with no checkout made."""
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "0000000")
+    monkeypatch.setattr(bench_pairs, "checkout", lambda ref, dest: dest)
+
+    def run_once(tree, workload, seed, seconds, toy):
+        return {"env": {}, "csv_digest": "same",
+                "result": {"correct": True, "failed": 0,
+                           "metrics": {"wall_s": {"value": values[tree.name][seed - 1]}}}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main(["--parent", "A", "--change", "B", "--seeds", "1-10",
+                             "--out", str(out)]) == 0
+    return json.loads(out.read_text())["summary"]
+
+
+@pytest.mark.parametrize(
+    "copy_shift, change_shift, aa_claim, claim",
+    [
+        # the parent's second copy is 10% faster in 10 of 10 pairs: that
+        # claims a gain, so the change's 20% gain is not claimed
+        (-0.1, -0.2, True, False),
+        # the second copy is 10% slower: an offset larger than the change's
+        # 5% gain, which is not claimed; a 15% gain is
+        (0.1, -0.05, False, False),
+        (0.1, -0.15, False, True),
+        # no offset: the change's 5% gain is claimed
+        (0.0, -0.05, False, True),
+    ],
+)
+def test_a_gain_claim_must_beat_the_aa_pair(monkeypatch, tmp_path, copy_shift, change_shift,
+                                             aa_claim, claim):
+    values = {"parent": PARENT,
+              "parent_copy": [v + copy_shift for v in PARENT],
+              "change": [v + change_shift for v in PARENT]}
+    summary = main_summary(monkeypatch, tmp_path, values)
+    for entry in summary.values():
+        # the change alone passes the pairs and the IQR rule every time
+        assert entry["wall_s"]["change_better_pairs"] == 10
+        assert entry["aa"]["wall_s"]["gain_claim"] is aa_claim
+        assert entry["wall_s"]["gain_claim"] is claim

@@ -588,8 +588,7 @@ class TestChunkedDraws:
 
     def test_chunk_epochs_cap_and_limit(self):
         epoch = 10 * (2 + 2 * 10 + 2)  # uniforms per lane and epoch at the defaults
-        cap = harness.CHUNK_MAX_EPOCHS
-        assert harness.chunk_epochs(1, epoch, 10_000) == cap
+        assert harness.chunk_epochs(1, epoch, 10_000) == 273  # 273 * 1920 B <= 512 KiB
         assert harness.chunk_epochs(1, epoch, 5) == 5  # never past max_epochs
         assert harness.chunk_epochs(20, epoch, 10_000) == 13  # 13 * 20 * 1920 B <= 512 KiB
         assert harness.chunk_epochs(72, epoch, 10_000) == 3
@@ -597,20 +596,22 @@ class TestChunkedDraws:
         assert harness.chunk_epochs(10**6, epoch, 10_000) == 1  # one epoch even past the bound
         for lanes in range(1, 300):
             k = harness.chunk_epochs(lanes, epoch, 10_000)
-            assert 1 <= k <= cap
+            assert k >= 1
             assert k == 1 or 8 * lanes * k * epoch <= harness.CHUNK_BYTES
-            assert k == cap or 8 * lanes * (k + 1) * epoch > harness.CHUNK_BYTES
+            assert 8 * lanes * (k + 1) * epoch > harness.CHUNK_BYTES
 
     @pytest.mark.parametrize("draw", ["one_epoch", "default", "byte_capped"])
     def test_lanes_leaving_mid_chunk_equal_lanes_alone(self, monkeypatch, draw):
         config = uneven_config(n_trials=6, max_epochs=31)
         arms = [(UpdateRule.POWER_LAW, 1.1), (UpdateRule.LINEAR, 0.75)]
+        # one epoch per draw; the default; 5 epochs per draw at 12 lanes,
+        # more as lanes leave
+        bound = {"one_epoch": 0, "default": harness.CHUNK_BYTES,
+                 "byte_capped": 5 * 12 * 8 * 10 * 24}[draw]
         # the reference: every lane alone, one generator call per epoch
-        monkeypatch.setattr(harness, "CHUNK_MAX_EPOCHS", 1)
+        monkeypatch.setattr(harness, "CHUNK_BYTES", 0)
         alone = [run_trial(config, rule, lr, i) for rule, lr in arms for i in range(6)]
-        monkeypatch.setattr(harness, "CHUNK_MAX_EPOCHS", 1 if draw == "one_epoch" else 16)
-        if draw == "byte_capped":  # 5 epochs per draw at 12 lanes, more as lanes leave
-            monkeypatch.setattr(harness, "CHUNK_BYTES", 5 * 12 * 8 * 10 * 24)
+        monkeypatch.setattr(harness, "CHUNK_BYTES", bound)
         sizes = []  # epochs of every draw
         original = harness.chunk_epochs
 
@@ -620,12 +621,33 @@ class TestChunkedDraws:
 
         monkeypatch.setattr(harness, "chunk_epochs", recording)
         batch = run_trials(config, arms)
-        assert sizes[0] == {"one_epoch": 1, "default": 16, "byte_capped": 5}[draw]
+        assert sizes[0] == {"one_epoch": 1, "default": 22, "byte_capped": 5}[draw]
         # one lane runs to the cap, and the last draw stops there
         assert max(len(r.raw_curve) for r in batch) == sum(sizes) == 31
         if draw != "one_epoch":
             assert any(len(r.raw_curve) % sizes[0] for r in batch)  # lanes leave mid-draw
             assert 31 % sizes[0]
+        for result, reference in zip(batch, alone):
+            assert fingerprint(result) == fingerprint(reference)
+
+    def test_lanes_all_leaving_mid_draw_end_the_run_after_one_draw(self, monkeypatch):
+        # from filter_init 0.5, ten presentations leave the filter at least
+        # 0.5 * 0.95**10 > 0.25, so every lane stops after epoch 1, early
+        # in the first draw (27 epochs at 10 lanes)
+        config = uneven_config(n_trials=5, goal=0.25)
+        arms = [(UpdateRule.POWER_LAW, 1.1), (UpdateRule.LINEAR, 0.75)]
+        alone = [run_trial(config, rule, lr, i) for rule, lr in arms for i in range(5)]
+        sizes = []  # epochs of every draw
+        draw_epochs = harness.draw_epochs
+
+        def recording(rngs, n_epochs, block):
+            sizes.append(n_epochs)
+            return draw_epochs(rngs, n_epochs, block)
+
+        monkeypatch.setattr(harness, "draw_epochs", recording)
+        batch = run_trials(config, arms)
+        assert len(sizes) == 1 and sizes[0] > 1
+        assert [r.epochs_to_goal for r in batch] == [1] * 10
         for result, reference in zip(batch, alone):
             assert fingerprint(result) == fingerprint(reference)
 

@@ -1,6 +1,6 @@
 """The lane core that the actor and the critic share (LaneNetwork): the
-constructor's shape check, select and negate_inputs, each checked on both
-networks."""
+constructor's shape check, select, negate_inputs and the batch sizing it
+triggers, each checked on both networks."""
 
 import numpy as np
 import pytest
@@ -26,7 +26,8 @@ def make(kind, seeds=(0, 1, 2)):
 def run_batch(net, x, u):
     """One batch of presentations of inputs x (batch, lanes, n_in) with
     uniforms u (batch, lanes, 2 * n_hidden + 2), rewarded where u[..., 0] <
-    0.5; the actor reads r_bar 0.5 and applies its batch update."""
+    0.5; the actor reads r_bar 0.5 and applies its batch update. Returns
+    the outputs (batch, lanes): the actor's bits or the critic's reads."""
     r = u[..., 0] < 0.5
     if isinstance(net, ActorNetwork):
         net.propose(x, u)
@@ -35,11 +36,12 @@ def run_batch(net, x, u):
             net.forward(t)
         net.accumulate(r)
         net.apply_batch_update()
-    else:
-        prediction = np.empty(x.shape[1])
-        for neg_x, r_t in zip(net.negate_inputs(x), r):
-            net.forward(neg_x, prediction)
-            net.update(r_t)
+        return net.y_out
+    reads = np.empty(r.shape)
+    for neg_x, r_t, read in zip(net.negate_inputs(x), r, reads):
+        net.forward(neg_x, read)
+        net.update(r_t)
+    return reads
 
 
 def misshaped(value):
@@ -106,3 +108,37 @@ def test_negate_inputs_checks_the_batch_shape(kind):
         if kind == "actor":  # propose checks its inputs through negate_inputs
             with pytest.raises(ValueError, match="input shape"):
                 net.propose(bad, np.zeros((4, 3, 2 * n_hidden + 2)))
+
+
+def same_parameters(net):
+    """A fresh network of net's kind, built from net's parameters alone."""
+    args = {name: getattr(net, name).copy() for name in LaneNetwork.LANE_ARRAYS}
+    if isinstance(net, ActorNetwork):
+        args["update_rules"] = [RULES[0] if p else RULES[2] for p in net.powerlaw]
+        args["lr_hidden"] = net.lr_hidden.copy()
+    return type(net)(net.config, **args)
+
+
+@pytest.mark.parametrize("kind", ["actor", "critic"])
+def test_batches_of_a_new_size_give_the_bits_of_a_fresh_network(kind):
+    # one network runs batches of 3, 5 and 3 presentations: each batch
+    # sizes the batch arrays anew and gives the bits of a fresh network
+    # with the same parameters
+    net = make(kind)
+    n_hidden = net.config.n_hidden
+    draws = np.random.default_rng(7)
+    for batch in (3, 5, 3):
+        x = (draws.random((batch, 3, 2)) < 0.5).astype(float)
+        u = draws.random((batch, 3, 2 * ActorConfig().n_hidden + 2))
+        fresh = same_parameters(net)
+        assert run_batch(net, x, u).tobytes() == run_batch(fresh, x, u).tobytes()
+        for name in net.LANE_ARRAYS:
+            assert getattr(net, name).tobytes() == getattr(fresh, name).tobytes(), name
+        assert len(net.neg_input_rows) == batch
+        assert net.neg_input_rows[0].shape == (3, 2, n_hidden)
+        if kind == "actor":
+            for name in ("p_hidden", "proposed_hidden", "y_hidden"):
+                assert getattr(net, name).shape == (batch, 3, n_hidden), name
+            for name in ("r_bar", "p_flip", "p_out", "rewards", "y_out"):
+                assert getattr(net, name).shape == (batch, 3), name
+            assert len(net.critic_rows) == batch

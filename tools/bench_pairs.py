@@ -19,7 +19,8 @@ The output JSON holds ``parent``, ``change``, ``command``, ``method``,
 median and quartiles, the relative change of the medians, the range of
 the per-seed relative changes and the number of pairs in which the change
 was better, whether the change's median is within the metric's bound, and
-whether the runs support a claimed gain; the same for the A/A pairs, the
+whether the runs support a claimed gain, which for the change must also
+beat the A/A pair; the same for the A/A pairs, the
 second parent copy against the first; whether every run was correct and
 whether the CSV digests matched) and ``runs`` (every run's side, seed,
 position in the seed's run order, whether it ran first in its pair, env
@@ -124,6 +125,29 @@ def compare_sides(runs: list[dict], first: str, second: str) -> dict:
     return summary
 
 
+def workload_summary(runs: list[dict]) -> dict:
+    """compare_sides of one workload's runs, parent against change, with
+    the A/A summary, the parent's second copy against the first, under
+    "aa". The change's gain_claim on a metric also needs the A/A pair to
+    claim no gain on it, and the change's relative gain to exceed the A/A
+    relative change in size: a claim must beat what a second checkout of
+    the parent alone shows."""
+    summary = compare_sides(runs, "parent", "change")
+    summary["aa"] = aa = compare_sides(runs, "parent", "parent_copy")
+    for spec in METRICS:
+        entry, offset = summary.get(spec["name"]), aa.get(spec["name"])
+        if entry is None:
+            continue
+        gain = -entry["rel_change"] if spec["better"] == "lower" else entry["rel_change"]
+        entry["gain_claim"] = bool(
+            entry["gain_claim"]
+            and offset is not None
+            and not offset["gain_claim"]
+            and gain > abs(offset["rel_change"])
+        )
+    return summary
+
+
 def seed_range(text: str) -> list[int]:
     """The seeds of "first-last" (or of one "seed"), first <= last."""
     first, _, last = text.partition("-")
@@ -177,7 +201,7 @@ def main(argv=None) -> int:
     summary = {}
     for workload in WORKLOADS:
         mine = [r for r in runs if r["workload"] == workload]
-        entry = compare_sides(mine, "parent", "change")
+        entry = workload_summary(mine)
         entry["correct_all"] = all(r["result"]["correct"] for r in mine)
         entry["failed_total"] = {
             side: sum(r["result"]["failed"] for r in mine if r["side"] == side)
@@ -186,7 +210,6 @@ def main(argv=None) -> int:
         entry["csv_digests_equal"] = all(
             len({r["csv_digest"] for r in mine if r["seed"] == seed}) == 1 for seed in seeds
         )
-        entry["aa"] = compare_sides(mine, "parent", "parent_copy")
         summary[workload] = entry
 
     env = next((r["env"] for r in runs if r["env"]), {})
