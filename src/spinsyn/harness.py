@@ -40,17 +40,17 @@ reward is a plain sum, exact because each reward is 0 or 1.
 
 Memory layout. Every per-presentation array has one (batch_size, lanes,
 ...) layout, in the API and in memory, so each presentation's slice [t]
-is one contiguous (lanes, ...) row. Every array that lasts for a lane set
-lives in the network that sizes it, and run_epoch keeps nothing: each
-network sizes its batch arrays, scratch and tuples of rows to its lanes
-(_size_to_lanes) and to the batch (_size_to_batch) once, and keeps them
-until select drops lanes. Only LaneNetwork.negate_inputs checks the
+is one contiguous (lanes, ...) row. Every array that lasts for a lane
+set lives in the network that sizes it, and run_epoch keeps nothing:
+each network sizes its batch arrays, scratch and tuples of rows to its
+lanes (_size_to_lanes) and to the batch (_size_to_batch) once, and keeps
+them until select drops lanes. Only LaneNetwork.negate_inputs checks the
 batch: it calls _size_to_batch when the inputs' shape changes. The
-actor's batch arrays include the rewards, and the r_bar and rewards
-rows of every presentation; run_epoch zips those with
-the critic's negated-input rows and the epoch's targets, and forms the
-filter's constants and gain * R products once per epoch. So the chain of
-a presentation writes into rows and scratch and chains its ufuncs in
+actor's batch arrays include the rewards, and the r_bar and rewards rows
+of every presentation; run_epoch zips those with the critic's
+negated-input rows and the epoch's targets, and forms the filter's
+constants and gain * R products once per epoch. So the chain of a
+presentation writes into rows and scratch and chains its ufuncs in
 place, each called through a name bound once with its output passed
 positionally, and copies by slice assignment (spinsyn.actor). The critic
 writes its read into the actor's row r_bar[t], the row that

@@ -114,7 +114,9 @@ def same_parameters(net):
     """A fresh network of net's kind, built from net's parameters alone."""
     args = {name: getattr(net, name).copy() for name in LaneNetwork.LANE_ARRAYS}
     if isinstance(net, ActorNetwork):
-        args["update_rules"] = [RULES[0] if p else RULES[2] for p in net.powerlaw]
+        args["update_rules"] = [
+            UpdateRule.POWER_LAW if p else UpdateRule.LINEAR for p in net.powerlaw
+        ]
         args["lr_hidden"] = net.lr_hidden.copy()
     return type(net)(net.config, **args)
 

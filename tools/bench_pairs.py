@@ -17,15 +17,15 @@ runs unedited; the script changes no workload and no bound.
 The output JSON holds ``parent``, ``change``, ``command``, ``method``,
 ``host``, ``summary`` (per workload and end-to-end metric: each side's
 median and quartiles, the relative change of the medians, the range of
-the per-seed relative changes and the number of pairs in which the change
-was better, whether the change's median is within the metric's bound, and
-whether the runs support a claimed gain, which for the change must also
-beat the A/A pair; the same for the A/A pairs, the
-second parent copy against the first; whether every run was correct and
-whether the CSV digests matched) and ``runs`` (every run's side, seed,
-position in the seed's run order, whether it ran first in its pair, env
-line, result JSON and CSV digest). ``first_in_pair`` of the parent and
-the change refers to the parent/change pair, that of the parent's second
+the per-seed relative changes and the number of pairs in which the
+change was better, whether the change's median is within the metric's
+bound, and whether the runs support a claimed gain, which for the change
+must also beat the A/A pair; the same for the A/A pairs, the second
+parent copy against the first; whether every run was correct and whether
+the CSV digests matched) and ``runs`` (every run's side, seed, position
+in the seed's run order, whether it ran first in its pair, env line,
+result JSON and CSV digest). ``first_in_pair`` of the parent and the
+change refers to the parent/change pair, that of the parent's second
 copy to the A/A pair; the parent runs first in both or in neither.
 """
 
