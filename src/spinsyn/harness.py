@@ -432,10 +432,10 @@ def run_trials(
 ) -> list[TrialResult]:
     """n_trials trials of every (rule, lr) arm, all as lanes of one batch.
 
-    Results come arm by arm, each arm's by trial index. parallelism > 1
-    deals the lanes out to min(parallelism, lanes) processes of one Pool,
-    lane k to worker k mod that count, and runs each worker's lanes as one
-    batch; results are identical for any worker count.
+    Results come arm by arm, each arm's by trial index. parallelism must
+    be >= 1; parallelism > 1 deals the lanes out to min(parallelism, lanes)
+    processes of one Pool, lane k to worker k mod that count, and runs each
+    worker's lanes as one batch; results are identical for any worker count.
     """
     lanes = [(rule, lr, i) for rule, lr in arms for i in range(config.n_trials)]
     return _run_lanes(config, lanes, parallelism)
@@ -444,11 +444,14 @@ def run_trials(
 def _run_lanes(
     config: ExperimentConfig, lanes: list[tuple[UpdateRule, float, int]], parallelism: int = 1
 ) -> list[TrialResult]:
-    """Reject a rate that is not finite and > 0, then train the lanes on
-    up to parallelism workers; results in lane order."""
+    """Reject a rate that is not finite and > 0 and a parallelism below 1,
+    then train the lanes on up to parallelism workers; results in lane
+    order."""
     for _, lr, _ in lanes:
         if not 0.0 < lr < math.inf:
             raise ValueError(f"learning rates must be finite and > 0, got {lr}")
+    if parallelism < 1:
+        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
     workers = min(parallelism, len(lanes))
     if workers <= 1:
         return _run_batch(config, lanes)

@@ -2,7 +2,7 @@
 metric's direction and its bound in BENCHMARK.json, gain_claim needs
 enough pairs, enough wins and a gap wider than the parent's spread, and
 every seed runs a parent/change pair and an A/A pair of every declared
-workload."""
+workload, in an order that rotates every side through every position."""
 
 import importlib.util
 import json
@@ -107,8 +107,8 @@ def test_pair_rel_change_range_spans_the_seeds():
 
 def test_every_seed_runs_a_pair_and_an_aa_pair(tmp_path, monkeypatch):
     # every workload and the run length come from BENCHMARK.json, and each
-    # seed runs the parent, the change and the parent's second copy, the
-    # copy last or first by turns
+    # seed runs the parent, the change and the parent's second copy, in the
+    # order of its row of ORDERS
     monkeypatch.setattr(bench_pairs, "git", lambda *args: "0000000")
     monkeypatch.setattr(bench_pairs, "checkout", lambda ref, dest: dest)
     calls = []
@@ -124,10 +124,9 @@ def test_every_seed_runs_a_pair_and_an_aa_pair(tmp_path, monkeypatch):
                              "--out", str(out)]) == 0
     benchmark = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text())
     workloads = [workload["name"] for workload in benchmark["workloads"]]
-    orders = [["parent", "change", "parent_copy"], ["parent_copy", "change", "parent"]] * 2
     assert calls == [(workload, seed, side, benchmark["run_seconds"])
                      for workload in workloads
-                     for seed, order in zip(range(1, 5), orders)
+                     for seed, order in zip(range(1, 5), bench_pairs.ORDERS)
                      for side in order]
     summary = json.loads(out.read_text())["summary"]
     assert list(summary) == workloads
@@ -137,6 +136,40 @@ def test_every_seed_runs_a_pair_and_an_aa_pair(tmp_path, monkeypatch):
         for entry in (summary[w]["wall_s"], summary[w]["aa"]["wall_s"]):
             assert entry["pair_rel_change_range"] == [0.0, 0.0]
             assert entry["gain_claim"] is False
+
+
+def schedule(monkeypatch, tmp_path, seeds: str) -> dict:
+    """bench_pairs.main's runs of the first workload over seeds, with no
+    checkout made: {seed: {side: position}}."""
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "0000000")
+    monkeypatch.setattr(bench_pairs, "checkout", lambda ref, dest: dest)
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: {
+        "env": {}, "csv_digest": "same",
+        "result": {"correct": True, "failed": 0, "metrics": {"wall_s": {"value": 1.0}}}})
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main(["--parent", "A", "--change", "B", "--seeds", seeds,
+                             "--out", str(out)]) == 0
+    positions = {}
+    for run in json.loads(out.read_text())["runs"]:
+        if run["workload"] == bench_pairs.WORKLOADS[0]:
+            positions.setdefault(run["seed"], {})[run["side"]] = run["position"]
+    return positions
+
+
+def test_every_side_runs_at_every_position_and_the_pair_takes_turns(monkeypatch, tmp_path):
+    # over six seeds each side runs twice at each of the three positions,
+    # so a position effect lands on every side alike
+    positions = schedule(monkeypatch, tmp_path, "1-6")
+    assert list(positions) == list(range(1, 7))
+    for side in ("parent", "change", "parent_copy"):
+        assert sorted(p[side] for p in positions.values()) == [0, 0, 1, 1, 2, 2]
+    # the parent and the change take turns running first in their pair
+    firsts = ["parent" if p["parent"] < p["change"] else "change" for p in positions.values()]
+    assert firsts == ["parent", "change"] * 3
+    # over ten seeds the change runs at each position 3 or 4 times
+    positions = schedule(monkeypatch, tmp_path, "1-10")
+    counts = [sum(p["change"] == k for p in positions.values()) for k in range(3)]
+    assert sorted(counts) == [3, 3, 4]
 
 
 @pytest.mark.parametrize("seeds", ["5-3", "3-x", "", "-3"])

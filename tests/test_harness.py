@@ -450,7 +450,8 @@ BAD_RATES = [math.nan, math.inf, -math.inf, 0.0, -1.0]
 
 
 class TestRateValidation:
-    """A rate that is not finite and > 0 fails before any lane or Pool starts."""
+    """A rate that is not finite and > 0, or a parallelism below 1, fails
+    before any lane or Pool starts."""
 
     @pytest.fixture(autouse=True)
     def nothing_starts(self, monkeypatch):
@@ -470,6 +471,13 @@ class TestRateValidation:
     def test_run_trial_rejects_bad_rate(self, lr):
         with pytest.raises(ValueError, match="finite and > 0"):
             run_trial(small_config(max_epochs=5), UpdateRule.LINEAR, lr, 0)
+
+    @pytest.mark.parametrize("parallelism", [0, -1])
+    def test_run_trials_rejects_parallelism_below_one(self, parallelism):
+        # the CLI rejects --parallelism 0; the library must not run it serially
+        arms = [(UpdateRule.LINEAR, 0.75)]
+        with pytest.raises(ValueError, match="parallelism must be >= 1"):
+            run_trials(small_config(n_trials=2, max_epochs=5), arms, parallelism=parallelism)
 
 
 def fingerprint(result):

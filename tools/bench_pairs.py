@@ -1,4 +1,4 @@
-"""Paired benchmark of two commits: alternating runs of perfbench/run.py from fresh copies.
+"""Paired benchmark of two commits: runs of perfbench/run.py from fresh copies, in rotating order.
 
 Run from the repository root:
 
@@ -6,13 +6,17 @@ Run from the repository root:
 
 For each workload declared in BENCHMARK.json, the script runs
 ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` once per
-side and seed, T defaulting to BENCHMARK.json's ``run_seconds``: one pair
-per seed, with the side that runs first alternating from pair to pair.
-Each side runs from its own fresh ``git archive`` copy, and a second copy
-of the parent gives an A/A pair at every seed, so the offset that a
-checkout alone puts on a metric (setup_s moves by about 10%) is reported
-from the same seeds as each parent/change comparison. perfbench/run.py
-runs unedited; the script changes no workload and no bound.
+side and seed, T defaulting to BENCHMARK.json's ``run_seconds``. Each
+side runs from its own fresh ``git archive`` copy, and a second copy of
+the parent gives an A/A pair at every seed, so the offset that a checkout
+alone puts on a metric (setup_s moves by about 10%) is reported from the
+same seeds as each parent/change comparison. The k-th seed runs its three
+sides in the order ORDERS[k % 6]: the three rotations of (parent, change,
+parent copy), then the three of (change, parent, parent copy). Over six
+seeds each side runs twice at each position, and the parent and the
+change take turns running first, so an effect of run position lands on
+every side alike. perfbench/run.py runs unedited; the script changes no
+workload and no bound.
 
 The output JSON holds ``parent``, ``change``, ``command``, ``method``,
 ``host``, ``summary`` (per workload and end-to-end metric: each side's
@@ -23,10 +27,7 @@ bound, and whether the runs support a claimed gain, which for the change
 must also beat the A/A pair; the same for the A/A pairs, the second
 parent copy against the first; whether every run was correct and whether
 the CSV digests matched) and ``runs`` (every run's side, seed, position
-in the seed's run order, whether it ran first in its pair, env line,
-result JSON and CSV digest). ``first_in_pair`` of the parent and the
-change refers to the parent/change pair, that of the parent's second
-copy to the A/A pair; the parent runs first in both or in neither.
+in the seed's run order, env line, result JSON and CSV digest).
 """
 
 from __future__ import annotations
@@ -46,6 +47,12 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [workload["name"] for workload in BENCHMARK["workloads"]]
 METRICS = BENCHMARK["end_to_end"]
+# the k-th seed runs its sides in ORDERS[k % 6], the rotations of two
+# orders, so that over six seeds every side runs twice at each position and
+# the parent and the change take turns running first
+ORDERS = [order[i:] + order[:i] for order in (("parent", "change", "parent_copy"),
+                                              ("change", "parent", "parent_copy"))
+          for i in range(3)]
 
 
 def git(*args: str) -> str:
@@ -82,7 +89,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, toy: bool) ->
     }
 
 
-def compare_sides(runs: list[dict], first: str, second: str) -> dict:
+def compare_sides(runs: list[dict], first: str, second: str, aa: dict | None = None) -> dict:
     """Per metric: both sides' median and quartiles, the relative change of
     the medians from first to second, the [min, max] of the pairs' own
     relative changes, the pairs in which second was better, within_bound:
@@ -90,8 +97,12 @@ def compare_sides(runs: list[dict], first: str, second: str) -> dict:
     metric's bound in BENCHMARK.json, and gain_claim: true only when there
     are at least ten pairs, second is better in at least nine tenths of
     them (ties counting for neither), and its median is better than
-    first's by more than first's interquartile range. Runs pair up by seed;
-    runs of any other side are ignored."""
+    first's by more than first's interquartile range. Given aa, the A/A
+    summary of the same runs, gain_claim also needs the A/A pair to claim
+    no gain on the metric and second's relative gain to exceed the A/A
+    relative change in size: a claim must beat what a second checkout of
+    first alone shows. Runs pair up by seed; runs of any other side are
+    ignored."""
     by_seed = {}
     for run in runs:
         by_seed.setdefault(run["seed"], {})[run["side"]] = run["result"]["metrics"]
@@ -120,32 +131,19 @@ def compare_sides(runs: list[dict], first: str, second: str) -> dict:
             len(values) >= 10
             and 10 * better >= 9 * len(values)
             and (gain if lower else -gain) > entry[f"{first}_q3"] - entry[f"{first}_q1"]
+            and (aa is None or (metric in aa and not aa[metric]["gain_claim"]
+                                and -worse_by > abs(aa[metric]["rel_change"])))
         )
         summary[metric] = entry
     return summary
 
 
 def workload_summary(runs: list[dict]) -> dict:
-    """compare_sides of one workload's runs, parent against change, with
-    the A/A summary, the parent's second copy against the first, under
-    "aa". The change's gain_claim on a metric also needs the A/A pair to
-    claim no gain on it, and the change's relative gain to exceed the A/A
-    relative change in size: a claim must beat what a second checkout of
-    the parent alone shows."""
-    summary = compare_sides(runs, "parent", "change")
-    summary["aa"] = aa = compare_sides(runs, "parent", "parent_copy")
-    for spec in METRICS:
-        entry, offset = summary.get(spec["name"]), aa.get(spec["name"])
-        if entry is None:
-            continue
-        gain = -entry["rel_change"] if spec["better"] == "lower" else entry["rel_change"]
-        entry["gain_claim"] = bool(
-            entry["gain_claim"]
-            and offset is not None
-            and not offset["gain_claim"]
-            and gain > abs(offset["rel_change"])
-        )
-    return summary
+    """compare_sides of one workload's runs, parent against change, held to
+    the A/A summary, the parent's second copy against the first, which it
+    carries under "aa"."""
+    aa = compare_sides(runs, "parent", "parent_copy")
+    return {**compare_sides(runs, "parent", "change", aa), "aa": aa}
 
 
 def seed_range(text: str) -> list[int]:
@@ -183,17 +181,10 @@ def main(argv=None) -> int:
         }
         for workload in WORKLOADS:
             for k, seed in enumerate(seeds):
-                pair = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
-                # the copy runs last or first, by turns
-                order = pair + ["parent_copy"] if k % 2 == 0 else ["parent_copy"] + pair
-                for position, side in enumerate(order):
+                for position, side in enumerate(ORDERS[k % len(ORDERS)]):
                     run = run_once(trees[side], workload, seed, args.seconds, args.toy)
-                    # the parent runs first in the A/A pair exactly when it
-                    # runs first in the parent/change pair
-                    first = side == pair[0] or (side == "parent_copy" and position == 0)
                     runs.append({"workload": workload, "side": side, "seed": seed,
-                                 "seconds": args.seconds, "position": position,
-                                 "first_in_pair": first, **run})
+                                 "seconds": args.seconds, "position": position, **run})
                     print(f"{workload} seed {seed} {side}: "
                           f"{run['result'].get('metrics', {}).get('wall_s', {}).get('value')}",
                           file=sys.stderr)
@@ -220,11 +211,12 @@ def main(argv=None) -> int:
                    f"--trace 0" + (" --toy" if args.toy else ""),
         "method": (
             f"tools/bench_pairs.py: fresh git-archive copies of the parent, the change and a "
-            f"second copy of the parent; one pair per seed {seeds[0]}-{seeds[-1]}, one run "
-            f"at a time, alternating which side runs first; the parent's second copy runs "
-            f"last or first, "
-            f"by turns, with each pair (summary.<workload>.aa, second copy against first); "
-            f"quartiles by numpy.percentile (linear)"
+            f"second copy of the parent; one run of each per seed {seeds[0]}-{seeds[-1]}, one "
+            f"run at a time, the k-th seed in the order ORDERS[k % 6]: the three rotations of "
+            f"(parent, change, parent_copy), then those of (change, parent, parent_copy), so "
+            f"each side runs at each position equally often over six seeds; the A/A pair "
+            f"(summary.<workload>.aa) is the second copy against the first; quartiles by "
+            f"numpy.percentile (linear)"
         ),
         "host": (
             f"{os.cpu_count()}-CPU {platform.machine()} host, Python {env.get('python')}, "
