@@ -112,7 +112,7 @@ class ActorConfig:
 # Python float operand anew on every call. On numpy 2.4.6 at 12 lanes,
 # np.add(r, 1.0, out=o) took 0.89 us and np.add(r, np.array(1.0), out=o)
 # 0.54 us (best of 15 runs of 10^5 calls). The bits are the same.
-_ONE, _MINUS_ONE = np.array(1.0), np.array(-1.0)
+_ONE = np.array(1.0)
 _EXP_LIMIT = np.array(709.0)
 
 # The numpy functions of the per-presentation and per-epoch chains, bound
@@ -133,22 +133,21 @@ _sign, _subtract, _where = np.sign, np.subtract, np.where
 _sum_along = np.add.reduce
 
 
-def sigmoid_of_negated(neg_z, out, negated=False):
+def sigmoid_of_negated(neg_z, out):
     """Logistic function 1/(1 + e^-z) of z = -neg_z, elementwise, into out
-    (which may be neg_z); with negated, its negation -1/(1 + e^-z).
+    (which may be neg_z).
 
     The steps min, exp, +1, divide run in place on out, so taking the
     negated pre-activation saves the negation step. The overflow guard
     min(-z, 709) is -max(z, -709) exactly: e^-z stays finite, so the result
     stays > 0. No guard on the other side is needed: for z >= 709,
     1 + e^-z rounds to 1 whether or not z is clipped, so a clip there
-    changes no bit. Division is symmetric in sign, so the negated result
-    has the same bits with the sign flipped.
+    changes no bit.
     """
     np.minimum(neg_z, _EXP_LIMIT, out=out)
     _exp(out, out)
     _add(out, _ONE, out)
-    return _divide(_MINUS_ONE if negated else _ONE, out, out)
+    return _divide(_ONE, out, out)
 
 
 def sum_rows(terms, out):
@@ -181,11 +180,11 @@ class InputProducts:
         self.rows = tuple(self.input_major)
 
 
-def affine_negated(w, neg_x, b, scratch, out=None):
+def affine_negated(w, neg_x, b, scratch, out):
     """-(x @ w + b) for input-major w (..., n_in, units), negated inputs
     broadcast along the units, neg_x = -x[..., None] of shape (..., n_in,
-    units), and b (..., units), into out if given; scratch is an
-    InputProducts of that shape.
+    units), and b (..., units), into out; scratch is an InputProducts of
+    that shape.
 
     Leading axes broadcast: a lane's weights (lanes, n_in, units) meet one
     input block per lane (lanes, n_in, units), or every input block of a
@@ -202,7 +201,7 @@ def affine_negated(w, neg_x, b, scratch, out=None):
     scratch.input_major[...] = scratch.by_input
     z, *rest = scratch.rows
     for row in rest:
-        z = out = _add(z, row, out)
+        z = _add(z, row, out)
     return _subtract(z, b, out)
 
 
@@ -221,8 +220,9 @@ def threshold_power_update(acc, dw_min: float, exponent: float):
 
 class LaneNetwork:
     """A batch of independent one-hidden-layer networks: the lane arrays,
-    their draw, lane selection, input negation and batch sizing that the
-    actor and the critic share.
+    their draw (initialize), lane selection, input negation, batch sizing,
+    the hidden pass and the output pass that the actor and the critic
+    share.
 
     Every array has a leading lane axis: w_hidden (lanes, n_in, n_hidden),
     input-major and C-contiguous, b_hidden (lanes, n_hidden), w_out
@@ -233,12 +233,22 @@ class LaneNetwork:
     trailing axis (or over the presentation axis, one row at a time), so
     a lane computes the same bits whatever batch it runs in.
 
+    Both passes work on negated pre-activations. The hidden pass forms
+    -(x @ w_hidden + b_hidden) from the negated inputs, and the output
+    pass sum(-w_out * y_hidden) - b_out from the -w_out that
+    negate_inputs forms at every batch; each then takes the sigmoid.
+    Rounding is symmetric in sign, so every bit is that of the plain
+    chain. A subclass gives only its initial output layer
+    (_initial_output): the bound of its uniform output weights and its
+    output bias.
+
     LANE_ARRAYS and config are all a network keeps from batch to batch:
     every other array, constant or row tuple is derived from them when
-    the lanes are set (_size_to_lanes), or when negate_inputs meets a
-    batch of a new shape (_size_to_batch, which a subclass extends with
-    its own batch arrays). So a copy or a pickle keeps those alone and
-    derives the rest anew.
+    the lanes are set (_size_to_lanes), when negate_inputs meets a batch
+    of a new shape (_size_to_batch, which a subclass extends with its own
+    batch arrays), or at every batch (-w_out). So a copy or a pickle
+    keeps those alone and derives the rest anew, and a write to w_out
+    between batches reaches the next batch.
     """
 
     LANE_ARRAYS = ("w_hidden", "b_hidden", "w_out", "b_out")
@@ -260,6 +270,28 @@ class LaneNetwork:
                 raise ValueError(f"{name} shape {getattr(self, name).shape} != {shape}")
         self._size_to_lanes()
 
+    @classmethod
+    def initialize(cls, config, rngs: list[np.random.Generator], *args, **kwargs):
+        """One fresh lane per generator, on the N_INPUTS inputs; args and
+        kwargs are the subclass's own constructor arguments, after b_out.
+
+        Each lane draws its hidden weights uniform in [-1/sqrt(N_INPUTS),
+        1/sqrt(N_INPUTS)] as an (n_hidden, N_INPUTS) block, stored
+        transposed, then its output weights uniform in [-bound, bound].
+        Hidden biases are 0; bound and the output bias are the subclass's
+        _initial_output.
+        """
+        bound = 1.0 / np.sqrt(N_INPUTS)
+        out_bound, b_out = cls._initial_output(config)
+        lanes, n_hidden = len(rngs), config.n_hidden
+        w_hidden = np.empty((lanes, N_INPUTS, n_hidden))
+        w_out = np.empty((lanes, n_hidden))
+        for lane, rng in enumerate(rngs):
+            w_hidden[lane] = rng.uniform(-bound, bound, size=(n_hidden, N_INPUTS)).T
+            w_out[lane] = rng.uniform(-out_bound, out_bound, size=n_hidden)
+        b_hidden = np.zeros((lanes, n_hidden))
+        return cls(config, w_hidden, b_hidden, w_out, np.full(lanes, b_out), *args, **kwargs)
+
     def __getstate__(self) -> dict:
         return {name: getattr(self, name) for name in ("config",) + self.LANE_ARRAYS}
 
@@ -270,6 +302,7 @@ class LaneNetwork:
     def _size_to_lanes(self) -> None:
         """Per-lane constants and scratch for the current lanes."""
         self._neg_inputs = np.empty(0)  # sized to the batch by negate_inputs
+        self._neg_w_out = np.empty(self.w_out.shape)  # -w_out, formed by negate_inputs
 
     def _size_to_batch(self, shape) -> None:
         """The batch arrays for negated inputs of shape (batch, lanes, n_in,
@@ -277,21 +310,6 @@ class LaneNetwork:
         writes, and the tuple of its presentation rows, neg_input_rows."""
         self._neg_inputs = np.empty(shape)
         self.neg_input_rows = tuple(self._neg_inputs)
-
-    @staticmethod
-    def draw_weights(n_hidden: int, rngs: list[np.random.Generator], out_bound: float):
-        """One lane's weights per generator on the N_INPUTS inputs, as
-        (w_hidden, w_out): each lane draws its hidden weights uniform in
-        [-1/sqrt(N_INPUTS), 1/sqrt(N_INPUTS)] as an (n_hidden, N_INPUTS)
-        block, stored transposed, then its output weights uniform in
-        [-out_bound, out_bound]."""
-        bound = 1.0 / np.sqrt(N_INPUTS)
-        w_hidden = np.empty((len(rngs), N_INPUTS, n_hidden))
-        w_out = np.empty((len(rngs), n_hidden))
-        for lane, rng in enumerate(rngs):
-            w_hidden[lane] = rng.uniform(-bound, bound, size=(n_hidden, N_INPUTS)).T
-            w_out[lane] = rng.uniform(-out_bound, out_bound, size=n_hidden)
-        return w_hidden, w_out
 
     def select(self, lanes: np.ndarray) -> None:
         """Keep only the given lanes, in the given order."""
@@ -301,13 +319,16 @@ class LaneNetwork:
 
     def negate_inputs(self, x) -> np.ndarray:
         """-x for a batch of inputs x (batch, lanes, n_in), broadcast along
-        the hidden units to (batch, lanes, n_in, n_hidden) and C-contiguous.
+        the hidden units to (batch, lanes, n_in, n_hidden) and C-contiguous;
+        and -w_out, which the output pass reads, for the batch.
 
         Rejects an x of another shape. The network keeps the array, and
         the tuple of its presentation rows, neg_input_rows, from batch to
         batch, so its rows hold until the next call. A batch of a new
         shape, in its presentations or its lanes, sizes them anew, and
         every batch array of the network with them (_size_to_batch).
+        -w_out is formed anew at every call, so it follows any write to
+        w_out before the batch.
         """
         x = np.asarray(x, dtype=float)
         lanes, n_in, n_hidden = self.w_hidden.shape
@@ -318,27 +339,48 @@ class LaneNetwork:
         shape = x.shape + (n_hidden,)
         if self._neg_inputs.shape != shape:
             self._size_to_batch(shape)
+        _negative(self.w_out, self._neg_w_out)
         return _negative(x[..., None], self._neg_inputs)
+
+    def _hidden_pass(self, neg_x, scratch, out) -> np.ndarray:
+        """The hidden units' firing probabilities sigmoid(x @ w_hidden +
+        b_hidden) for negated inputs neg_x (..., lanes, n_in, n_hidden),
+        into out (..., lanes, n_hidden); scratch is an InputProducts of
+        neg_x's shape."""
+        affine_negated(self.w_hidden, neg_x, self.b_hidden, scratch, out)
+        return sigmoid_of_negated(out, out)
+
+    def _output_pass(self, y, products, out) -> np.ndarray:
+        """The output unit's firing probability sigmoid(w_out . y + b_out)
+        for hidden values y (lanes, n_hidden), into out (lanes,); products
+        is scratch of y's shape, and may be y."""
+        _sum_along(_multiply(self._neg_w_out, y, products), -1, None, out)
+        return sigmoid_of_negated(_subtract(out, self.b_out, out), out)
 
 
 class ActorNetwork(LaneNetwork):
     """A batch of independent two-layer stochastic binary actors.
 
-    Besides LaneNetwork's arrays, each lane has its own update rule (the
-    powerlaw mask) and hidden-layer rate (lr_hidden); config holds
-    everything the lanes share. These parameters are all the actor keeps
-    between batches, and all that a copy or a pickle of it holds: the
-    per-lane constants, the batch sums and the scratch arrays are sized to
-    the lanes (_size_to_lanes) and the batch (_size_to_batch) and derived
-    anew.
+    Besides LaneNetwork's arrays, each lane has its own hidden-layer rate
+    (lr_hidden) and update rule (the powerlaw mask; update_rules defaults
+    to config's rule for every lane); config holds everything the lanes
+    share. These parameters are all the actor keeps between batches, and
+    all that a copy or a pickle of it holds: the per-lane constants, the
+    batch sums and the scratch arrays are sized to the lanes
+    (_size_to_lanes) and the batch (_size_to_batch) and derived anew.
+    LaneNetwork.initialize draws fresh lanes, given lr_hidden and
+    optionally update_rules, with output weights uniform in
+    [-1/sqrt(n_hidden), 1/sqrt(n_hidden)] and output bias 0
+    (_initial_output).
 
     A batch of presentations runs in three stages. The weights change only
-    in apply_batch_update, so propose computes the hidden layer's firing
-    probabilities and proposals of every presentation at once. forward
-    then runs one presentation at a time, because its flip probability
-    comes from the critic's read, and the critic learns after every
-    presentation: it flips the hidden proposals, samples the output bit
-    and records what the update rule needs. accumulate takes the whole
+    in apply_batch_update, so propose runs LaneNetwork's hidden pass on
+    every presentation at once, for the hidden layer's firing
+    probabilities and proposals. forward then runs one presentation at a
+    time, because its flip probability comes from the critic's read, and
+    the critic learns after every presentation: it flips the hidden
+    proposals, runs the output pass on the flipped bits, samples the
+    output bit and records what the update rule needs. accumulate takes the whole
     batch's rewards and sums every presentation's proposed change from
     zero, in presentation order, and apply_batch_update adds the sums to
     the parameters.
@@ -369,11 +411,13 @@ class ActorNetwork(LaneNetwork):
         b_hidden: np.ndarray,
         w_out: np.ndarray,
         b_out: np.ndarray,
-        update_rules,
         lr_hidden,
+        update_rules=None,
     ):
-        self.powerlaw = np.array([r is UpdateRule.POWER_LAW for r in update_rules])
         self.lr_hidden = np.asarray(lr_hidden, dtype=float)
+        if update_rules is None:
+            update_rules = [config.update_rule] * len(self.lr_hidden)
+        self.powerlaw = np.array([r is UpdateRule.POWER_LAW for r in update_rules])
         super().__init__(config, w_hidden, b_hidden, w_out, b_out)
 
     def _size_to_lanes(self) -> None:
@@ -395,7 +439,6 @@ class ActorNetwork(LaneNetwork):
         self._proposed_out = np.empty(lanes, dtype=bool)
         self._flip_out = np.empty(lanes, dtype=bool)
         self._products = np.empty((lanes, n_hidden))
-        self._neg_w_out = np.empty((lanes, n_hidden))  # -w_out, formed by propose
         # the batch sums accumulate writes, in blocks, each lanes-major: the
         # w_hidden sums, the w_out sums, then the bias sums (each lane's
         # n_hidden hidden units, then its output unit); the acc_* views show
@@ -446,30 +489,10 @@ class ActorNetwork(LaneNetwork):
             )
         )
 
-    @classmethod
-    def initialize(
-        cls,
-        config: ActorConfig,
-        rngs: list[np.random.Generator],
-        lr_hidden,
-        update_rules=None,
-    ) -> "ActorNetwork":
-        """One fresh lane per generator: weights by draw_weights, the
-        output weights uniform in [-1/sqrt(n_hidden), 1/sqrt(n_hidden)],
-        and biases 0. lr_hidden and update_rules give one value per lane;
-        update_rules defaults to config's.
-        """
-        lanes = len(rngs)
-        w_hidden, w_out = cls.draw_weights(config.n_hidden, rngs, 1.0 / np.sqrt(config.n_hidden))
-        return cls(
-            config,
-            w_hidden=w_hidden,
-            b_hidden=np.zeros((lanes, config.n_hidden)),
-            w_out=w_out,
-            b_out=np.zeros(lanes),
-            update_rules=[config.update_rule] * lanes if update_rules is None else update_rules,
-            lr_hidden=lr_hidden,
-        )
+    @staticmethod
+    def _initial_output(config: ActorConfig) -> tuple[float, float]:
+        """Output weights uniform in [-1/sqrt(n_hidden), 1/sqrt(n_hidden)], output bias 0."""
+        return 1.0 / np.sqrt(config.n_hidden), 0.0
 
     def propose(self, x, u) -> None:
         """Hidden-layer pass of a whole batch of presentations.
@@ -487,15 +510,13 @@ class ActorNetwork(LaneNetwork):
         """
         neg_x = self.negate_inputs(x)
         batch, lanes, _, n_hidden = neg_x.shape
-        p_hidden = affine_negated(self.w_hidden, neg_x, self.b_hidden, self._inputs, self.p_hidden)
-        sigmoid_of_negated(p_hidden, p_hidden)
+        p_hidden = self._hidden_pass(neg_x, self._inputs, self.p_hidden)
         _less(u[..., :n_hidden], p_hidden, self.proposed_hidden)
         # the uniforms forward reads, each in a contiguous array
         self._u_flips[...] = u[..., n_hidden : 2 * n_hidden]
         self._u_proposal_out[...] = u[..., 2 * n_hidden]
         self._u_flip_out[...] = u[..., 2 * n_hidden + 1]
         self.y_out = np.empty((batch, lanes), dtype=bool)
-        _negative(self.w_out, self._neg_w_out)
 
     def forward(self, t: int) -> np.ndarray:
         """Sample every lane's output bit at presentation t of the batch,
@@ -515,9 +536,7 @@ class ActorNetwork(LaneNetwork):
         flips = _less(u_flips, self._p_flip_hidden, self._flips)
         _not_equal(proposed_hidden, flips, y_hidden)
         y[...] = y_hidden  # the bits as floats
-        # the output unit's negated pre-activation
-        _sum_along(_multiply(self._neg_w_out, y, self._products), -1, None, p_out)
-        sigmoid_of_negated(_subtract(p_out, self.b_out, p_out), p_out)
+        self._output_pass(y, self._products, p_out)
         proposed_out = _less(u_proposal_out, p_out, self._proposed_out)
         flip_out = _less(u_flip_out, p_flip, self._flip_out)
         return _not_equal(proposed_out, flip_out, self.y_out[t])

@@ -20,17 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actor import (
-    InputProducts,
-    LaneNetwork,
-    _add,
-    _multiply,
-    _sign,
-    _subtract,
-    _sum_along,
-    affine_negated,
-    sigmoid_of_negated,
-)
+from .actor import InputProducts, LaneNetwork, _add, _multiply, _sign, _subtract
 
 
 @dataclass
@@ -54,18 +44,15 @@ class CriticNetwork(LaneNetwork):
     """A batch of independent one-hidden-layer sigmoid critics on
     LaneNetwork's arrays.
 
-    The output layer never changes. forward keeps its input and its
-    prediction, and update reuses them: the weights do not change between
-    the two, so the read and the update share one forward pass exactly.
-
-    forward works on negated pre-activations: from the negated inputs, the
-    hidden layer's is -(x @ w_hidden + b_hidden), its sigmoid is formed
-    negated, and the output's negated pre-activation is then
-    sum(w_out * -y_hidden) - b_out. Rounding is symmetric in sign, so every
-    bit is that of the plain chain. forward and update chain their ufuncs
-    in place on scratch sized to the lanes (harness, "Memory layout").
-    forward writes the prediction into the row it is given: run_epoch
-    gives it the actor's r_bar row, so a presentation allocates nothing.
+    The output layer never changes; its weights start uniform in [-1.25,
+    1.25] and its bias at 0.5 (_initial_output). forward is LaneNetwork's
+    hidden pass then its output pass, on one presentation. It keeps its
+    input and its prediction, and update reuses them: the weights do not
+    change between the two, so the read and the update share one forward
+    pass exactly. forward and update chain their ufuncs in place on
+    scratch sized to the lanes (harness, "Memory layout"). forward writes
+    the prediction into the row it is given: run_epoch gives it the
+    actor's r_bar row, so a presentation allocates nothing.
     """
 
     def _size_to_lanes(self) -> None:
@@ -84,37 +71,21 @@ class CriticNetwork(LaneNetwork):
         self._gain_rows = self._gain[:, None, :]
         self._l1 = np.empty((lanes, n_in, n_hidden))
 
-    @classmethod
-    def initialize(
-        cls, config: CriticConfig, rngs: list[np.random.Generator]
-    ) -> "CriticNetwork":
-        """One fresh lane per generator: weights by draw_weights, the
-        output weights uniform in [-1.25, 1.25], hidden biases 0 and output
-        bias 0.5."""
-        lanes = len(rngs)
-        w_hidden, w_out = cls.draw_weights(config.n_hidden, rngs, 1.25)
-        return cls(
-            config,
-            w_hidden=w_hidden,
-            b_hidden=np.zeros((lanes, config.n_hidden)),
-            w_out=w_out,
-            b_out=np.full(lanes, 0.5),
-        )
+    @staticmethod
+    def _initial_output(config: CriticConfig) -> tuple[float, float]:
+        """Output weights uniform in [-1.25, 1.25], output bias 0.5."""
+        return 1.25, 0.5
 
     def forward(self, neg_x, out) -> np.ndarray:
         """Predicted reward of every lane, inside [0, 1], for negated
         inputs neg_x (lanes, n_in, n_hidden): a row of negate_inputs,
-        which checks the batch's shape. The prediction goes into out, a
-        C-contiguous float row (lanes,), which it returns. update reads
-        neg_x and the prediction too.
+        which checks the batch's shape and forms the batch's -w_out. The
+        prediction goes into out, a C-contiguous float row (lanes,), which
+        it returns. update reads neg_x and the prediction too.
         """
-        hidden = affine_negated(self.w_hidden, neg_x, self.b_hidden, self._inputs, self._hidden)
-        sigmoid_of_negated(hidden, hidden, True)  # -y_hidden
-        # -(w_out . y_hidden) - b_out, the output's negated pre-activation
-        prediction = _sum_along(_multiply(self.w_out, hidden, hidden), -1, None, out)
-        _subtract(prediction, self.b_out, prediction)
+        hidden = self._hidden_pass(neg_x, self._inputs, self._hidden)
         self._neg_x = neg_x
-        self.prediction = sigmoid_of_negated(prediction, prediction)
+        self.prediction = prediction = self._output_pass(hidden, hidden, out)
         return prediction
 
     def update(self, r) -> None:

@@ -34,7 +34,8 @@ and keeps nothing but its parameters between batches; the filter's
 recursion runs in presentation order, and only its gain * R products,
 which do not depend on the state, are formed for the whole batch at once.
 Each sigmoid takes its negated pre-activation, formed from negated inputs
-and a subtracted bias; rounding is symmetric in sign, so that changes at
+(hidden units) or negated output weights (output unit) and a subtracted
+bias; rounding is symmetric in sign, so that changes at
 most the sign of a zero the sigmoid maps to 1/2 either way. The mean
 reward is a plain sum, exact because each reward is 0 or 1.
 
@@ -59,12 +60,17 @@ Every broadcast, cast and strided gather runs once per batch, so each
 elementwise ufunc of the loop has C-contiguous operands of one shape,
 which numpy runs without its buffered iterator: each network checks the
 batch's inputs, negates them and broadcasts them along its hidden units
-to (batch_size, lanes, n_in, n_hidden) once (LaneNetwork.negate_inputs;
-run_epoch calls it for the critic, propose for the actor), and propose
-copies the uniforms that forward reads into contiguous arrays. The
-broadcasts that need a presentation's prediction (p_flip along the
-actor's hidden units; the critic's error and gain) are copies into
-scratch, each followed by a multiply of whole arrays. The rewards stay
+to (batch_size, lanes, n_in, n_hidden) once, and negates its output
+weights into the -w_out its output pass reads, anew at every batch, so
+a write to w_out between batches reaches the next one
+(LaneNetwork.negate_inputs; run_epoch calls it for the critic, propose
+for the actor); propose copies the uniforms that forward reads into
+contiguous arrays. Both networks run LaneNetwork's one hidden pass (the
+actor on the whole batch, the critic on one presentation's row) and its
+one output pass (one presentation each). The broadcasts that need a
+presentation's prediction (p_flip along the actor's hidden units; the
+critic's error and gain) are copies into scratch, each followed by a
+multiply of whole arrays. The rewards stay
 bool, and the hidden bits are bool rows with a float copy for the output
 unit. The actor's end-of-batch terms go into three C-contiguous arrays,
 the w_hidden, w_out and bias terms, each summed over the batch axis into

@@ -1,6 +1,8 @@
 """The lane core that the actor and the critic share (LaneNetwork): the
-constructor's shape check, select, negate_inputs and the batch sizing it
-triggers, each checked on both networks."""
+constructor's shape check, select, negate_inputs with the batch sizing it
+triggers and the -w_out it forms at every batch, each checked on both
+networks; initialize and the hidden and output passes run in every batch
+here, and their values are checked in test_actor and test_critic."""
 
 import numpy as np
 import pytest
@@ -144,3 +146,21 @@ def test_batches_of_a_new_size_give_the_bits_of_a_fresh_network(kind):
             for name in ("r_bar", "p_flip", "p_out", "rewards", "y_out"):
                 assert getattr(net, name).shape == (batch, 3), name
             assert len(net.critic_rows) == batch
+
+
+@pytest.mark.parametrize("kind", ["actor", "critic"])
+def test_a_write_to_w_out_between_batches_reaches_the_next_batch(kind):
+    # the output pass reads -w_out, which negate_inputs forms at every
+    # batch: a batch after an in-place write to w_out, of the shape of the
+    # batch before it, gives the bits of a fresh network built from the
+    # written lane arrays
+    net = make(kind)
+    draws = np.random.default_rng(8)
+    x = (draws.random((2, 4, 3, 2)) < 0.5).astype(float)
+    u = draws.random((2, 4, 3, 2 * ActorConfig().n_hidden + 2))
+    run_batch(net, x[0], u[0])
+    net.w_out[...] = draws.uniform(-3.0, 3.0, net.w_out.shape)
+    fresh = same_parameters(net)
+    assert run_batch(net, x[1], u[1]).tobytes() == run_batch(fresh, x[1], u[1]).tobytes()
+    for name in net.LANE_ARRAYS:
+        assert getattr(net, name).tobytes() == getattr(fresh, name).tobytes(), name
