@@ -417,7 +417,7 @@ class ActorNetwork(LaneNetwork):
         self.lr_hidden = np.asarray(lr_hidden, dtype=float)
         if update_rules is None:
             update_rules = [config.update_rule] * len(self.lr_hidden)
-        self.powerlaw = np.array([r is UpdateRule.POWER_LAW for r in update_rules])
+        self.powerlaw = np.array([r is UpdateRule.POWER_LAW for r in update_rules], dtype=bool)
         super().__init__(config, w_hidden, b_hidden, w_out, b_out)
 
     def _size_to_lanes(self) -> None:

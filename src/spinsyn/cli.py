@@ -284,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
             continue
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument(
-            "--parallelism", type=int, default=1, help="trial worker count"
+            "--parallelism", type=int, default=1, help="trial worker count, at most one per CPU"
         )
         if name in ("train", "sweep"):
             p.add_argument(

@@ -6,9 +6,10 @@ and each lane has its own update rule and learning rate, so both arms of
 a comparison, or every requested rule's whole sweep grid, train in one
 loop: a sweep is one batch whatever the number of rules. A lane
 leaves the batch at the end of the epoch in which its filtered reward
-reaches the goal or it reaches max_epochs. Per-epoch filtered rewards
-define the epochs-to-goal statistic; the linear and power-law update
-rules are compared on it with Welch's t-test.
+reaches the goal or it reaches max_epochs, and its result is fixed
+there. Per-epoch filtered rewards define the epochs-to-goal statistic;
+the linear and power-law update rules are compared on it with Welch's
+t-test.
 
 One epoch is batch_size presentations followed by a single actor weight
 update. The actor's weights change only in that update, so whatever does
@@ -78,8 +79,9 @@ its block of the batch sums; the end-of-batch update then runs
 threshold_power_update only on the power-law entries of the contiguous
 weight block that pass dw_min: on compare about one in ten.
 
-Random streams. Every lane has its own generator,
-default_rng(trial_seed(master_seed, rule, lr, trial index)). It first
+Random streams. A lane is the key (master_seed, rule, lr, trial index)
+of trial_seed, and has its own generator, default_rng(trial_seed(*lane)),
+so lanes of several master seeds can share a batch. It first
 draws the actor's initial weights, then the critic's. Then, per epoch, it
 draws one block of shape (batch_size, N_INPUTS + 2 * n_hidden + 2), with
 N_INPUTS = 2 (spinsyn.env); row t serves presentation t, and its columns
@@ -108,8 +110,10 @@ draw has no row for it.
 All arithmetic on lanes is elementwise or reduces over the trailing axis
 (or over the presentation axis, one row at a time), so a lane's results
 are bit-identical alone, in any batch, and in any worker's shard. With
-parallelism N, lane k goes to worker k mod N, each worker's lanes run as
-one batch, all in one Pool, and the results are put back in lane order.
+N workers, lane k goes to worker k mod N, each worker's lanes run as one
+batch, all in one Pool, and the results are put back in lane order. N is
+the parallelism asked for, but at most the lanes and the CPUs this
+process may run on.
 Lanes come arm by arm, so every worker gets lanes of every arm: at
 parallelism 2 both workers train both rules of a comparison or a sweep,
 and neither is left with only the slower rule's trials.
@@ -118,6 +122,7 @@ and neither is left with only the slower rule's trials.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field, fields
 from multiprocessing import Pool
@@ -369,15 +374,22 @@ def trial_seed(
 
 
 def _run_batch(
-    config: ExperimentConfig, lanes: list[tuple[UpdateRule, float, int]]
+    config: ExperimentConfig, lanes: list[tuple[int, UpdateRule, float, int]]
 ) -> list[TrialResult]:
-    """Train one lane per (rule, lr, trial index) until each reaches the
-    goal or max_epochs; results in lane order."""
-    seeds = [trial_seed(config.master_seed, rule, lr, i) for rule, lr, i in lanes]
+    """Train one lane per (master_seed, rule, lr, trial index), the key of
+    trial_seed, until it reaches the goal or max_epochs; results in lane
+    order.
+
+    A lane's key is all that sets it apart: config gives only what every
+    lane shares. A lane leaves at the end of the first epoch whose filter
+    value reaches the goal, or at max_epochs, and its TrialResult is made
+    there: epochs_to_goal is that epoch if the filter reached the goal,
+    else None.
+    """
+    seeds = [trial_seed(*lane) for lane in lanes]
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    actor = ActorNetwork.initialize(
-        config.actor, rngs, [lr for _, lr, _ in lanes], [rule for rule, _, _ in lanes]
-    )
+    _, rules, rates, _ = zip(*lanes)
+    actor = ActorNetwork.initialize(config.actor, rngs, rates, rules)
     critic = CriticNetwork.initialize(config.critic, rngs)
     schedule = InputSchedule()
 
@@ -385,7 +397,7 @@ def _run_batch(
     filter_state = np.full(len(lanes), config.filter_init)
     raw = np.empty((len(lanes), config.max_epochs))
     filtered = np.empty((len(lanes), config.max_epochs))
-    n_epochs = np.empty(len(lanes), dtype=int)
+    results = [None] * len(lanes)
     block = (config.actor.batch_size, N_INPUTS + 2 * config.actor.n_hidden + 2)
     epoch, draws = 0, ()  # draws: the uniforms of the epochs left of the last draw
     while live.size:
@@ -398,68 +410,69 @@ def _run_batch(
         raw[live, epoch] = mean_r
         filtered[live, epoch] = filter_state
         epoch += 1
-        done = (filter_state >= config.goal) | (epoch == config.max_epochs)
+        reached = filter_state >= config.goal
+        done = reached | (epoch == config.max_epochs)
         if done.any():
-            n_epochs[live[done]] = epoch
+            for k, hit in zip(live[done].tolist(), reached[done].tolist()):
+                results[k] = TrialResult(
+                    filtered_curve=filtered[k, :epoch].copy(),
+                    raw_curve=raw[k, :epoch].copy(),
+                    epochs_to_goal=epoch if hit else None,
+                    seed=seeds[k],
+                )
             keep = np.flatnonzero(~done)
             live, filter_state = live[keep], filter_state[keep]
             rngs = [rngs[i] for i in keep]
             actor.select(keep)
             critic.select(keep)
             draws = np.take(draws, keep, axis=2)  # the lanes that stay
-    # A lane leaves at the first epoch whose filter reaches the goal, or at
-    # max_epochs: it reached the goal iff its last filter value did.
-    reached = filtered[np.arange(len(lanes)), n_epochs - 1] >= config.goal
-    return [
-        TrialResult(
-            filtered_curve=filtered[k, :n].copy(),
-            raw_curve=raw[k, :n].copy(),
-            epochs_to_goal=n if hit else None,
-            seed=seeds[k],
-        )
-        for k, (n, hit) in enumerate(zip(n_epochs.tolist(), reached.tolist()))
-    ]
+    return results
 
 
 def run_trial(
-    config: ExperimentConfig,
-    update_rule: UpdateRule,
-    lr_hidden: float,
-    trial_index: int,
+    config: ExperimentConfig, update_rule: UpdateRule, lr_hidden: float, trial_index: int
 ) -> TrialResult:
-    """One trial, as a batch of one lane."""
-    return _run_lanes(config, [(update_rule, lr_hidden, trial_index)])[0]
+    """One trial at config.master_seed, as a batch of one lane."""
+    return _run_lanes(config, [(config.master_seed, update_rule, lr_hidden, trial_index)])[0]
 
 
 def run_trials(
-    config: ExperimentConfig,
-    arms: list[tuple[UpdateRule, float]],
-    parallelism: int = 1,
+    config: ExperimentConfig, arms: list[tuple[UpdateRule, float]], parallelism: int = 1
 ) -> list[TrialResult]:
-    """n_trials trials of every (rule, lr) arm, all as lanes of one batch.
+    """n_trials trials of every (rule, lr) arm at config.master_seed, all
+    as lanes (master_seed, rule, lr, trial index) of one batch.
 
-    Results come arm by arm, each arm's by trial index. parallelism must
-    be >= 1; parallelism > 1 deals the lanes out to min(parallelism, lanes)
-    processes of one Pool, lane k to worker k mod that count, and runs each
-    worker's lanes as one batch; results are identical for any worker count.
+    Results come arm by arm, each arm's by trial index; an empty arm list
+    gives []. parallelism must be >= 1; parallelism > 1 deals the lanes
+    out to min(parallelism, lanes, CPUs this process may use) processes of
+    one Pool, lane k to worker k mod that count, and runs each worker's
+    lanes as one batch; results are identical for any worker count.
     """
-    lanes = [(rule, lr, i) for rule, lr in arms for i in range(config.n_trials)]
+    lanes = [(config.master_seed, rule, lr, i) for rule, lr in arms for i in range(config.n_trials)]
     return _run_lanes(config, lanes, parallelism)
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _run_lanes(
-    config: ExperimentConfig, lanes: list[tuple[UpdateRule, float, int]], parallelism: int = 1
+    config: ExperimentConfig, lanes: list[tuple[int, UpdateRule, float, int]], parallelism: int = 1
 ) -> list[TrialResult]:
     """Reject a rate that is not finite and > 0 and a parallelism below 1,
-    then train the lanes on up to parallelism workers; results in lane
-    order."""
-    for _, lr, _ in lanes:
+    then train the lanes on up to parallelism workers, but never on more
+    than _usable_cpus(); results in lane order. An empty lane list gives
+    [] before any network or Pool is made."""
+    for _, _, lr, _ in lanes:
         if not 0.0 < lr < math.inf:
             raise ValueError(f"learning rates must be finite and > 0, got {lr}")
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
-    workers = min(parallelism, len(lanes))
-    if workers <= 1:
+    if not lanes:
+        return []
+    workers = min(parallelism, len(lanes), _usable_cpus())
+    if workers == 1:
         return _run_batch(config, lanes)
     # lane k goes to worker k mod workers, so every worker gets lanes of
     # every arm, however long each arm's trials run

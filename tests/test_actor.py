@@ -192,6 +192,12 @@ class TestInitialize:
         net.select(np.array([2, 0]))
         assert net.w_hidden.flags.c_contiguous
 
+    def test_no_lanes(self):
+        # an empty rule list still gives a bool mask, so sizing to no lanes works
+        net = ActorNetwork.initialize(ActorConfig(), [], [], [])
+        assert net.powerlaw.dtype == bool
+        assert net.w_hidden.shape == (0, 2, ActorConfig().n_hidden)
+
     def test_uniform_symmetry_monte_carlo(self):
         # 1e5 hidden weights in one network; mean should vanish within 3 SE
         config = ActorConfig(n_hidden=50_000)

@@ -478,6 +478,7 @@ class TestCliCommands:
         monkeypatch.setattr(harness, "run_trials", recording_run_trials)
         monkeypatch.setattr(cli, "run_trials", recording_run_trials)
         monkeypatch.setattr(harness, "Pool", recording_pool)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
         both = tmp_path / "both"
         argv = ["sweep", "--config", str(cfg), "--out", str(both), "--parallelism", "2"]
         assert main(argv) == 0

@@ -393,6 +393,7 @@ class TestRunTrialsParallel:
             assert np.array_equal(a.raw_curve, b.raw_curve)
 
     def test_no_more_workers_than_trials(self, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
         started = []
 
         class FakePool:  # runs tasks in-process, records the worker count
@@ -417,6 +418,7 @@ class TestRunTrialsParallel:
     def test_every_worker_gets_lanes_of_both_rules(self, monkeypatch):
         # lane k goes to worker k mod 2; the results come back in lane
         # order and equal one worker's, with a real Pool and a recording one
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
         config = uneven_config(n_trials=3, max_epochs=40)
         arms = [(UpdateRule.POWER_LAW, 1.1), (UpdateRule.LINEAR, 0.75)]
         serial = [fingerprint(r) for r in run_trials(config, arms)]
@@ -440,10 +442,55 @@ class TestRunTrialsParallel:
 
         monkeypatch.setattr(harness, "Pool", RecordingPool)
         assert [fingerprint(r) for r in run_trials(config, arms, parallelism=2)] == serial
-        assert [[(rule.value, i) for rule, _, i in shard] for shard in shards] == [
+        assert [[(rule.value, i) for _, rule, _, i in shard] for shard in shards] == [
             [("powerlaw", 0), ("powerlaw", 2), ("linear", 1)],
             [("powerlaw", 1), ("linear", 0), ("linear", 2)],
         ]
+
+    def test_no_more_workers_than_cpus(self, monkeypatch):
+        # 10 lanes at parallelism 64 on 3 CPUs: 3 workers, of 4, 3 and 3 lanes
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+        config = uneven_config(n_trials=5)
+        arms = [(UpdateRule.POWER_LAW, 1.1), (UpdateRule.LINEAR, 0.75)]
+        serial = [fingerprint(r) for r in run_trials(config, arms)]
+        started, shards = [], []
+
+        class RecordingPool:  # runs tasks in-process, records the workers and their lanes
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def starmap(self, fn, iterable):
+                tasks = list(iterable)
+                shards.extend(len(lanes) for _, lanes in tasks)
+                return [fn(*args) for args in tasks]
+
+        monkeypatch.setattr(harness, "Pool", RecordingPool)
+        assert [fingerprint(r) for r in run_trials(config, arms, parallelism=64)] == serial
+        assert started == [3] and shards == [4, 3, 3]
+
+    def test_usable_cpus(self):
+        cpus = harness._usable_cpus()
+        assert cpus >= 1
+        if hasattr(os, "sched_getaffinity"):
+            assert cpus == len(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_no_arms_give_no_results(self, monkeypatch, parallelism):
+        def started(*args, **kwargs):
+            pytest.fail("a lane or Pool started")
+
+        monkeypatch.setattr(harness, "_run_batch", started)
+        monkeypatch.setattr(harness, "Pool", started)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        config = small_config()
+        assert run_trials(config, [], parallelism=parallelism) == []
+        assert lr_sweep(config, [], parallelism=parallelism) == []
 
 
 BAD_RATES = [math.nan, math.inf, -math.inf, 0.0, -1.0]
@@ -554,6 +601,25 @@ class TestLaneInvariance:
             lanes = [(rule, lr, i) for rule, lr in arms for i in range(config.n_trials)]
             for (rule, lr, i), result in zip(lanes, results):
                 assert fingerprint(result) == fingerprint(run_trial(config, rule, lr, i))
+
+
+class TestLaneKey:
+    """A lane is trial_seed's key (master_seed, rule, lr, trial index): it
+    alone sets the lane's trial, whatever config.master_seed says."""
+
+    def test_lanes_of_two_master_seeds_in_one_batch(self):
+        config = uneven_config(n_trials=2, master_seed=7)
+        arms = [(UpdateRule.POWER_LAW, 1.1), (UpdateRule.LINEAR, 0.75)]
+        # both seeds' lanes interleaved in one batch
+        lanes = [(seed, rule, lr, i) for rule, lr in arms for i in range(2) for seed in (5, 99)]
+        batch = dict(zip(lanes, map(fingerprint, harness._run_batch(config, lanes))))
+        for seed in (5, 99):
+            alone = run_trials(dataclasses.replace(config, master_seed=seed), arms)
+            keys = [(seed, rule, lr, i) for rule, lr in arms for i in range(2)]
+            assert [batch[key] for key in keys] == [fingerprint(r) for r in alone]
+            assert [batch[key][0] for key in keys] == [trial_seed(*key) for key in keys]
+        at_7 = {fingerprint(r) for r in run_trials(config, arms)}
+        assert len(set(batch.values()) | at_7) == 12  # every trial differs
 
 
 class TestGoalEpoch:
