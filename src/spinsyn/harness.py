@@ -472,7 +472,7 @@ def _run_lanes(
     if not lanes:
         return []
     workers = min(parallelism, len(lanes), _usable_cpus())
-    if workers == 1:
+    if workers <= 1:
         return _run_batch(config, lanes)
     # lane k goes to worker k mod workers, so every worker gets lanes of
     # every arm, however long each arm's trials run
