@@ -42,6 +42,7 @@ from .harness import (
     SweepResult,
     TrialResult,
     compare_rules,
+    goal_floor_epoch,
     lr_sweep,
     run_trials,
 )
@@ -309,6 +310,14 @@ def run_cli(args: argparse.Namespace) -> int:
 
     if args.subcommand == "compare" and config.n_trials < 2:
         raise ConfigError(f"compare needs harness.n_trials >= 2, got {config.n_trials}")
+    # a reward filter that cannot reach the goal by max_epochs, even when
+    # every presentation is rewarded, leaves compare no converged trial
+    if args.subcommand == "compare" and goal_floor_epoch(config) is None:
+        raise ConfigError(
+            f"compare needs harness.max_epochs >= the first epoch at which the reward "
+            f"filter can reach harness.goal = {config.goal:g}; no trial can reach it "
+            f"within {config.max_epochs}"
+        )
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

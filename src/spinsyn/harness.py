@@ -9,7 +9,10 @@ leaves the batch at the end of the epoch in which its filtered reward
 reaches the goal or it reaches max_epochs, and its result is fixed
 there. Per-epoch filtered rewards define the epochs-to-goal statistic;
 the linear and power-law update rules are compared on it with Welch's
-t-test.
+t-test. A run keeps every lane's learning curves, its raw and filtered
+reward per epoch, only when asked (train writes them); compare and sweep
+read only the epochs to goal, so they keep none, their results hold
+empty curves, and their memory does not grow with max_epochs.
 
 One epoch is batch_size presentations followed by a single actor weight
 update. The actor's weights change only in that update, so whatever does
@@ -125,6 +128,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field, fields
+from functools import partial
 from multiprocessing import Pool
 
 import numpy as np
@@ -214,7 +218,9 @@ class ExperimentConfig:
 
 @dataclass
 class TrialResult:
-    """Curves and goal statistic of one training trial."""
+    """Goal statistic, seed and learning curves of one training trial: the
+    raw and filtered reward of every epoch it ran, or two empty float64
+    arrays if the run kept no curves (run_trials)."""
 
     filtered_curve: np.ndarray
     raw_curve: np.ndarray
@@ -374,7 +380,9 @@ def trial_seed(
 
 
 def _run_batch(
-    config: ExperimentConfig, lanes: list[tuple[int, UpdateRule, float, int]]
+    config: ExperimentConfig,
+    lanes: list[tuple[int, UpdateRule, float, int]],
+    curves: bool = True,
 ) -> list[TrialResult]:
     """Train one lane per (master_seed, rule, lr, trial index), the key of
     trial_seed, until it reaches the goal or max_epochs; results in lane
@@ -384,7 +392,10 @@ def _run_batch(
     lane shares. A lane leaves at the end of the first epoch whose filter
     value reaches the goal, or at max_epochs, and its TrialResult is made
     there: epochs_to_goal is that epoch if the filter reached the goal,
-    else None.
+    else None. With curves, every lane's per-epoch rewards are kept in two
+    (lanes, max_epochs) arrays and each result gets a copy of its own; without,
+    the arrays have no columns, no epoch writes to them, and every result's
+    curves are empty.
     """
     seeds = [trial_seed(*lane) for lane in lanes]
     rngs = [np.random.default_rng(seed) for seed in seeds]
@@ -395,8 +406,9 @@ def _run_batch(
 
     live = np.arange(len(lanes))  # lane index of every row still training
     filter_state = np.full(len(lanes), config.filter_init)
-    raw = np.empty((len(lanes), config.max_epochs))
-    filtered = np.empty((len(lanes), config.max_epochs))
+    kept_epochs = config.max_epochs if curves else 0
+    raw = np.empty((len(lanes), kept_epochs))
+    filtered = np.empty((len(lanes), kept_epochs))
     results = [None] * len(lanes)
     block = (config.actor.batch_size, N_INPUTS + 2 * config.actor.n_hidden + 2)
     epoch, draws = 0, ()  # draws: the uniforms of the epochs left of the last draw
@@ -407,8 +419,9 @@ def _run_batch(
             draws = draw_epochs(rngs, n_chunk, block)
         mean_r, filter_state = run_epoch(actor, critic, schedule, draws[0], filter_state, config)
         draws = draws[1:]
-        raw[live, epoch] = mean_r
-        filtered[live, epoch] = filter_state
+        if curves:
+            raw[live, epoch] = mean_r
+            filtered[live, epoch] = filter_state
         epoch += 1
         reached = filter_state >= config.goal
         done = reached | (epoch == config.max_epochs)
@@ -437,7 +450,10 @@ def run_trial(
 
 
 def run_trials(
-    config: ExperimentConfig, arms: list[tuple[UpdateRule, float]], parallelism: int = 1
+    config: ExperimentConfig,
+    arms: list[tuple[UpdateRule, float]],
+    parallelism: int = 1,
+    curves: bool = True,
 ) -> list[TrialResult]:
     """n_trials trials of every (rule, lr) arm at config.master_seed, all
     as lanes (master_seed, rule, lr, trial index) of one batch.
@@ -446,10 +462,13 @@ def run_trials(
     gives []. parallelism must be >= 1; parallelism > 1 deals the lanes
     out to min(parallelism, lanes, CPUs this process may use) processes of
     one Pool, lane k to worker k mod that count, and runs each worker's
-    lanes as one batch; results are identical for any worker count.
+    lanes as one batch; results are identical for any worker count. Each
+    result holds its learning curves only with curves; without, they are
+    empty float64 arrays and the memory of the run does not grow with
+    max_epochs. The seeds and epochs to goal are the same either way.
     """
     lanes = [(config.master_seed, rule, lr, i) for rule, lr in arms for i in range(config.n_trials)]
-    return _run_lanes(config, lanes, parallelism)
+    return _run_lanes(config, lanes, parallelism, curves)
 
 
 def _usable_cpus() -> int:
@@ -458,12 +477,16 @@ def _usable_cpus() -> int:
 
 
 def _run_lanes(
-    config: ExperimentConfig, lanes: list[tuple[int, UpdateRule, float, int]], parallelism: int = 1
+    config: ExperimentConfig,
+    lanes: list[tuple[int, UpdateRule, float, int]],
+    parallelism: int = 1,
+    curves: bool = True,
 ) -> list[TrialResult]:
     """Reject a rate that is not finite and > 0 and a parallelism below 1,
     then train the lanes on up to parallelism workers, but never on more
-    than _usable_cpus(); results in lane order. An empty lane list gives
-    [] before any network or Pool is made."""
+    than _usable_cpus(); results in lane order, with curves only if asked
+    (_run_batch). An empty lane list gives [] before any network or Pool
+    is made."""
     for _, _, lr, _ in lanes:
         if not 0.0 < lr < math.inf:
             raise ValueError(f"learning rates must be finite and > 0, got {lr}")
@@ -472,12 +495,13 @@ def _run_lanes(
     if not lanes:
         return []
     workers = min(parallelism, len(lanes), _usable_cpus())
+    run_batch = partial(_run_batch, curves=curves)
     if workers <= 1:
-        return _run_batch(config, lanes)
+        return run_batch(config, lanes)
     # lane k goes to worker k mod workers, so every worker gets lanes of
     # every arm, however long each arm's trials run
     with Pool(processes=workers) as pool:
-        parts = pool.starmap(_run_batch, [(config, lanes[w::workers]) for w in range(workers)])
+        parts = pool.starmap(run_batch, [(config, lanes[w::workers]) for w in range(workers)])
     results = [None] * len(lanes)
     for w, part in enumerate(parts):
         results[w::workers] = part
@@ -583,13 +607,33 @@ def welch_t_test(a, b) -> WelchResult:
 def _summarize_arms(
     config: ExperimentConfig, arms: list[tuple[UpdateRule, float]], parallelism: int
 ) -> list[RuleSummary]:
-    """One RuleSummary per (rule, lr) arm, in arm order, from one run_trials call."""
-    results = run_trials(config, arms, parallelism=parallelism)
+    """One RuleSummary per (rule, lr) arm, in arm order, from one run_trials
+    call that keeps no curves: a summary reads only the epochs to goal."""
+    results = run_trials(config, arms, parallelism=parallelism, curves=False)
     n = config.n_trials
     return [
         RuleSummary(rule, lr, [r.epochs_to_goal for r in results[k * n : (k + 1) * n]])
         for k, (rule, lr) in enumerate(arms)
     ]
+
+
+def goal_floor_epoch(config: ExperimentConfig) -> int | None:
+    """The first epoch at which the reward filter could reach the goal, or
+    None if that lies past max_epochs: the goal epoch of a lane rewarded at
+    every presentation.
+
+    The loop is run_epoch's filter step, keep * state + gain per rewarded
+    presentation, in the same float64 arithmetic. That step rounds
+    monotonically in the state and in the reward, so no lane's filter ever
+    lies above this lane's, and no trial reaches the goal before this epoch.
+    """
+    state = config.filter_init
+    for epoch in range(1, config.max_epochs + 1):
+        for _ in range(config.actor.batch_size):
+            state = config.filter_keep * state + config.filter_gain
+        if state >= config.goal:
+            return epoch
+    return None
 
 
 def compare_rules(config: ExperimentConfig, parallelism: int = 1) -> ComparisonReport:
@@ -598,10 +642,16 @@ def compare_rules(config: ExperimentConfig, parallelism: int = 1) -> ComparisonR
     The Welch test compares epochs_to_goal of the power-law arm (sample a)
     against the linear arm (sample b) over converged trials only;
     non-converged counts are visible in the per-rule summaries. Raises
-    ValueError before training if n_trials < 2.
+    ValueError before training if n_trials < 2, and
+    StatisticsUnavailableError before training if no trial can reach the
+    goal within max_epochs (goal_floor_epoch).
     """
     if config.n_trials < 2:
         raise ValueError(f"compare needs n_trials >= 2, got {config.n_trials}")
+    if goal_floor_epoch(config) is None:
+        raise StatisticsUnavailableError(
+            f"no trial can reach goal {config.goal} within max_epochs {config.max_epochs}"
+        )
     arms = [(rule, config.lr_for(rule)) for rule in (UpdateRule.POWER_LAW, UpdateRule.LINEAR)]
     powerlaw, linear = _summarize_arms(config, arms, parallelism)
     sample_p, sample_l = powerlaw.converged, linear.converged

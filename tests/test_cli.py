@@ -586,6 +586,30 @@ def test_result_csvs_are_pinned(tmp_path, capsys):
     assert "best_lr 0.7 " in warnings[0]
 
 
+# sha256 of train's learning_curve.csv at RESULT_PIN_CONFIG and --seed 7,
+# per rule, recorded on the same platform as RESULT_DIGESTS with the engine
+# that kept every run's curves. The trials run 4 to 20 epochs, and each rule
+# has one that stops at max_epochs without reaching the goal.
+LEARNING_CURVE_DIGESTS = {
+    "powerlaw": "9e664f1b4b4bcf2ca428a0ad7d6bc937db9c67fb64eab7e81e2011b1aded96ef",
+    "linear": "560ffc5ace6cac2cdb453c8b4b103f9520cef11d176c9bcbf2993d642501b5dc",
+}
+
+
+@pytest.mark.parametrize("parallelism", ["1", "2"])
+@pytest.mark.parametrize("rule", LEARNING_CURVE_DIGESTS)
+def test_learning_curve_csv_is_pinned(tmp_path, monkeypatch, rule, parallelism):
+    # two CPUs, so that parallelism 2 starts a Pool of two workers on any host
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    cfg = write_config(tmp_path, RESULT_PIN_CONFIG)
+    out = tmp_path / "out"
+    argv = ["train", "--config", str(cfg), "--seed", "7", "--rule", rule,
+            "--parallelism", parallelism, "--out", str(out)]
+    assert main(argv) == 0
+    digest = hashlib.sha256((out / "learning_curve.csv").read_bytes()).hexdigest()
+    assert digest == LEARNING_CURVE_DIGESTS[rule]
+
+
 class TestExitCodes:
     def test_missing_config_exits_2(self, tmp_path):
         code = main(
@@ -621,10 +645,12 @@ class TestExitCodes:
             # sums to 1, but the filtered reward leaves [0, 1] and every
             # trial would report the goal at epoch 1
             (["train"], "harness.filter_keep = 1.5\nharness.filter_gain = -0.5\n"),
+            # the reward filter reaches the goal at epoch 300 at the earliest
+            (["compare"], "harness.max_epochs = 299\n"),
         ],
         ids=[
             "train-negative-lr", "train-negative-seed", "sweep-sub-resolution-step", "sweep-oversized-grid",
-            "train-negative-filter-gain",
+            "train-negative-filter-gain", "compare-cap-below-goal-floor",
         ],
     )
     def test_rejected_arguments_leave_no_output_dir(self, tmp_path, argv, config):
@@ -640,6 +666,17 @@ class TestExitCodes:
         assert main(["train", "--lr", "0.9", "--out", str(out)]) == 2
         assert not out.exists()
         assert "unrecognized arguments: --lr 0.9" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", ["train", "sweep"])
+    def test_only_compare_needs_a_cap_at_the_goal_floor(self, tmp_path, subcommand):
+        # train and sweep report trials that stop at max_epochs, so a cap
+        # that no trial can converge by is fine there
+        cfg = write_config(
+            tmp_path, "harness.n_trials = 1\nharness.max_epochs = 3\nharness.lr_sweep_to = 0.45\n"
+        )
+        out = tmp_path / "o"
+        assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 0
+        assert out.exists()
 
     def test_compare_with_one_trial_exits_2_before_training(self, tmp_path, monkeypatch):
         def no_training(*args, **kwargs):

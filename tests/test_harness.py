@@ -22,6 +22,7 @@ from spinsyn.harness import (
     StatisticsUnavailableError,
     SweepResult,
     compare_rules,
+    goal_floor_epoch,
     lr_sweep,
     run_epoch,
     run_trial,
@@ -76,9 +77,9 @@ class TestEpochsToGoal:
         assert epochs_to_goal(curve, 0.975) == 300
 
 
-def make_xor_actor(alpha_flip=0.0):
+def make_xor_actor(alpha_flip=0.0, **config):
     """Hand-built one-lane actor computing XOR exactly (verified by enumeration)."""
-    config = ActorConfig(n_hidden=2, alpha_flip=alpha_flip)
+    config = ActorConfig(n_hidden=2, alpha_flip=alpha_flip, **config)
     net = ActorNetwork.initialize(config, [np.random.default_rng(0)], [1.1])
     net.w_hidden[:] = [[[40.0, 40.0], [40.0, 40.0]]]
     net.b_hidden[:] = [[-20.0, -60.0]]  # unit 0: OR, unit 1: AND
@@ -579,12 +580,15 @@ class TestLaneInvariance:
         recorded = []
         original = harness.run_trials
 
-        def recording(config, arms, parallelism=1):
-            results = original(config, arms, parallelism)
-            recorded.append((config, arms, results))
+        def recording(config, arms, parallelism=1, curves=True):
+            results = original(config, arms, parallelism, curves)
+            recorded.append((config, arms, curves, results))
             return results
 
         monkeypatch.setattr(harness, "run_trials", recording)
+        # as many CPUs as the largest parallelism, so that each case starts
+        # a real Pool of that many workers on any host
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
         # 10 lanes for compare, and one call of 2 rules x 3 rates x 3 trials
         # = 18 lanes for the sweep: 3 workers split the compare lanes unevenly
         compare_rules(uneven_config(n_trials=5), parallelism=parallelism)
@@ -595,12 +599,18 @@ class TestLaneInvariance:
             parallelism=parallelism,
         )
         assert [sweep.rule for sweep in sweeps] == rules
-        assert [len(results) for _, _, results in recorded] == [10, 18]
+        assert [len(results) for *_, results in recorded] == [10, 18]
         assert recorded[1][1] == [(rule, lr) for rule in rules for lr in (0.7, 0.75, 0.8)]
-        for config, arms, results in recorded:
+        # compare and sweep keep no curves: each lane's seed and goal epoch
+        # are those of the lane alone, and its curves are empty
+        assert [curves for _, _, curves, _ in recorded] == [False, False]
+        for config, arms, _, results in recorded:
             lanes = [(rule, lr, i) for rule, lr in arms for i in range(config.n_trials)]
             for (rule, lr, i), result in zip(lanes, results):
-                assert fingerprint(result) == fingerprint(run_trial(config, rule, lr, i))
+                alone = run_trial(config, rule, lr, i)
+                assert (result.seed, result.epochs_to_goal) == (alone.seed, alone.epochs_to_goal)
+                assert result.raw_curve.shape == result.filtered_curve.shape == (0,)
+                assert result.raw_curve.dtype == result.filtered_curve.dtype == np.float64
 
 
 class TestLaneKey:
@@ -654,6 +664,40 @@ class TestGoalEpoch:
         at_cap = [r for r in results if len(r.raw_curve) == cap]
         assert any(r.epochs_to_goal == cap for r in at_cap)
         assert any(r.epochs_to_goal is None for r in at_cap)
+
+
+class TestCurves:
+    """A run keeps learning curves only when asked: without them its memory
+    does not grow with max_epochs."""
+
+    def test_memory_grows_with_max_epochs_only_with_curves(self):
+        # compare-shaped: 2 rules x 10 trials, and a goal that no lane can
+        # reach within 1000 epochs, so every lane runs to the cap
+        arms = [(UpdateRule.POWER_LAW, 1.1), (UpdateRule.LINEAR, 0.75)]
+
+        def traced_peak(max_epochs, curves):
+            config = uneven_config(
+                n_trials=10, max_epochs=max_epochs, goal=0.99999, filter_keep=0.999,
+                filter_gain=0.001,
+            )
+            assert goal_floor_epoch(config) is None
+            tracemalloc.start()
+            try:
+                results = run_trials(config, arms, curves=curves)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert [r.epochs_to_goal for r in results] == [None] * 20
+            assert {len(r.raw_curve) for r in results} == {max_epochs if curves else 0}
+            return peak
+
+        traced_peak(1, curves=True)  # the first run's one-time allocations
+        # the two (lanes, max_epochs) float64 curve arrays of 20 lanes
+        curve_bytes = 2 * 20 * (1000 - 100) * 8
+        without = traced_peak(1000, curves=False) - traced_peak(100, curves=False)
+        kept = traced_peak(1000, curves=True) - traced_peak(100, curves=True)
+        assert without <= 4096, without
+        assert kept >= curve_bytes, kept
 
 
 class TestChunkedDraws:
@@ -1062,6 +1106,51 @@ class TestCompareRules:
         monkeypatch.setattr(harness, "_run_batch", no_training)
         with pytest.raises(ValueError, match="n_trials >= 2"):
             compare_rules(small_config(n_trials=1))
+
+    def test_cap_below_the_goal_floor_rejected_before_any_lane_starts(self, monkeypatch):
+        class Started(Exception):
+            pass
+
+        def no_training(*args, **kwargs):
+            raise Started
+
+        monkeypatch.setattr(harness, "_run_batch", no_training)
+        with pytest.raises(StatisticsUnavailableError, match="max_epochs 299"):
+            compare_rules(small_config(max_epochs=299))
+        with pytest.raises(Started):  # at the floor a trial could converge: it trains
+            compare_rules(small_config(max_epochs=300))
+
+
+class TestGoalFloorEpoch:
+    """goal_floor_epoch is the goal epoch of a lane rewarded at every
+    presentation, through run_epoch's own filter."""
+
+    @pytest.mark.parametrize(
+        "overrides, floor",
+        [
+            ({}, 300),  # test_constant_reward_floor_is_epoch_300
+            (dict(filter_init=0.9), 139),
+            (dict(goal=0.6, filter_keep=0.95, filter_gain=0.05), 1),
+            (dict(goal=0.9, filter_keep=0.95, filter_gain=0.05, filter_init=0.0), 5),
+            (dict(actor=ActorConfig(batch_size=7), filter_init=0.2), 495),
+        ],
+        ids=["defaults", "init-0.9", "fast-filter", "fast-filter-from-0", "batch-of-7"],
+    )
+    def test_a_lane_rewarded_at_every_presentation_reaches_the_goal_at_the_floor(
+        self, overrides, floor
+    ):
+        config = ExperimentConfig(max_epochs=floor, **overrides)
+        assert goal_floor_epoch(config) == floor
+        if floor > 1:  # max_epochs is at least 1
+            assert goal_floor_epoch(dataclasses.replace(config, max_epochs=floor - 1)) is None
+        # the XOR actor is rewarded at every presentation
+        actor = make_xor_actor(batch_size=config.actor.batch_size)
+        state, epoch = config.filter_init, 0
+        while state < config.goal:
+            mean, filtered = one_lane_epoch(actor, config, InputSchedule(), state)
+            assert mean[0] == 1.0
+            state, epoch = filtered[0], epoch + 1
+        assert epoch == floor
 
 
 class TestExperimentConfigValidation:
