@@ -1146,7 +1146,7 @@ class TestGoalFloorEpoch:
         # the XOR actor is rewarded at every presentation
         actor = make_xor_actor(batch_size=config.actor.batch_size)
         state, epoch = config.filter_init, 0
-        while state < config.goal:
+        while state < config.goal and epoch <= floor:
             mean, filtered = one_lane_epoch(actor, config, InputSchedule(), state)
             assert mean[0] == 1.0
             state, epoch = filtered[0], epoch + 1
