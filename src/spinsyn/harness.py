@@ -45,11 +45,13 @@ reward is a plain sum, exact because each reward is 0 or 1.
 
 Memory layout. Every per-presentation array has one (batch_size, lanes,
 ...) layout, in the API and in memory, so each presentation's slice [t]
-is one contiguous (lanes, ...) row. Every array that lasts for a lane
-set lives in the network that sizes it, and run_epoch keeps nothing:
-each network sizes its batch arrays, scratch and tuples of rows to its
-lanes (_size_to_lanes) and to the batch (_size_to_batch) once, and keeps
-them until select drops lanes. Only LaneNetwork.negate_inputs checks the
+is one contiguous (lanes, ...) row; only the uniforms come as a
+transposed view of the lane-major draw ("Random streams"), and propose
+copies what forward reads of them into contiguous arrays. Every array
+that lasts for a lane set lives in the network that sizes it, and
+run_epoch keeps nothing: each network sizes its batch arrays, scratch
+and tuples of rows to its lanes (_size_to_lanes) and to the batch
+(_size_to_batch) once, and keeps them until select drops lanes. Only LaneNetwork.negate_inputs checks the
 batch: it calls _size_to_batch when the inputs' shape changes. The
 actor's batch arrays include the rewards, and the r_bar and rewards rows
 of every presentation; run_epoch zips those with the critic's
@@ -96,19 +98,19 @@ are, in order:
 * 2 + 2 * n_hidden: the output proposal;
 * 2 + 2 * n_hidden + 1: the output flip.
 
-A lane draws the blocks of several epochs, K, in one rng.random call into
-a (K, batch_size, ...) buffer. A generator fills its output in order, so
-these are the numbers of K calls of one block each. chunk_epochs picks
-K: the most epochs whose draws, over the whole batch, stay within
-CHUNK_BYTES, but at least 1 and at most the epochs left before
-max_epochs (13 epochs at compare's 20 lanes, 3 at a sweep's 72, 273 at
-one lane). draw_epochs copies each lane's buffer, right after its fill,
-into the lane's column of one presentation-major (K, batch_size, lanes,
-...) array. Each epoch reads the contiguous block at the front of the
-epochs left, and the batch draws again once they are spent. When lanes
-leave, the epochs left are compacted to the remaining lanes once, so the
-numbers a lane drew past its last epoch are never used, and the next
-draw has no row for it.
+A lane draws the blocks of several epochs, K, in one rng.random call. A
+generator fills its output in order, so these are the numbers of K calls
+of one block each. chunk_epochs picks K: the most epochs whose draws,
+over the whole batch, stay within CHUNK_BYTES, but at least 1 and at most
+the epochs left before max_epochs (13 epochs at compare's 20 lanes, 3 at
+a sweep's 72, 273 at one lane). draw_epochs allocates one lane-major
+(lanes, K, batch_size, ...) array, and each lane's generator fills its
+own row, so every uniform is written once. Each epoch reads the front
+epoch of the epochs left, draws[:, 0], transposed to run_epoch's
+(batch_size, lanes, ...) layout, and the batch draws again once they are
+spent. When lanes leave, the epochs left are compacted to the remaining
+lanes once, by a gather of their rows, so the numbers a lane drew past
+its last epoch are never used, and the next draw has no row for it.
 
 All arithmetic on lanes is elementwise or reduces over the trailing axis
 (or over the presentation axis, one row at a time), so a lane's results
@@ -348,16 +350,14 @@ def chunk_epochs(lanes: int, epoch_uniforms: int, epochs_left: int) -> int:
 
 
 def draw_epochs(rngs: list[np.random.Generator], n_epochs: int, block: tuple[int, int]):
-    """n_epochs epochs' uniforms of every generator's lane, presentation-major:
-    (n_epochs, batch_size, lanes, block[1]) for blocks of shape block =
-    (batch_size, uniforms per presentation), C-contiguous, so that [k] is
-    epoch k's u of run_epoch. Each lane fills all its epochs in one call
-    into one lane's buffer, which is then copied into the lane's column."""
-    draws = np.empty((n_epochs, block[0], len(rngs), block[1]))
-    lane = np.empty((n_epochs,) + block)
-    for row, rng in enumerate(rngs):
-        rng.random(out=lane)
-        draws[:, :, row] = lane
+    """n_epochs epochs' uniforms of every generator's lane, lane-major:
+    (lanes, n_epochs, batch_size, block[1]) for blocks of shape block =
+    (batch_size, uniforms per presentation), C-contiguous. Each generator
+    fills its own lane's row, all its epochs, in one call, so every uniform
+    is written once; [:, k].transpose(1, 0, 2) is epoch k's u of run_epoch."""
+    draws = np.empty((len(rngs), n_epochs) + block)
+    for row, rng in zip(draws, rngs):
+        rng.random(out=row)
     return draws
 
 
@@ -411,14 +411,16 @@ def _run_batch(
     filtered = np.empty((len(lanes), kept_epochs))
     results = [None] * len(lanes)
     block = (config.actor.batch_size, N_INPUTS + 2 * config.actor.n_hidden + 2)
-    epoch, draws = 0, ()  # draws: the uniforms of the epochs left of the last draw
+    # draws: (lanes, epochs, ...), the uniforms of the epochs left of the last draw
+    epoch, draws = 0, np.empty((0, 0))
     while live.size:
-        if not len(draws):
+        if not draws.shape[1]:
             draws = None  # free the spent draw before the next one
             n_chunk = chunk_epochs(live.size, block[0] * block[1], config.max_epochs - epoch)
             draws = draw_epochs(rngs, n_chunk, block)
-        mean_r, filter_state = run_epoch(actor, critic, schedule, draws[0], filter_state, config)
-        draws = draws[1:]
+        u = draws[:, 0].transpose(1, 0, 2)  # run_epoch's (batch_size, lanes, ...) layout
+        mean_r, filter_state = run_epoch(actor, critic, schedule, u, filter_state, config)
+        draws = draws[:, 1:]
         if curves:
             raw[live, epoch] = mean_r
             filtered[live, epoch] = filter_state
@@ -438,7 +440,7 @@ def _run_batch(
             rngs = [rngs[i] for i in keep]
             actor.select(keep)
             critic.select(keep)
-            draws = np.take(draws, keep, axis=2)  # the lanes that stay
+            draws = draws[keep]  # the rows of the lanes that stay
     return results
 
 
@@ -626,13 +628,19 @@ def goal_floor_epoch(config: ExperimentConfig) -> int | None:
     presentation, in the same float64 arithmetic. That step rounds
     monotonically in the state and in the reward, so no lane's filter ever
     lies above this lane's, and no trial reaches the goal before this epoch.
+    An epoch that leaves the state unchanged below the goal has reached the
+    filter's float fixed point, which every later epoch keeps too, so the
+    loop stops there with None instead of running on to max_epochs.
     """
     state = config.filter_init
     for epoch in range(1, config.max_epochs + 1):
+        start = state
         for _ in range(config.actor.batch_size):
             state = config.filter_keep * state + config.filter_gain
         if state >= config.goal:
             return epoch
+        if state == start:
+            return None
     return None
 
 

@@ -647,10 +647,12 @@ class TestExitCodes:
             (["train"], "harness.filter_keep = 1.5\nharness.filter_gain = -0.5\n"),
             # the reward filter reaches the goal at epoch 300 at the earliest
             (["compare"], "harness.max_epochs = 299\n"),
+            # the all-rewarded filter stalls below this goal, so no cap is enough
+            (["compare"], "harness.goal = 0.9999999999999999\nharness.max_epochs = 1000000000\n"),
         ],
         ids=[
             "train-negative-lr", "train-negative-seed", "sweep-sub-resolution-step", "sweep-oversized-grid",
-            "train-negative-filter-gain", "compare-cap-below-goal-floor",
+            "train-negative-filter-gain", "compare-cap-below-goal-floor", "compare-goal-above-fixed-point",
         ],
     )
     def test_rejected_arguments_leave_no_output_dir(self, tmp_path, argv, config):
@@ -677,6 +679,12 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 0
         assert out.exists()
+
+    def test_compare_with_no_converged_trial_exits_1(self, tmp_path, capsys):
+        # at the goal floor (300 at the defaults) trials train, but none converges
+        cfg = write_config(tmp_path, "harness.max_epochs = 300\n")
+        assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "spinsyn: failure: need >= 2 converged" in capsys.readouterr().err
 
     def test_compare_with_one_trial_exits_2_before_training(self, tmp_path, monkeypatch):
         def no_training(*args, **kwargs):

@@ -774,7 +774,8 @@ class TestChunkedDraws:
         # From the start of a draw to the first epoch that reads it, the
         # traced memory may grow by at most two copies of the draw's
         # uniforms, each within CHUNK_BYTES, plus a little for Python
-        # objects; draw_epochs holds one copy and one lane's block.
+        # objects; draw_epochs itself holds one copy
+        # (test_a_draw_holds_its_uniforms_once).
         config = uneven_config(
             n_trials=36, max_epochs=20, goal=0.975, filter_keep=0.999, filter_gain=0.001
         )
@@ -802,6 +803,22 @@ class TestChunkedDraws:
         assert len(marks) == 7  # 3 epochs per draw at 72 lanes
         growth = max(peak - start for start, peak in marks)
         assert growth <= 2 * harness.CHUNK_BYTES + 4096, growth
+
+    def test_a_draw_holds_its_uniforms_once(self):
+        # one lane at the defaults, 273 epochs of 10 x 24 uniforms: each
+        # generator fills its own row of the draw, with no second buffer
+        block = (10, 2 + 2 * 10 + 2)
+        n_epochs = harness.chunk_epochs(1, block[0] * block[1], 10_000)
+        assert n_epochs == 273
+        rngs = [np.random.default_rng(0)]
+        tracemalloc.start()
+        try:
+            draws = harness.draw_epochs(rngs, n_epochs, block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= draws.nbytes + 4096, (peak, draws.nbytes)
+        assert draws.shape == (1, n_epochs) + block
 
 
 def trials_digest(results):
@@ -1095,9 +1112,18 @@ class TestCompareRules:
         assert report.welch.p_one_sided == pytest.approx(report.welch.p_two_sided / 2.0)
 
     def test_statistics_unavailable_when_nothing_converges(self):
-        config = small_config(n_trials=3, max_epochs=5, goal=0.99)
-        with pytest.raises(StatisticsUnavailableError):
-            compare_rules(config)
+        # below the goal floor compare_rules fails before training; at the
+        # floor every lane trains, and it fails after training, when none
+        # converged
+        floor = goal_floor_epoch(small_config(goal=0.99, max_epochs=10**6))
+        assert floor == 392
+        for max_epochs, message in [
+            (5, "no trial can reach goal"),
+            (floor, r"got 0 \(powerlaw\) and 0 \(linear\)"),
+        ]:
+            config = small_config(n_trials=3, max_epochs=max_epochs, goal=0.99)
+            with pytest.raises(StatisticsUnavailableError, match=message):
+                compare_rules(config)
 
     def test_single_trial_rejected_before_any_lane_starts(self, monkeypatch):
         def no_training(*args):
@@ -1151,6 +1177,14 @@ class TestGoalFloorEpoch:
             assert mean[0] == 1.0
             state, epoch = filtered[0], epoch + 1
         assert epoch == floor
+
+
+    def test_a_goal_above_the_filters_fixed_point_is_found_unreachable_at_once(self):
+        # the all-rewarded filter stalls at 0.9999999999999446 after about
+        # 2970 epochs, below this goal: the loop stops there, where a loop
+        # to max_epochs would not end
+        config = ExperimentConfig(goal=0.9999999999999999, max_epochs=10**12)
+        assert goal_floor_epoch(config) is None
 
 
 class TestExperimentConfigValidation:
