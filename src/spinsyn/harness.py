@@ -418,8 +418,11 @@ def _run_batch(
             draws = None  # free the spent draw before the next one
             n_chunk = chunk_epochs(live.size, block[0] * block[1], config.max_epochs - epoch)
             draws = draw_epochs(rngs, n_chunk, block)
-        u = draws[:, 0].transpose(1, 0, 2)  # run_epoch's (batch_size, lanes, ...) layout
-        mean_r, filter_state = run_epoch(actor, critic, schedule, u, filter_state, config)
+        # the front epoch, transposed to run_epoch's (batch_size, lanes, ...)
+        # layout; a view bound to no name, so none keeps a spent draw alive
+        mean_r, filter_state = run_epoch(
+            actor, critic, schedule, draws[:, 0].transpose(1, 0, 2), filter_state, config
+        )
         draws = draws[:, 1:]
         if curves:
             raw[live, epoch] = mean_r

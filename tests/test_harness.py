@@ -7,6 +7,7 @@ import pickle
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -819,6 +820,24 @@ class TestChunkedDraws:
             tracemalloc.stop()
         assert peak <= draws.nbytes + 4096, (peak, draws.nbytes)
         assert draws.shape == (1, n_epochs) + block
+
+
+    def test_a_spent_draw_is_freed_before_the_next(self, monkeypatch):
+        # compare-shaped, 13 epochs per draw at 20 lanes: when a draw starts,
+        # no earlier draw may still be alive, through a view or otherwise
+        config = uneven_config(n_trials=10, max_epochs=40, goal=0.99)
+        alive = []  # weak references to every draw made
+        draw_epochs = harness.draw_epochs
+
+        def recording(*args):
+            assert [ref() for ref in alive] == [None] * len(alive)
+            draws = draw_epochs(*args)
+            alive.append(weakref.ref(draws))
+            return draws
+
+        monkeypatch.setattr(harness, "draw_epochs", recording)
+        run_trials(config, [(UpdateRule.POWER_LAW, 1.1), (UpdateRule.LINEAR, 0.75)])
+        assert len(alive) > 1
 
 
 def trials_digest(results):
