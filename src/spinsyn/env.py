@@ -28,7 +28,7 @@ class InputSchedule:
         """(x, target) for uniforms u of shape (batch, lanes, 2): x (batch,
         lanes, 2) as floats, target (batch, lanes) the XOR of each
         presentation's bits."""
-        # allocated in C order whatever u's strides (harness.run_epoch passes
+        # allocated in C order whatever u's strides (the harness passes
         # a transposed view), so the rows x[t] and target[t] stay contiguous
         bits = np.less(u, 0.5, order="C")
         return bits.astype(float), bits[..., 0] ^ bits[..., 1]

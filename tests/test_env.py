@@ -53,13 +53,16 @@ class TestInputSchedule:
         assert np.array_equal(target, x[..., 0] != x[..., 1])
 
     def test_presentation_major_outputs(self):
-        # from the input columns of (batch, lanes, ...) uniforms, as run_epoch
-        # passes them, each presentation's inputs and targets are one
-        # contiguous row of all lanes
-        u = np.random.default_rng(5).random((4, 3, 24))[..., :2]
-        x, target = InputSchedule().next(u)
-        assert x.shape == (4, 3, 2) and target.shape == (4, 3)
-        assert x[2].flags.c_contiguous and target[2].flags.c_contiguous
+        # from the input columns of (batch, lanes, ...) uniforms, contiguous
+        # or, as run_epoch passes them, an epoch of a lane-major (lanes,
+        # epochs, batch, ...) draw transposed, each presentation's inputs and
+        # targets are one contiguous row of all lanes
+        draw = np.random.default_rng(5).random((3, 2, 4, 24))
+        for u in (np.ascontiguousarray(draw[:, 0].transpose(1, 0, 2)),
+                  draw[:, 0].transpose(1, 0, 2)):
+            x, target = InputSchedule().next(u[..., :2])
+            assert x.shape == (4, 3, 2) and target.shape == (4, 3)
+            assert x[2].flags.c_contiguous and target[2].flags.c_contiguous
 
 
 def test_single_threshold_unit_cannot_solve_xor():
