@@ -18,7 +18,9 @@ ExperimentConfig. Unknown and repeated keys are rejected with the
 offending line number, and so is a key the subcommand does not read:
 train, sweep and compare read actor, critic and harness, and device-map
 reads device. Exit codes: 0 success, 1 runtime failure, 2 usage or
-config error.
+config error, or a run precondition the harness rejects (ConfigError)
+before any lane trains. The output directory is made only once the
+results exist, so a run that exits 1 or 2 leaves none.
 """
 
 from __future__ import annotations
@@ -38,18 +40,14 @@ from .critic import CriticConfig
 from .device import SpinValveParams, pulse_map_sweep
 from .harness import (
     ComparisonReport,
+    ConfigError,
     ExperimentConfig,
     SweepResult,
     TrialResult,
     compare_rules,
-    goal_floor_epoch,
     lr_sweep,
     run_trials,
 )
-
-
-class ConfigError(Exception):
-    """Invalid config file or invalid option combination (exit code 2)."""
 
 
 @dataclass
@@ -297,6 +295,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _output_dir(out: str) -> Path:
+    """The output directory --out, made now: a subcommand calls this only once
+    its results exist, so a run that is refused or fails leaves none."""
+    path = Path(out)
+    path.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def run_cli(args: argparse.Namespace) -> int:
     loaded = parse_config(args.config, args.subcommand)
     # --seed replaces a config field, so ExperimentConfig checks it
@@ -305,31 +311,17 @@ def run_cli(args: argparse.Namespace) -> int:
         config = replace(loaded.experiment, **overrides)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if args.parallelism < 1:
-        raise ConfigError(f"--parallelism must be >= 1, got {args.parallelism}")
-
-    if args.subcommand == "compare" and config.n_trials < 2:
-        raise ConfigError(f"compare needs harness.n_trials >= 2, got {config.n_trials}")
-    # a reward filter that cannot reach the goal by max_epochs, even when
-    # every presentation is rewarded, leaves compare no converged trial
-    if args.subcommand == "compare" and goal_floor_epoch(config) is None:
-        raise ConfigError(
-            f"compare needs harness.max_epochs >= the first epoch at which the reward "
-            f"filter can reach harness.goal = {config.goal:g}; no trial can reach it "
-            f"within {config.max_epochs}"
-        )
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    # every run precondition (--parallelism, and compare's n_trials and goal
+    # floor) is checked by the harness, before any lane starts
 
     if args.subcommand == "train":
         rule = UpdateRule(args.rule)
         results = run_trials(config, [(rule, config.lr_for(rule))], parallelism=args.parallelism)
-        write_learning_curve_csv(out / "learning_curve.csv", results)
+        write_learning_curve_csv(_output_dir(args.out) / "learning_curve.csv", results)
     elif args.subcommand == "sweep":
         rules = [UpdateRule(args.rule)] if args.rule else list(UpdateRule)
         sweeps = lr_sweep(config, rules, parallelism=args.parallelism)
-        write_sweep_csv(out / "sweep.csv", sweeps)
+        write_sweep_csv(_output_dir(args.out) / "sweep.csv", sweeps)
         for sweep in sweeps:
             if sweep.best_on_edge:
                 print(
@@ -340,6 +332,7 @@ def run_cli(args: argparse.Namespace) -> int:
                 )
     elif args.subcommand == "compare":
         report = compare_rules(config, parallelism=args.parallelism)
+        out = _output_dir(args.out)
         write_comparison_csv(out / "comparison.csv", report)
         write_stats_csv(out / "stats.csv", report)
     else:  # device-map
@@ -347,7 +340,7 @@ def run_cli(args: argparse.Namespace) -> int:
             DEVICE_MAP_VOLTAGES, DEVICE_MAP_DURATIONS, DEVICE_MAP_PULSES, loaded.device
         )
         write_pulse_map_csv(
-            out / "pulse_map.csv", DEVICE_MAP_VOLTAGES, DEVICE_MAP_DURATIONS, ratios
+            _output_dir(args.out) / "pulse_map.csv", DEVICE_MAP_VOLTAGES, DEVICE_MAP_DURATIONS, ratios
         )
     return 0
 

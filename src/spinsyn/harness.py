@@ -130,6 +130,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field, fields
+from fractions import Fraction
 from functools import partial
 from multiprocessing import Pool
 
@@ -138,6 +139,11 @@ import numpy as np
 from .actor import ActorConfig, ActorNetwork, UpdateRule, _add, _multiply
 from .critic import CriticConfig, CriticNetwork
 from .env import N_INPUTS, InputSchedule, reward
+
+
+class ConfigError(ValueError):
+    """Invalid config, option or run precondition: the run is refused
+    before any lane trains (the command line's exit code 2)."""
 
 
 class StatisticsUnavailableError(RuntimeError):
@@ -183,14 +189,19 @@ class ExperimentConfig:
             raise ValueError("n_trials and max_epochs must be >= 1")
         if not 0.0 < self.goal < 1.0:
             raise ValueError(f"goal must lie in (0, 1), got {self.goal}")
-        # with the sum below, this puts filter_keep in [0, 1), up to the
-        # sum's tolerance: the filter then mixes its state and the reward
-        # with nonnegative weights, so it stays in [0, 1]
         if not 0.0 < self.filter_gain <= 1.0:
             raise ValueError(f"filter_gain must lie in (0, 1], got {self.filter_gain}")
         if abs(self.filter_keep + self.filter_gain - 1.0) > 1e-12:
             raise ValueError(
                 f"filter coefficients must sum to 1, got "
+                f"{self.filter_keep} + {self.filter_gain}"
+            )
+        # the sum above is 1 only to within its tolerance; these put
+        # filter_keep in [0, 1] and the float sum at most 1, so every rounded
+        # filter step keeps the filtered reward in [0, 1] (goal_floor_epoch)
+        if self.filter_keep < 0.0 or self.filter_keep + self.filter_gain > 1.0:
+            raise ValueError(
+                f"filter_keep must be >= 0 and filter_keep + filter_gain <= 1, got "
                 f"{self.filter_keep} + {self.filter_gain}"
             )
         if not 0.0 <= self.filter_init <= 1.0:
@@ -487,16 +498,18 @@ def _run_lanes(
     parallelism: int = 1,
     curves: bool = True,
 ) -> list[TrialResult]:
-    """Reject a rate that is not finite and > 0 and a parallelism below 1,
+    """Reject a rate that is not finite and > 0 (ValueError) and a
+    parallelism below 1 (ConfigError; the one check of parallelism, which
+    run_trials, lr_sweep, compare_rules and the command line all reach),
     then train the lanes on up to parallelism workers, but never on more
     than _usable_cpus(); results in lane order, with curves only if asked
-    (_run_batch). An empty lane list gives [] before any network or Pool
-    is made."""
+    (_run_batch). An empty lane list gives [] after these checks, before
+    any network or Pool is made."""
     for _, _, lr, _ in lanes:
         if not 0.0 < lr < math.inf:
             raise ValueError(f"learning rates must be finite and > 0, got {lr}")
     if parallelism < 1:
-        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
+        raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
     if not lanes:
         return []
     workers = min(parallelism, len(lanes), _usable_cpus())
@@ -622,19 +635,76 @@ def _summarize_arms(
     ]
 
 
+# float64's unit roundoff u: rounding a result in the normal range moves it
+# by at most u times its magnitude
+_UNIT_ROUNDOFF = Fraction(1, 2**53)
+
+
+def _goal_out_of_reach(config: ExperimentConfig) -> bool:
+    """Whether goal_floor_epoch's bound U(k) stays below the goal at every
+    presentation k up to max_epochs: exact rational arithmetic, up to one
+    quotient of logarithms (see goal_floor_epoch)."""
+    keep, gain, init, goal = (
+        Fraction(x) for x in (config.filter_keep, config.filter_gain, config.filter_init, config.goal)
+    )
+    slope = gain - (1 - keep) * init + 3 * _UNIT_ROUNDOFF  # U(k) = init + slope * G(k)
+    need = goal - init
+    if slope <= 0 or keep == 0:  # U(k) <= U(1) = init + slope
+        return slope < need
+    if need <= 0:
+        return False
+    last = config.max_epochs * config.actor.batch_size
+    if keep == 1:  # G(k) = k
+        return last * slope < need
+    r = need * (1 - keep) / slope  # U(k) < goal iff keep^k > 1 - r
+    if r >= 1:  # the goal lies at or above U's limit, init + slope / (1 - keep)
+        return True
+    # so U(k) < goal iff k < log(1 - r) / log(keep); each logarithm errs by
+    # a few eps relative, which the 1e-9 margin covers
+    if r < 0.5:
+        log_rest = math.log1p(-float(r))
+    else:  # the logarithms of 1 - r's integers, which no tiny 1 - r underflows
+        rest = 1 - r
+        log_rest = math.log(rest.numerator) - math.log(rest.denominator)
+    return last < log_rest / math.log(config.filter_keep) * (1 - 1e-9)
+
+
 def goal_floor_epoch(config: ExperimentConfig) -> int | None:
     """The first epoch at which the reward filter could reach the goal, or
     None if that lies past max_epochs: the goal epoch of a lane rewarded at
     every presentation.
 
-    The loop is run_epoch's filter step, keep * state + gain per rewarded
-    presentation, in the same float64 arithmetic. That step rounds
-    monotonically in the state and in the reward, so no lane's filter ever
-    lies above this lane's, and no trial reaches the goal before this epoch.
-    An epoch that leaves the state unchanged below the goal has reached the
-    filter's float fixed point, which every later epoch keeps too, so the
-    loop stops there with None instead of running on to max_epochs.
+    That lane's filter takes run_epoch's step, s <- keep * s + gain per
+    presentation, in float64. The step rounds monotonically in the state and
+    in the reward, so no lane's filter ever lies above this lane's, and no
+    trial reaches the goal before this epoch.
+
+    First a bound decides in O(1) whether the goal lies past max_epochs. In
+    real arithmetic the state after k presentations is
+    s_k = init + (gain - (1 - keep) * init) * G(k), with
+    G(k) = 1 + keep + ... + keep^(k - 1): that is
+    fix - (fix - init) * keep^k with fix = gain / (1 - keep). ExperimentConfig
+    keeps the float state in [0, 1] (keep >= 0 and the float sum
+    keep + gain <= 1, so the exact sum is at most 1 + u), and so a rounded
+    step fl(fl(keep * s) + gain) differs from keep * s + gain by at most
+    u * keep * s + 2^-1075 (the product; 2^-1075 bounds its underflow) plus
+    u * (1 + 2u + 2^-1075) (the sum), which is below 3u, with u = 2^-53. The float state's error d_k
+    then obeys d_(k+1) = keep * d_k + e_k, with d_0 = 0 and |e_k| < 3u:
+    the recursion contracts, so |d_k| < 3u * G(k) <= 3u / (1 - keep), a few
+    eps / (1 - keep). So the float state after k presentations is below
+    U(k) = init + (gain - (1 - keep) * init + 3u) * G(k). G is nondecreasing,
+    so U is highest at the first or at the last presentation up to
+    max_epochs, whichever the sign of its slope picks; if U stays below the
+    goal there, the call returns None (_goal_out_of_reach).
+
+    Otherwise the filter is stepped exactly, one epoch at a time, to the
+    first epoch whose state reaches the goal. An epoch that leaves the state
+    unchanged below the goal has reached the filter's float fixed point,
+    which every later epoch keeps too, so the loop stops there with None
+    instead of running on to max_epochs.
     """
+    if _goal_out_of_reach(config):
+        return None
     state = config.filter_init
     for epoch in range(1, config.max_epochs + 1):
         start = state
@@ -652,16 +722,21 @@ def compare_rules(config: ExperimentConfig, parallelism: int = 1) -> ComparisonR
 
     The Welch test compares epochs_to_goal of the power-law arm (sample a)
     against the linear arm (sample b) over converged trials only;
-    non-converged counts are visible in the per-rule summaries. Raises
-    ValueError before training if n_trials < 2, and
-    StatisticsUnavailableError before training if no trial can reach the
-    goal within max_epochs (goal_floor_epoch).
+    non-converged counts are visible in the per-rule summaries. Before any
+    lane starts it raises ConfigError if n_trials < 2, if no trial can
+    reach the goal within max_epochs (goal_floor_epoch), or, through
+    _run_lanes, if parallelism < 1: these are compare's only checks of its
+    preconditions, and the command line maps them to exit code 2. After
+    training it raises StatisticsUnavailableError if fewer than 2 trials of
+    an arm converged.
     """
     if config.n_trials < 2:
-        raise ValueError(f"compare needs n_trials >= 2, got {config.n_trials}")
+        raise ConfigError(f"compare needs n_trials >= 2, got {config.n_trials}")
     if goal_floor_epoch(config) is None:
-        raise StatisticsUnavailableError(
-            f"no trial can reach goal {config.goal} within max_epochs {config.max_epochs}"
+        raise ConfigError(
+            f"compare needs max_epochs >= the first epoch at which the reward filter "
+            f"can reach the goal; no trial can reach goal {config.goal:g} within "
+            f"max_epochs {config.max_epochs}"
         )
     arms = [(rule, config.lr_for(rule)) for rule in (UpdateRule.POWER_LAW, UpdateRule.LINEAR)]
     powerlaw, linear = _summarize_arms(config, arms, parallelism)

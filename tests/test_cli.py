@@ -649,18 +649,26 @@ class TestExitCodes:
             (["compare"], "harness.max_epochs = 299\n"),
             # the all-rewarded filter stalls below this goal, so no cap is enough
             (["compare"], "harness.goal = 0.9999999999999999\nharness.max_epochs = 1000000000\n"),
+            # each sums to 1 within 1e-12, but the filtered reward leaves [0, 1]:
+            # it rises at every epoch, even at a raw reward of 0.4
+            (["train"], "harness.filter_gain = 1e-13\nharness.filter_keep = 1.0000000000005\n"),
+            (["train"], "harness.filter_keep = -5e-13\nharness.filter_gain = 1\n"),
+            # its fixed point is 10
+            (["train"], "harness.filter_keep = 0.99999999999999\nharness.filter_gain = 1e-13\n"),
         ],
         ids=[
             "train-negative-lr", "train-negative-seed", "sweep-sub-resolution-step", "sweep-oversized-grid",
             "train-negative-filter-gain", "compare-cap-below-goal-floor", "compare-goal-above-fixed-point",
+            "train-filter-keep-above-one", "train-negative-filter-keep", "train-filter-fixed-point-above-one",
         ],
     )
     def test_rejected_arguments_leave_no_output_dir(self, tmp_path, argv, config):
         out = tmp_path / "o"
         if config is not None:
             argv = argv + ["--config", str(write_config(tmp_path, config))]
-        assert main(argv + ["--out", str(out)]) == 2
-        assert not out.exists()
+        for parallelism in ("1", "2"):
+            assert main(argv + ["--parallelism", parallelism, "--out", str(out)]) == 2
+            assert not out.exists()
 
     def test_lr_flag_is_a_usage_error(self, tmp_path, capsys):
         # a train run's rate comes only from harness.lr_<rule>
@@ -681,16 +689,21 @@ class TestExitCodes:
         assert out.exists()
 
     def test_compare_with_no_converged_trial_exits_1(self, tmp_path, capsys):
-        # at the goal floor (300 at the defaults) trials train, but none converges
-        cfg = write_config(tmp_path, "harness.max_epochs = 300\n")
-        assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
-        assert "spinsyn: failure: need >= 2 converged" in capsys.readouterr().err
+        # at the goal floor (300 at the defaults) trials train, but none
+        # converges; the run fails after training, and leaves no directory
+        for config in ("harness.max_epochs = 300\n", "harness.n_trials = 3\nharness.max_epochs = 300\n"):
+            out = tmp_path / "o"
+            cfg = write_config(tmp_path, config)
+            assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 1
+            assert "spinsyn: failure: need >= 2 converged" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_compare_with_one_trial_exits_2_before_training(self, tmp_path, monkeypatch):
         def no_training(*args, **kwargs):
             raise AssertionError("compare trained")
 
-        monkeypatch.setattr(cli, "compare_rules", no_training)
+        # the harness owns the check, before any lane starts
+        monkeypatch.setattr(harness, "_run_batch", no_training)
         cfg = write_config(tmp_path, "harness.n_trials = 1\n")
         out = tmp_path / "o"
         assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 2
@@ -735,12 +748,14 @@ class TestExitCodes:
         assert main(["device-map", "--out", str(out)] + flag) == 2
         assert not out.exists()
 
-    def test_bad_parallelism_exits_2(self, tmp_path):
-        cfg = write_config(tmp_path, SMALL_EXPERIMENT)
-        assert (
-            main(
-                ["train", "--config", str(cfg), "--out", str(tmp_path / "o"),
-                 "--parallelism", "0"]
-            )
-            == 2
-        )
+    def test_bad_parallelism_exits_2(self, tmp_path, capsys):
+        # the harness rejects it before any lane starts, and before the
+        # output directory is made; the cap is compare's goal floor, which
+        # it would otherwise accept
+        cfg = write_config(tmp_path, "harness.n_trials = 2\nharness.max_epochs = 300\n")
+        out = tmp_path / "o"
+        for subcommand in ("train", "sweep", "compare"):
+            argv = [subcommand, "--config", str(cfg), "--out", str(out), "--parallelism", "0"]
+            assert main(argv) == 2
+            assert not out.exists()
+            assert "spinsyn: error: parallelism must be >= 1, got 0" in capsys.readouterr().err

@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -18,6 +19,7 @@ from spinsyn.actor import ActorConfig, ActorNetwork, UpdateRule, threshold_power
 from spinsyn.critic import CriticConfig, CriticNetwork
 from spinsyn.env import InputSchedule
 from spinsyn.harness import (
+    ConfigError,
     ExperimentConfig,
     RuleSummary,
     StatisticsUnavailableError,
@@ -1131,17 +1133,17 @@ class TestCompareRules:
         assert report.welch.p_one_sided == pytest.approx(report.welch.p_two_sided / 2.0)
 
     def test_statistics_unavailable_when_nothing_converges(self):
-        # below the goal floor compare_rules fails before training; at the
-        # floor every lane trains, and it fails after training, when none
-        # converged
+        # below the goal floor compare_rules refuses the run before training;
+        # at the floor every lane trains, and it fails after training, when
+        # none converged
         floor = goal_floor_epoch(small_config(goal=0.99, max_epochs=10**6))
         assert floor == 392
-        for max_epochs, message in [
-            (5, "no trial can reach goal"),
-            (floor, r"got 0 \(powerlaw\) and 0 \(linear\)"),
+        for max_epochs, error, message in [
+            (5, ConfigError, "no trial can reach goal"),
+            (floor, StatisticsUnavailableError, r"got 0 \(powerlaw\) and 0 \(linear\)"),
         ]:
             config = small_config(n_trials=3, max_epochs=max_epochs, goal=0.99)
-            with pytest.raises(StatisticsUnavailableError, match=message):
+            with pytest.raises(error, match=message):
                 compare_rules(config)
 
     def test_single_trial_rejected_before_any_lane_starts(self, monkeypatch):
@@ -1152,6 +1154,15 @@ class TestCompareRules:
         with pytest.raises(ValueError, match="n_trials >= 2"):
             compare_rules(small_config(n_trials=1))
 
+    @pytest.mark.parametrize("parallelism", [0, -1])
+    def test_parallelism_below_one_rejected_before_any_lane_starts(self, monkeypatch, parallelism):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a lane started")
+
+        monkeypatch.setattr(harness, "_run_batch", no_training)
+        with pytest.raises(ConfigError, match="parallelism must be >= 1"):
+            compare_rules(small_config(max_epochs=300), parallelism=parallelism)
+
     def test_cap_below_the_goal_floor_rejected_before_any_lane_starts(self, monkeypatch):
         class Started(Exception):
             pass
@@ -1160,7 +1171,7 @@ class TestCompareRules:
             raise Started
 
         monkeypatch.setattr(harness, "_run_batch", no_training)
-        with pytest.raises(StatisticsUnavailableError, match="max_epochs 299"):
+        with pytest.raises(ConfigError, match="max_epochs 299"):
             compare_rules(small_config(max_epochs=299))
         with pytest.raises(Started):  # at the floor a trial could converge: it trains
             compare_rules(small_config(max_epochs=300))
@@ -1206,6 +1217,30 @@ class TestGoalFloorEpoch:
         assert goal_floor_epoch(config) is None
 
 
+    def test_a_slow_filter_is_found_unable_to_reach_the_goal_in_time_at_once(self):
+        # a filter that moves by about 1e-13 per presentation would reach the
+        # default goal after about 3e12 epochs; stepping it to max_epochs would
+        # take hours, so the call runs in a thread that must end within seconds
+        config = ExperimentConfig(filter_keep=1 - 1e-13, filter_gain=1e-13, max_epochs=10**12)
+        found = []
+        worker = threading.Thread(target=lambda: found.append(goal_floor_epoch(config)), daemon=True)
+        worker.start()
+        worker.join(timeout=10)
+        assert found == [None]
+
+    def test_the_float_filter_reaching_the_goal_ahead_of_the_real_one_is_kept(self):
+        # the float filter stalls at 0.9999999999999446, and reaches it at
+        # epoch 2970; the real recursion reaches it only at epoch 2984, so a
+        # bound from real arithmetic alone, not widened by the float
+        # recursion's rounding, would return None at max_epochs = 2970
+        config = ExperimentConfig(goal=0.9999999999999446, max_epochs=2970)
+        assert goal_floor_epoch(config) == 2970
+        assert goal_floor_epoch(dataclasses.replace(config, max_epochs=2969)) is None
+        keep, gain, init = config.filter_keep, config.filter_gain, config.filter_init
+        fix = gain / (1 - keep)
+        real = math.log((fix - config.goal) / (fix - init)) / math.log(keep) / config.actor.batch_size
+        assert math.ceil(real) == 2984
+
 class TestExperimentConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
@@ -1215,6 +1250,10 @@ class TestExperimentConfigValidation:
             {"filter_keep": 0.9, "filter_gain": 0.0011},
             {"filter_keep": 1.5, "filter_gain": -0.5},  # sums to 1, but the filter leaves [0, 1]
             {"filter_keep": 1.0, "filter_gain": 0.0},  # the filter never moves
+            # the sum is 1 only to within 1e-12, but the filter leaves [0, 1]
+            {"filter_keep": 1.0000000000005, "filter_gain": 1e-13},
+            {"filter_keep": -5e-13, "filter_gain": 1.0},
+            {"filter_keep": 1 - 1e-14, "filter_gain": 1e-13},  # fixed point 10
             {"filter_init": 1.5},
             {"lr_sweep_step": 0.0},
             {"lr_sweep_step": 1e-11},  # below the sweep grid's resolution
@@ -1231,6 +1270,13 @@ class TestExperimentConfigValidation:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ExperimentConfig(**kwargs)
+
+    def test_every_complementary_three_decimal_filter_loads(self):
+        # each such pair sums to exactly 1.0 in float, so the check that the
+        # float sum is at most 1 refuses none of them
+        for k in range(1, 1001):
+            ExperimentConfig(filter_keep=float(f"{(1000 - k) / 1000:.3f}"),
+                             filter_gain=float(f"{k / 1000:.3f}"))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
