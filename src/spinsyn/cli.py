@@ -340,7 +340,8 @@ def run_cli(args: argparse.Namespace) -> int:
             DEVICE_MAP_VOLTAGES, DEVICE_MAP_DURATIONS, DEVICE_MAP_PULSES, loaded.device
         )
         write_pulse_map_csv(
-            _output_dir(args.out) / "pulse_map.csv", DEVICE_MAP_VOLTAGES, DEVICE_MAP_DURATIONS, ratios
+            _output_dir(args.out) / "pulse_map.csv",
+            DEVICE_MAP_VOLTAGES, DEVICE_MAP_DURATIONS, ratios,
         )
     return 0
 

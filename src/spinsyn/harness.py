@@ -645,7 +645,8 @@ def _goal_out_of_reach(config: ExperimentConfig) -> bool:
     presentation k up to max_epochs: exact rational arithmetic, up to one
     quotient of logarithms (see goal_floor_epoch)."""
     keep, gain, init, goal = (
-        Fraction(x) for x in (config.filter_keep, config.filter_gain, config.filter_init, config.goal)
+        Fraction(x)
+        for x in (config.filter_keep, config.filter_gain, config.filter_init, config.goal)
     )
     slope = gain - (1 - keep) * init + 3 * _UNIT_ROUNDOFF  # U(k) = init + slope * G(k)
     need = goal - init
@@ -688,10 +689,10 @@ def goal_floor_epoch(config: ExperimentConfig) -> int | None:
     keep + gain <= 1, so the exact sum is at most 1 + u), and so a rounded
     step fl(fl(keep * s) + gain) differs from keep * s + gain by at most
     u * keep * s + 2^-1075 (the product; 2^-1075 bounds its underflow) plus
-    u * (1 + 2u + 2^-1075) (the sum), which is below 3u, with u = 2^-53. The float state's error d_k
-    then obeys d_(k+1) = keep * d_k + e_k, with d_0 = 0 and |e_k| < 3u:
-    the recursion contracts, so |d_k| < 3u * G(k) <= 3u / (1 - keep), a few
-    eps / (1 - keep). So the float state after k presentations is below
+    u * (1 + 2u + 2^-1075) (the sum), which is below 3u, with u = 2^-53.
+    The float state's error d_k then obeys d_(k+1) = keep * d_k + e_k, with
+    d_0 = 0 and |e_k| < 3u: the recursion contracts, so
+    |d_k| < 3u * G(k) <= 3u / (1 - keep), a few eps / (1 - keep). So the float state after k presentations is below
     U(k) = init + (gain - (1 - keep) * init + 3u) * G(k). G is nondecreasing,
     so U is highest at the first or at the last presentation up to
     max_epochs, whichever the sign of its slope picks; if U stays below the

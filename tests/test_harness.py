@@ -1216,7 +1216,6 @@ class TestGoalFloorEpoch:
         config = ExperimentConfig(goal=0.9999999999999999, max_epochs=10**12)
         assert goal_floor_epoch(config) is None
 
-
     def test_a_slow_filter_is_found_unable_to_reach_the_goal_in_time_at_once(self):
         # a filter that moves by about 1e-13 per presentation would reach the
         # default goal after about 3e12 epochs; stepping it to max_epochs would
@@ -1241,6 +1240,7 @@ class TestGoalFloorEpoch:
         real = math.log((fix - config.goal) / (fix - init)) / math.log(keep) / config.actor.batch_size
         assert math.ceil(real) == 2984
 
+
 class TestExperimentConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
@@ -1250,10 +1250,6 @@ class TestExperimentConfigValidation:
             {"filter_keep": 0.9, "filter_gain": 0.0011},
             {"filter_keep": 1.5, "filter_gain": -0.5},  # sums to 1, but the filter leaves [0, 1]
             {"filter_keep": 1.0, "filter_gain": 0.0},  # the filter never moves
-            # the sum is 1 only to within 1e-12, but the filter leaves [0, 1]
-            {"filter_keep": 1.0000000000005, "filter_gain": 1e-13},
-            {"filter_keep": -5e-13, "filter_gain": 1.0},
-            {"filter_keep": 1 - 1e-14, "filter_gain": 1e-13},  # fixed point 10
             {"filter_init": 1.5},
             {"lr_sweep_step": 0.0},
             {"lr_sweep_step": 1e-11},  # below the sweep grid's resolution
@@ -1265,6 +1261,10 @@ class TestExperimentConfigValidation:
             {"n_trials": 0},
             {"lr_sweep_step": 1e-9},  # a sweep grid of 8.5e8 rates
             {"lr_sweep_to": 1e308},
+            # the sum is 1 only to within 1e-12, but the filter leaves [0, 1]
+            {"filter_keep": 1.0000000000005, "filter_gain": 1e-13},
+            {"filter_keep": -5e-13, "filter_gain": 1.0},
+            {"filter_keep": 1 - 1e-14, "filter_gain": 1e-13},  # fixed point 10
         ],
     )
     def test_invalid_rejected(self, kwargs):
